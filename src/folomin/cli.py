@@ -44,7 +44,9 @@ def _fmt(x) -> str:
 
 def _sha256(path: Path) -> str:
     h = hashlib.sha256()
-    h.update(path.read_bytes())
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            h.update(chunk)
     return h.hexdigest()
 
 
@@ -74,7 +76,10 @@ def _json_ready(obj):
     return obj
 
 
-def _write_manifest(out_dir: Path, command: str, config: dict, inputs: dict, outputs: list[Path], t0: float):
+def _write_manifest(
+    out_dir: Path, command: str, config: dict, inputs: dict[str, str], outputs: list[Path], t0: float
+):
+    """``inputs`` maps each input file's path to its SHA-256 digest."""
     config = {k: v for k, v in config.items() if not callable(v)}
     manifest = {
         "command": command,
@@ -82,7 +87,7 @@ def _write_manifest(out_dir: Path, command: str, config: dict, inputs: dict, out
         "version": __version__,
         "rng": RNG_NAME,
         "duration_seconds": time.time() - t0,
-        "inputs": {str(p): _sha256(Path(p)) for p in inputs.values() if Path(p).is_file()},
+        "inputs": inputs,
         "outputs": {p.name: _sha256(p) for p in outputs},
     }
     _write_json(out_dir / "manifest.json", manifest)
@@ -101,35 +106,67 @@ def _family_from_flag(name: str, variance: float = 1.0) -> ResponseFamily:
 def _read_numeric_csv(path: Path) -> tuple[list[str], np.ndarray]:
     """Read a rectangular numeric CSV with a header row.
 
-    Errors carry 1-based row/column coordinates of the offending cell.
+    The header is read with :mod:`csv`; the data rows are parsed by
+    ``np.loadtxt`` straight from the open file. Blank lines are skipped,
+    cells may be quoted, and numbers follow C syntax (no ``_`` digit
+    separators, no ``#`` comments). Errors carry 1-based row/column
+    coordinates of the offending cell.
     """
+    import warnings
+
     if not path.exists():
         raise DataError(f"data file not found: {path}")
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    with open(path) as fh:
         try:
-            header = next(reader)
+            header = next(csv.reader(fh))
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
-        width = len(header)
-        rows = []
+        try:
+            with warnings.catch_warnings():
+                # a header-only file is reported as "no data rows" below
+                warnings.simplefilter("ignore", UserWarning)
+                values = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', ndmin=2)
+        except ValueError as exc:
+            raise _csv_error(path, len(header), str(exc)) from None
+    if values.shape[0] == 0 or values.shape[1] != len(header):
+        raise _csv_error(path, len(header), f"expected {len(header)} columns")
+    return header, values
+
+
+def _is_c_float(cell: str) -> bool:
+    """Whether ``np.loadtxt`` reads ``cell`` as a float: what ``float``
+    accepts, less ``_`` separators and non-ASCII digits."""
+    cell = cell.strip()
+    if not cell.isascii() or "_" in cell:
+        return False
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
+def _csv_error(path: Path, width: int, detail: str) -> DataError:
+    """Error for a CSV that ``np.loadtxt`` rejected, naming its first bad
+    row (ragged, or with a non-numeric cell) as 1-based coordinates.
+
+    ``detail`` is the message when no row is at fault."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        n_rows = 0
         for i, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            n_rows += 1
             if len(row) != width:
-                raise DataError(
-                    f"{path}: ragged row {i} has {len(row)} cells, expected {width}"
-                )
-            values = []
+                return DataError(f"{path}: ragged row {i} has {len(row)} cells, expected {width}")
             for j, cell in enumerate(row, start=1):
-                try:
-                    values.append(float(cell))
-                except ValueError:
-                    raise DataError(
-                        f"{path}: non-numeric cell at row {i}, column {j}: {cell!r}"
-                    ) from None
-            rows.append(values)
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-    return header, np.asarray(rows)
+                if not _is_c_float(cell):
+                    return DataError(f"{path}: non-numeric cell at row {i}, column {j}: {cell!r}")
+    if not n_rows:
+        return DataError(f"{path}: no data rows")
+    return DataError(f"{path}: {detail}")
 
 
 # --------------------------------------------------------------------- #
@@ -264,6 +301,7 @@ def cmd_fit(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     header, values = _read_numeric_csv(data_path)
+    data_sha256 = _sha256(data_path)
     n, q = values.shape
     if n < args.r or q < args.r:
         raise ValueError(f"need n, q >= r; data is {n} x {q} with r = {args.r}")
@@ -302,7 +340,7 @@ def cmd_fit(args) -> int:
         "center": bool(args.center),
         "column_means": column_means,
         "data": str(data_path),
-        "data_sha256": _sha256(data_path),
+        "data_sha256": data_sha256,
         "columns": header,
         "initial_rotation": pipe.init.rotation,
         "total_rotation": rotation.G_total,
@@ -315,7 +353,7 @@ def cmd_fit(args) -> int:
     _write_json(rotation_json, _json_ready(rotation_payload))
 
     outputs = [a_csv, z_csv, rotation_json]
-    _write_manifest(out, "fit", vars(args), {"data": str(data_path)}, outputs, t0)
+    _write_manifest(out, "fit", vars(args), {str(data_path): data_sha256}, outputs, t0)
     print(f"fitted {q} x {args.r} representation; wrote A.csv, Z.csv, rotation.json to {out}")
     return 0
 
@@ -432,9 +470,7 @@ def cmd_infer(args) -> int:
             )
         )
         outputs.append(p)
-    _write_manifest(
-        out, "infer", vars(args), {"data": str(data_path), "model": str(model_dir)}, outputs, t0
-    )
+    _write_manifest(out, "infer", vars(args), {str(data_path): _sha256(data_path)}, outputs, t0)
     print(f"wrote {', '.join(p.name for p in outputs)} to {out}")
     return 0
 
@@ -466,7 +502,7 @@ def cmd_report(args) -> int:
             mse = summary["mean_scaled_mse_A"].get(m)
             if cov is not None:
                 lines.append(f"  {m:<20}  {cov:>13.4f}  {mse:>12.4f}")
-        header, table = _read_numeric_csv_report(rep_csv)
+        _, table = _read_numeric_csv_strings(rep_csv)
         outputs += _report_panels(out, table)
     elif inference_csv.exists():
         _, rows = _read_numeric_csv_strings(inference_csv)
@@ -484,19 +520,12 @@ def cmd_report(args) -> int:
     report_txt = out / "report.txt"
     report_txt.write_text("\n".join(lines) + "\n")
     outputs.append(report_txt)
-    _write_manifest(out, "report", vars(args), {"source": str(src)}, outputs, t0)
+    _write_manifest(out, "report", vars(args), {}, outputs, t0)
     print(f"wrote {', '.join(p.name for p in outputs)} to {out}")
     return 0
 
 
 def _read_numeric_csv_strings(path: Path):
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        rows = list(reader)
-    return reader.fieldnames, rows
-
-
-def _read_numeric_csv_report(path: Path):
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         rows = list(reader)

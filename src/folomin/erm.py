@@ -41,6 +41,7 @@ __all__ = [
     "spectral_warm_start",
     "oracle_fit_A",
     "oracle_fit_Z",
+    "row_grams",
 ]
 
 
@@ -311,6 +312,17 @@ def erm_fit(
     return FitResult(params, trace)
 
 
+def row_grams(X: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Weighted Grams ``X' diag(w[:, k]) X`` for every column ``k`` of ``w``.
+
+    ``X`` is (m, r) and ``w`` is (m, k); the (k, r, r) stack comes from
+    one matrix product of ``w'`` with the row-wise outer products of ``X``.
+    """
+    m, r = X.shape
+    outer = (X[:, :, None] * X[:, None, :]).reshape(m, r * r)
+    return (w.T @ outer).reshape(w.shape[1], r, r)
+
+
 def _separable_fit(
     X: np.ndarray,
     targets: np.ndarray,
@@ -342,9 +354,8 @@ def _separable_fit(
         if not active.any():
             break
         w = risk_d2(family, theta)
-        H = np.einsum("mr,mk,ms->krs", X, w, X)
-        H = H + 1e-12 * np.eye(r)
-        d = -np.linalg.solve(H[active], grad[active][:, :, None])[:, :, 0]
+        H = row_grams(X, w[:, active]) + 1e-12 * np.eye(r)
+        d = -np.linalg.solve(H, grad[active][:, :, None])[:, :, 0]
         gd = (grad[active] * d).sum(axis=1)
 
         idx = np.flatnonzero(active)

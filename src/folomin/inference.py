@@ -17,7 +17,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.special import ndtr, ndtri
 
-from .erm import ParamPair
+from .erm import ParamPair, row_grams
 from .exceptions import DegenerateVarianceError, IllConditionedCovarianceError
 from .model import ResponseMatrix, risk_d1, risk_d2
 
@@ -28,6 +28,7 @@ __all__ = [
     "plugin_covariance_Z",
     "plugin_covariances_A_all",
     "plugin_covariances_Z_all",
+    "row_variances",
     "wald_intervals",
     "bh_adjust",
     "bonferroni_adjust",
@@ -59,8 +60,8 @@ def _sandwich_stack(X: np.ndarray, d1: np.ndarray, d2: np.ndarray, scale: int):
     (m, k) arrays of risk derivatives evaluated at the fit.
     """
     m = X.shape[0]
-    breads = np.einsum("mr,mk,ms->krs", X, d2, X) / m
-    meats = np.einsum("mr,mk,ms->krs", X, d1**2, X) / m
+    breads = row_grams(X, d2) / m
+    meats = row_grams(X, d1**2) / m
     conds = np.linalg.cond(breads)
     if np.any(conds > 1e10):
         j = int(np.argmax(conds))
@@ -113,6 +114,12 @@ def plugin_covariance_Z(data: ResponseMatrix, params: ParamPair, i: int) -> RowC
     return RowCovariance(i, breads[0], meats[0], sands[0], params.q)
 
 
+def row_variances(covariances: list[RowCovariance]) -> np.ndarray:
+    """Entrywise estimator variances ``diag(sandwich) / scale``, one row
+    per covariance."""
+    return np.stack([c.sandwich.diagonal() / c.scale for c in covariances])
+
+
 def wald_intervals(
     estimates: np.ndarray, covariances: list[RowCovariance], level: float
 ):
@@ -124,7 +131,7 @@ def wald_intervals(
     if not 0 < level < 1:
         raise ValueError("level must lie in (0, 1)")
     estimates = np.asarray(estimates, dtype=float)
-    variances = np.stack([c.sandwich.diagonal() / c.scale for c in covariances])
+    variances = row_variances(covariances)
     if np.any(variances <= 0):
         j, l = np.argwhere(variances <= 0)[0]
         raise DegenerateVarianceError(f"nonpositive variance for entry ({j}, {l})")

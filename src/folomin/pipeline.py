@@ -10,7 +10,7 @@ import numpy as np
 from .criteria import FoldedLoss, folded_criterion
 from .erm import FitConfig, FitResult, ParamPair, ResponseMatrix, erm_fit
 from .exceptions import CollinearAxesError, InsufficientSimpleStructureError
-from .inference import plugin_covariances_A_all
+from .inference import plugin_covariances_A_all, row_variances
 from .initialization import InitConfig, InitResult, init_rotation, similarity_matrix
 from .lqa import LqaConfig, LqaResult, lqa_run
 
@@ -42,8 +42,7 @@ def suggest_gamma(data: ResponseMatrix, params: ParamPair, a3: float) -> float:
     the safety headroom. Falls back to three times the median standard
     error when nothing is significant.
     """
-    covs = plugin_covariances_A_all(data, params)
-    se = np.stack([np.sqrt(c.sandwich.diagonal() / c.scale) for c in covs])
+    se = np.sqrt(row_variances(plugin_covariances_A_all(data, params)))
     mags = np.abs(params.A)
     significant = mags > 3.0 * se
     lam_hat = float(mags[significant].min()) if significant.any() else 3.0 * float(np.median(se))

@@ -29,7 +29,13 @@ from scipy.special import ndtri
 
 from .erm import FitConfig, ParamPair, oracle_fit_A, oracle_fit_Z
 from .exceptions import FolominError
-from .inference import align, align_pair, plugin_covariances_A_all, plugin_covariances_Z_all
+from .inference import (
+    align,
+    align_pair,
+    plugin_covariances_A_all,
+    plugin_covariances_Z_all,
+    row_variances,
+)
 from .initialization import InitConfig
 from .model import ResponseFamily, ResponseMatrix, sample_response
 from .pipeline import fit_pipeline, make_loss
@@ -232,13 +238,8 @@ def _method_metrics(aligned_A, se_A, A_star, level, n, centers=None):
     }
 
 
-def _se_from_covs(covs):
-    return np.stack([np.sqrt(c.sandwich.diagonal() / c.scale) for c in covs])
-
-
 def _mean_cover_Z(data, params, Z_star, level) -> float:
-    covs = plugin_covariances_Z_all(data, params)
-    se = _se_from_covs(covs)
+    se = np.sqrt(row_variances(plugin_covariances_Z_all(data, params)))
     mult = float(ndtri((1.0 + level) / 2.0))
     return float((np.abs(params.Z - Z_star) <= mult * se).mean())
 
@@ -287,8 +288,7 @@ def _run_one_rep(design: SimDesign, methods, rep: int, seed_seq, level: float, o
         kind = m.split("_", 1)[1]
         t0 = time.perf_counter()
         params = align_pair(pipe.rotations[kind].params, A_star)
-        covs = plugin_covariances_A_all(data, params)
-        se = _se_from_covs(covs)
+        se = np.sqrt(row_variances(plugin_covariances_A_all(data, params)))
         per_method[m] = _method_metrics(params.A, se, A_star, level, design.n)
         per_method[m]["mean_cover_Z"] = _mean_cover_Z(data, params, Z_star, level)
         timing[m] = time.perf_counter() - t0
@@ -297,8 +297,7 @@ def _run_one_rep(design: SimDesign, methods, rep: int, seed_seq, level: float, o
         t0 = time.perf_counter()
         A_or = oracle_fit_A(data, Z_star)
         params = ParamPair(Z_star, A_or)
-        covs = plugin_covariances_A_all(data, params)
-        se = _se_from_covs(covs)
+        se = np.sqrt(row_variances(plugin_covariances_A_all(data, params)))
         per_method["oracle"] = _method_metrics(A_or, se, A_star, level, design.n)
         Z_or = oracle_fit_Z(data, A_star)
         per_method["oracle"]["mean_cover_Z"] = _mean_cover_Z(
@@ -311,8 +310,7 @@ def _run_one_rep(design: SimDesign, methods, rep: int, seed_seq, level: float, o
         fitted = pipe.fit.params
         vres = varimax_rotate(fitted.A, VintageConfig(seed=opts.get("vintage_seed", 0)))
         params = align_pair(ParamPair(fitted.Z @ vres.G, vres.A_rot), A_star)
-        covs = plugin_covariances_A_all(data, params)
-        se = _se_from_covs(covs)
+        se = np.sqrt(row_variances(plugin_covariances_A_all(data, params)))
         if "varimax" in methods:
             per_method["varimax"] = _method_metrics(params.A, se, A_star, level, design.n)
         if "varimax_debiased" in methods:
@@ -329,8 +327,7 @@ def _run_one_rep(design: SimDesign, methods, rep: int, seed_seq, level: float, o
         fitted = pipe.fit.params
         pres = promax_rotate(fitted.A, power=opts.get("promax_power", 4))
         params = align_pair(ParamPair(fitted.Z @ pres.G.T, pres.A_rot), A_star)
-        covs = plugin_covariances_A_all(data, params)
-        se = _se_from_covs(covs)
+        se = np.sqrt(row_variances(plugin_covariances_A_all(data, params)))
         per_method["promax"] = _method_metrics(params.A, se, A_star, level, design.n)
         timing["promax"] = time.perf_counter() - t0
 

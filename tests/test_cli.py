@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 from pathlib import Path
 
@@ -91,6 +92,10 @@ def test_fit_infer_roundtrip(tmp_path):
     assert A.shape == (60, 2) and Z.shape == (120, 2)
     meta = json.loads((model / "rotation.json").read_text())
     assert meta["loss"] == "mcp" and meta["r"] == 2
+    # fit records the data file's digest in rotation.json and its manifest
+    digest = hashlib.sha256(data_csv.read_bytes()).hexdigest()
+    assert meta["data_sha256"] == digest
+    assert json.loads((model / "manifest.json").read_text())["inputs"] == {str(data_csv): digest}
 
     code = main(["infer", str(model), "--level", "0.95", "--adjust", "bh", "--per-column", "--heatmap"])
     assert code == 0
@@ -98,6 +103,7 @@ def test_fit_infer_roundtrip(tmp_path):
     assert inference.exists()
     assert (model / "inference_summary.json").exists()
     assert (model / "significance_heatmap.svg").exists()
+    assert json.loads((model / "manifest.json").read_text())["inputs"] == {str(data_csv): digest}
     with open(inference) as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 60 * 2

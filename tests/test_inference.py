@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from folomin import (
@@ -18,9 +18,11 @@ from folomin import (
     plugin_covariance_A,
     plugin_covariance_Z,
     plugin_covariances_A_all,
+    plugin_covariances_Z_all,
     sample_response,
     wald_intervals,
 )
+from folomin.erm import row_grams
 from folomin.inference import two_sided_p
 
 
@@ -219,3 +221,47 @@ def test_build_report_structure():
     strong = np.abs(A_star) > 1
     assert report.rejections_A[strong].all()
     assert np.abs(report.z_A[strong]).min() > 5
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    m=st.integers(1, 40),
+    r=st.integers(1, 5),
+    k=st.integers(1, 8),
+    log_scale=st.integers(-20, 20),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(m=9, r=1, k=4, log_scale=0, seed=0)
+@example(m=9, r=4, k=1, log_scale=0, seed=0)
+@example(m=1, r=1, k=1, log_scale=0, seed=0)
+def test_row_grams_matches_column_loop(m, r, k, log_scale, seed):
+    rng = np.random.default_rng(seed)
+    X = 2.0**log_scale * rng.standard_normal((m, r))
+    # nonnegative weights, like the risk curvatures and squared scores
+    w = rng.exponential(size=(m, k))
+    grams = row_grams(X, w)
+    assert grams.shape == (k, r, r)
+    for col in range(k):
+        ref = X.T @ (w[:, col, None] * X)
+        assert np.abs(grams[col] - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_single_row_covariances_match_stacks():
+    rng = np.random.default_rng(13)
+    n, q, r = 150, 12, 2
+    Z_star = _orthonormal_scores(rng, n, r)
+    A_star = 0.8 * rng.standard_normal((q, r))
+    fam = ResponseFamily.bernoulli()
+    data = ResponseMatrix(sample_response(fam, Z_star @ A_star.T, rng), fam)
+    params = ParamPair(Z_star, oracle_fit_A(data, Z_star))
+    for single, stack, rows in (
+        (plugin_covariance_A, plugin_covariances_A_all(data, params), range(q)),
+        (plugin_covariance_Z, plugin_covariances_Z_all(data, params), range(0, n, 7)),
+    ):
+        for i in rows:
+            one = single(data, params, i)
+            assert one.index == stack[i].index == i
+            assert one.scale == stack[i].scale
+            for name in ("bread", "meat", "sandwich"):
+                a, b = getattr(one, name), getattr(stack[i], name)
+                assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
