@@ -316,7 +316,7 @@ def cmd_fit(args) -> int:
         data,
         args.r,
         losses={args.loss: loss},
-        fit_config=FitConfig(M=args.cap, max_iters=args.max_iters, tol=args.tol, seed=args.seed),
+        fit_config=FitConfig(M=args.cap, max_iters=args.max_iters, tol=args.tol),
         eta=args.eta,
         T=args.lqa_iters,
         mode=args.mode,
@@ -598,7 +598,12 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--mode", choices=["oblique", "orthogonal"], default="oblique")
     fit.add_argument("--max-iters", type=int, default=1000)
     fit.add_argument("--tol", type=float, default=1e-9)
-    fit.add_argument("--seed", type=int, default=0)
+    fit.add_argument(
+        "--seed",
+        type=int,
+        default=0,
+        help="recorded in rotation.json only; the fit draws no random numbers",
+    )
     fit.add_argument("--out", default=".", help="output directory")
     fit.set_defaults(func=cmd_fit)
 

@@ -25,6 +25,7 @@ __all__ = [
     "varimax_criterion",
     "feasible_project",
     "sample_feasible",
+    "polar",
 ]
 
 
@@ -105,16 +106,9 @@ class FoldedLoss:
         ``t == gamma``) the value 0 is returned; the one-sided slope at
         zero is available via :meth:`deriv_zero_plus`.
         """
-        t = np.asarray(t, dtype=float)
-        if np.any(t <= 0):
+        if np.any(np.asarray(t, dtype=float) <= 0):
             raise ValueError("deriv is defined for t > 0; use deriv_zero_plus at zero")
-        g, a = self.gamma, self.a
-        if self.kind == "mcp":
-            return np.maximum(g - t / a, 0.0) * (t <= a * g)
-        if self.kind == "scad":
-            tail = np.maximum(a * g - t, 0.0) / (a - 1.0)
-            return np.where(t <= g, g, tail)
-        return np.where(t < g, g, 0.0)
+        return self.weight_deriv(t)
 
     def weight_deriv(self, t):
         """Derivative with the re-weighting conventions applied.
@@ -204,8 +198,10 @@ class FeasibleSet:
         return self.gram.shape[0]
 
 
-def _polar_factor(G: np.ndarray) -> np.ndarray:
-    U, _, Vt = np.linalg.svd(G)
+def polar(X: np.ndarray) -> np.ndarray:
+    """Polar factor ``U V'`` of ``X``: the nearest matrix with orthonormal
+    columns (thin SVD, so ``X`` may be tall)."""
+    U, _, Vt = np.linalg.svd(X, full_matrices=False)
     return U @ Vt
 
 
@@ -218,7 +214,7 @@ def feasible_project(fset: FeasibleSet, G: np.ndarray) -> np.ndarray:
     """
     G = np.asarray(G, dtype=float)
     if fset.mode == "orthogonal":
-        return _polar_factor(G)
+        return polar(G)
     d = np.einsum("ij,jk,ik->i", G, fset.gram, G)
     if np.any(d <= 1e-300):
         bad = int(np.argmin(d))

@@ -96,16 +96,12 @@ class FitConfig:
 
     ``M`` caps all row norms; when None it defaults to twice the spectral
     warm start's largest row norm, which keeps the cap inactive at any
-    reasonable solution. ``fixed_step`` switches off backtracking.
+    reasonable solution.
     """
 
     M: float | None = None
     max_iters: int = 1000
     tol: float = 1e-9
-    step_shrink: float = 0.5
-    armijo_c: float = 1e-4
-    fixed_step: float | None = None
-    seed: int = 0
 
 
 @dataclass
@@ -232,9 +228,7 @@ def erm_fit(
 
     f = _objective(Y, family, Z, A)
     trace = FitTrace(objectives=[f])
-    step_z = config.fixed_step or 1.0
-    step_a = config.fixed_step or 1.0
-    shrink, c_armijo = config.step_shrink, config.armijo_c
+    step_z = step_a = 1.0
 
     for it in range(config.max_iters):
         # Z block: Riemannian gradient step with polar retraction; the
@@ -244,44 +238,29 @@ def erm_fit(
         S = Z.T @ grad_z
         grad_z = grad_z - Z @ ((S + S.T) / (2.0 * n))
         gz2 = float((grad_z**2).sum())
-        if config.fixed_step is None:
-            step_z *= 2.0
-            accepted = False
-            for _ in range(60):
-                Z_c = _polar_retract(Z - step_z * grad_z)
-                Z_c, clipped = _clip_rows(Z_c, M)
-                if clipped:
-                    Z_c = _polar_retract(Z_c)
-                f_c = _objective(Y, family, Z_c, A)
-                if f_c <= f - c_armijo * step_z * gz2:
-                    accepted = True
-                    break
-                step_z *= shrink
-            if accepted:
+        step_z *= 2.0
+        for _ in range(60):
+            Z_c = _polar_retract(Z - step_z * grad_z)
+            Z_c, clipped = _clip_rows(Z_c, M)
+            if clipped:
+                Z_c = _polar_retract(Z_c)
+            f_c = _objective(Y, family, Z_c, A)
+            if f_c <= f - 1e-4 * step_z * gz2:
                 Z, f = Z_c, f_c
-        else:
-            Z = _polar_retract(Z - step_z * grad_z)
-            f = _objective(Y, family, Z, A)
+                break
+            step_z *= 0.5
 
         # A block: gradient step, then co-rotation to restore diagonality
         grad_a = risk_d1(family, Z @ A.T, Y).T @ Z
         ga2 = float((grad_a**2).sum())
-        if config.fixed_step is None:
-            step_a *= 2.0
-            accepted = False
-            for _ in range(60):
-                A_c = A - step_a * grad_a
-                A_c, _ = _clip_rows(A_c, M)
-                f_c = _objective(Y, family, Z, A_c)
-                if f_c <= f - c_armijo * step_a * ga2:
-                    accepted = True
-                    break
-                step_a *= shrink
-            if accepted:
+        step_a *= 2.0
+        for _ in range(60):
+            A_c, _ = _clip_rows(A - step_a * grad_a, M)
+            f_c = _objective(Y, family, Z, A_c)
+            if f_c <= f - 1e-4 * step_a * ga2:
                 A, f = A_c, f_c
-        else:
-            A = A - step_a * grad_a
-            f = _objective(Y, family, Z, A)
+                break
+            step_a *= 0.5
         Z, A = _diagonalize(Z, A)
 
         trace.objectives.append(f)

@@ -30,31 +30,37 @@ __all__ = [
     "plugin_covariances_Z_all",
     "row_variances",
     "wald_intervals",
+    "two_sided_p",
     "bh_adjust",
     "bonferroni_adjust",
     "align",
+    "align_pair",
     "build_report",
 ]
 
 
 @dataclass(frozen=True)
 class RowCovariance:
-    """Sandwich covariance for one row: ``bread^{-1} meat bread^{-1}``.
+    """Sandwich covariances ``bread^{-1} meat bread^{-1}`` of a stack of rows.
 
-    ``scale`` is the divisor turning the sandwich into the row
-    estimator's variance (``n`` for representation rows, ``q`` for
-    latent rows).
+    ``bread``, ``meat`` and ``sandwich`` have shape ``(k, r, r)``, one
+    matrix per row of the stack. ``scale`` is the divisor turning a
+    sandwich into the row estimator's variance (``n`` for representation
+    rows, ``q`` for latent rows).
     """
 
-    index: int
     bread: np.ndarray
     meat: np.ndarray
     sandwich: np.ndarray
     scale: int
 
+    def __len__(self) -> int:
+        """Number of rows in the stack."""
+        return self.sandwich.shape[0]
 
-def _sandwich_stack(X: np.ndarray, d1: np.ndarray, d2: np.ndarray, scale: int):
-    """Stacked breads/meats/sandwiches for all columns of ``d1``/``d2``.
+
+def _sandwich_stack(X: np.ndarray, d1: np.ndarray, d2: np.ndarray, scale: int) -> RowCovariance:
+    """Sandwich covariances for all columns of ``d1``/``d2``.
 
     ``X`` is the (m, r) design shared by all rows, ``d1``/``d2`` are
     (m, k) arrays of risk derivatives evaluated at the fit.
@@ -71,58 +77,50 @@ def _sandwich_stack(X: np.ndarray, d1: np.ndarray, d2: np.ndarray, scale: int):
     inv = np.linalg.inv(breads)
     sands = inv @ meats @ inv
     sands = (sands + np.swapaxes(sands, 1, 2)) / 2.0
-    return breads, meats, sands
+    return RowCovariance(breads, meats, sands, scale)
 
 
-def plugin_covariances_A_all(data: ResponseMatrix, params: ParamPair) -> list[RowCovariance]:
+def plugin_covariances_A_all(data: ResponseMatrix, params: ParamPair) -> RowCovariance:
     """Sandwich covariances for every row of the representation matrix."""
     theta = params.theta()
     d1 = risk_d1(data.family, theta, data.values)
     d2 = risk_d2(data.family, theta)
-    breads, meats, sands = _sandwich_stack(params.Z, d1, d2, params.n)
-    return [
-        RowCovariance(j, breads[j], meats[j], sands[j], params.n) for j in range(params.q)
-    ]
+    return _sandwich_stack(params.Z, d1, d2, params.n)
 
 
-def plugin_covariances_Z_all(data: ResponseMatrix, params: ParamPair) -> list[RowCovariance]:
+def plugin_covariances_Z_all(data: ResponseMatrix, params: ParamPair) -> RowCovariance:
     """Sandwich covariances for every row of the latent score matrix."""
     theta = params.theta()
     d1 = risk_d1(data.family, theta, data.values)
     d2 = risk_d2(data.family, theta)
-    breads, meats, sands = _sandwich_stack(params.A, d1.T, d2.T, params.q)
-    return [
-        RowCovariance(i, breads[i], meats[i], sands[i], params.q) for i in range(params.n)
-    ]
+    return _sandwich_stack(params.A, d1.T, d2.T, params.q)
 
 
 def plugin_covariance_A(data: ResponseMatrix, params: ParamPair, j: int) -> RowCovariance:
-    """Sandwich covariance for row ``j`` of the representation matrix."""
+    """Sandwich covariance for row ``j`` of the representation matrix, as a
+    stack of one."""
     theta = params.Z @ params.A[j]
     d1 = risk_d1(data.family, theta, data.values[:, j])[:, None]
     d2 = risk_d2(data.family, theta)[:, None]
-    breads, meats, sands = _sandwich_stack(params.Z, d1, d2, params.n)
-    return RowCovariance(j, breads[0], meats[0], sands[0], params.n)
+    return _sandwich_stack(params.Z, d1, d2, params.n)
 
 
 def plugin_covariance_Z(data: ResponseMatrix, params: ParamPair, i: int) -> RowCovariance:
-    """Sandwich covariance for row ``i`` of the latent scores."""
+    """Sandwich covariance for row ``i`` of the latent scores, as a stack
+    of one."""
     theta = params.A @ params.Z[i]
     d1 = risk_d1(data.family, theta, data.values[i])[:, None]
     d2 = risk_d2(data.family, theta)[:, None]
-    breads, meats, sands = _sandwich_stack(params.A, d1, d2, params.q)
-    return RowCovariance(i, breads[0], meats[0], sands[0], params.q)
+    return _sandwich_stack(params.A, d1, d2, params.q)
 
 
-def row_variances(covariances: list[RowCovariance]) -> np.ndarray:
+def row_variances(covariances: RowCovariance) -> np.ndarray:
     """Entrywise estimator variances ``diag(sandwich) / scale``, one row
-    per covariance."""
-    return np.stack([c.sandwich.diagonal() / c.scale for c in covariances])
+    per row of the stack."""
+    return covariances.sandwich.diagonal(axis1=1, axis2=2) / covariances.scale
 
 
-def wald_intervals(
-    estimates: np.ndarray, covariances: list[RowCovariance], level: float
-):
+def wald_intervals(estimates: np.ndarray, covariances: RowCovariance, level: float):
     """Entrywise Wald intervals and z-scores.
 
     Entry ``(j, l)`` gets ``est +- z_level * sqrt(sandwich_ll / scale)``;
@@ -229,8 +227,8 @@ class InferenceReport:
     """
 
     estimates: ParamPair
-    cov_A: list[RowCovariance]
-    cov_Z: list[RowCovariance]
+    cov_A: RowCovariance
+    cov_Z: RowCovariance
     level: float
     lower_A: np.ndarray
     upper_A: np.ndarray

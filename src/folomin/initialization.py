@@ -25,6 +25,7 @@ __all__ = [
     "similarity_matrix",
     "init_rotation",
     "axes_from_sets",
+    "candidate_sets",
 ]
 
 
@@ -63,7 +64,6 @@ class InitResult:
     params: ParamPair
     rotation: np.ndarray
     selected_sets: list[frozenset[int]]
-    similarity_used: dict
 
 
 def similarity_matrix(params: ParamPair, delta: float) -> np.ndarray:
@@ -92,17 +92,21 @@ def similarity(params: ParamPair, j1: int, j2: int, delta: float) -> float:
     return float(np.clip(u @ v / (nu * nv), -1.0, 1.0))
 
 
-def _select_disjoint(
-    sets: list[set[int]], r: int, min_size: int, extra: int = 0
+def candidate_sets(
+    sims: np.ndarray, delta_prime: float, r: int, min_size: int, extra: int = 0
 ) -> list[frozenset[int]]:
     """Greedy pick of the largest pairwise-disjoint candidate sets.
 
-    Candidates are ordered by size descending with ties broken by the
-    smallest anchor index; a candidate is accepted iff disjoint from all
+    The candidate set of row ``j`` collects the rows whose similarity to
+    it exceeds ``1 - delta_prime``. Candidates of at least ``min_size``
+    rows are ordered by size descending with ties broken by the smallest
+    anchor index; a candidate is accepted iff disjoint from all
     previously accepted sets. Up to ``r + extra`` sets are returned (the
     surplus lets a caller consider alternative axis combinations); fewer
     than ``r`` raises.
     """
+    candidate = sims > 1.0 - delta_prime
+    sets = [set(np.flatnonzero(row).tolist()) for row in candidate]
     order = sorted(
         (j for j, s in enumerate(sets) if len(s) >= min_size),
         key=lambda j: (-len(sets[j]), j),
@@ -149,9 +153,7 @@ def axes_from_sets(params: ParamPair, sets: list[frozenset[int]]) -> InitResult:
     scale = np.sqrt(np.diag(V_inv @ V_inv.T))
     G0 = V_inv / scale[:, None]
     out = ParamPair(Z0 @ G0.T, A0 @ np.linalg.inv(G0))
-    return InitResult(
-        params=out, rotation=G0, selected_sets=list(sets), similarity_used={}
-    )
+    return InitResult(params=out, rotation=G0, selected_sets=list(sets))
 
 
 def init_rotation(
@@ -170,25 +172,7 @@ def init_rotation(
     ``diag(Z'Z / n) = I`` whenever the input does.
     """
     config = config or InitConfig()
-    q, r = params.A.shape
-
     if sims is None:
         sims = similarity_matrix(params, config.delta)
-    candidate = sims > 1.0 - config.delta_prime
-    sets = [set(np.flatnonzero(candidate[j]).tolist()) for j in range(q)]
-    selected = _select_disjoint(sets, r, config.min_set_size)
-
-    result = axes_from_sets(params, selected)
-    stats = {
-        "n_candidate_sets": sum(len(s) >= config.min_set_size for s in sets),
-        "selected_sizes": [len(s) for s in selected],
-        "min_selected_similarity": float(
-            min(sims[np.ix_(sorted(s), sorted(s))].min() for s in selected)
-        ),
-    }
-    return InitResult(
-        params=result.params,
-        rotation=result.rotation,
-        selected_sets=result.selected_sets,
-        similarity_used=stats,
-    )
+    selected = candidate_sets(sims, config.delta_prime, params.r, config.min_set_size)
+    return axes_from_sets(params, selected)

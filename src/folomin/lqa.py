@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .criteria import FoldedLoss, folded_criterion
+from .criteria import FoldedLoss, folded_criterion, polar
 from .erm import ParamPair
 from .exceptions import DegenerateSubproblemError
 
@@ -141,11 +141,6 @@ def lqa_subproblem(A_t: np.ndarray, weights: np.ndarray, R: float) -> np.ndarray
     return H
 
 
-def _polar(G: np.ndarray) -> np.ndarray:
-    U, _, Vt = np.linalg.svd(G)
-    return U @ Vt
-
-
 def lqa_run(start: ParamPair, config: LqaConfig) -> LqaResult:
     """Run ``T`` rotation iterations from a consistent starting pair.
 
@@ -166,7 +161,7 @@ def lqa_run(start: ParamPair, config: LqaConfig) -> LqaResult:
         H = lqa_subproblem(A, w, config.R)
         H_inv = np.linalg.inv(H)
         if config.mode == "orthogonal":
-            G = _polar(H_inv)
+            G = polar(H_inv)
         else:
             gram = Z.T @ Z / n
             d = np.einsum("ij,jk,ik->i", H_inv, gram, H_inv)

@@ -21,12 +21,12 @@ _LOSS_SHAPES = {"mcp": 3.0, "scad": 3.7, "tl1": 1.0}
 AUTO_DELTA_PRIME_GRID = (0.02, 0.01, 0.005, 0.0025)
 
 
-def make_loss(kind: str, gamma: float, a: float | None = None) -> FoldedLoss:
+def make_loss(kind: str, gamma: float) -> FoldedLoss:
     """Construct a folded loss by name with its conventional shape default."""
     if kind == "mcp":
-        return FoldedLoss.mcp(gamma, a if a is not None else 3.0)
+        return FoldedLoss.mcp(gamma)
     if kind == "scad":
-        return FoldedLoss.scad(gamma, a if a is not None else 3.7)
+        return FoldedLoss.scad(gamma)
     if kind == "tl1":
         return FoldedLoss.truncated_l1(gamma)
     raise ValueError(f"unknown loss kind {kind!r}")
@@ -75,19 +75,15 @@ def auto_init(
     """
     from itertools import combinations
 
-    from .initialization import _select_disjoint, axes_from_sets
+    from .initialization import axes_from_sets, candidate_sets
 
     r = params.r
     sims = similarity_matrix(params, delta)
     candidates: list[InitResult] = []
     found_max = 0
     for dp in grid:
-        candidate_mask = sims > 1.0 - dp
-        sets = [
-            set(np.flatnonzero(candidate_mask[j]).tolist()) for j in range(params.q)
-        ]
         try:
-            top = _select_disjoint(sets, r, min_set_size, extra=extra_sets)
+            top = candidate_sets(sims, dp, r, min_set_size, extra=extra_sets)
         except InsufficientSimpleStructureError as exc:
             found_max = max(found_max, exc.found)
             continue

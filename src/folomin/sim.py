@@ -18,15 +18,16 @@ and excluded from the aggregates, never silently dropped.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtri
 
+from .criteria import polar
 from .erm import FitConfig, ParamPair, oracle_fit_A, oracle_fit_Z
 from .exceptions import FolominError
 from .inference import (
@@ -51,7 +52,6 @@ __all__ = [
     "gen_dataset",
     "infeasible_debias_varimax",
     "run_replications",
-    "StreamingMoments",
 ]
 
 SIM_METHODS = (
@@ -132,8 +132,7 @@ def gen_Z(design: SimDesign, rng: np.random.Generator) -> np.ndarray:
     sigma = tau ** np.abs(idx[:, None] - idx[None, :])
     Z = rng.multivariate_normal(np.zeros(r), sigma, size=n, method="cholesky")
     if tau == 0:
-        U, _, Vt = np.linalg.svd(Z, full_matrices=False)
-        return math.sqrt(n) * (U @ Vt)
+        return math.sqrt(n) * polar(Z)
     scales = np.sqrt((Z**2).mean(axis=0))
     return Z / scales
 
@@ -162,35 +161,6 @@ def infeasible_debias_varimax(
     return np.asarray(estimate, dtype=float) - delta
 
 
-class StreamingMoments:
-    """Welford accumulator for elementwise means and variances."""
-
-    def __init__(self):
-        self.count = 0
-        self._mean = None
-        self._m2 = None
-
-    def add(self, x):
-        x = np.asarray(x, dtype=float)
-        if self._mean is None:
-            self._mean = np.zeros_like(x)
-            self._m2 = np.zeros_like(x)
-        self.count += 1
-        delta = x - self._mean
-        self._mean = self._mean + delta / self.count
-        self._m2 = self._m2 + delta * (x - self._mean)
-
-    @property
-    def mean(self):
-        return None if self._mean is None else self._mean.copy()
-
-    @property
-    def variance(self):
-        if self._mean is None or self.count < 2:
-            return None
-        return self._m2 / (self.count - 1)
-
-
 @dataclass
 class RepResult:
     """Metrics for one replication, keyed by method name.
@@ -203,7 +173,6 @@ class RepResult:
     rep: int
     A_star: np.ndarray
     per_method: dict
-    timing: dict
     gammas: dict
 
 
@@ -225,7 +194,7 @@ class SimulationSummary:
     metadata: dict
 
 
-def _method_metrics(aligned_A, se_A, A_star, level, n, centers=None):
+def _method_metrics(aligned_A, se_A, A_star, level, centers=None):
     mult = float(ndtri((1.0 + level) / 2.0))
     centers = aligned_A if centers is None else centers
     err = centers - A_star
@@ -246,12 +215,10 @@ def _mean_cover_Z(data, params, Z_star, level) -> float:
 
 def _run_one_rep(design: SimDesign, methods, rep: int, seed_seq, level: float, opts: dict):
     rng = np.random.Generator(np.random.Philox(seed_seq))
-    t0 = time.perf_counter()
     Z_star, A_star, data = gen_dataset(design, rng)
     M = 1.5 * max(
         np.linalg.norm(A_star, axis=1).max(), np.linalg.norm(Z_star, axis=1).max()
     )
-    timing = {"generate": time.perf_counter() - t0}
     per_method = {}
     gammas = {}
 
@@ -260,7 +227,6 @@ def _run_one_rep(design: SimDesign, methods, rep: int, seed_seq, level: float, o
 
     pipe = None
     if folomin_methods or vintage_methods:
-        t0 = time.perf_counter()
         lam = design.lambda_signal
         delta = 0.05 * lam * lam
         delta_prime = opts.get("delta_prime")
@@ -282,56 +248,47 @@ def _run_one_rep(design: SimDesign, methods, rep: int, seed_seq, level: float, o
             mode=opts.get("mode", "oblique"),
         )
         gammas = dict(pipe.gammas)
-        timing["fit"] = time.perf_counter() - t0
 
     for m in folomin_methods:
         kind = m.split("_", 1)[1]
-        t0 = time.perf_counter()
         params = align_pair(pipe.rotations[kind].params, A_star)
         se = np.sqrt(row_variances(plugin_covariances_A_all(data, params)))
-        per_method[m] = _method_metrics(params.A, se, A_star, level, design.n)
+        per_method[m] = _method_metrics(params.A, se, A_star, level)
         per_method[m]["mean_cover_Z"] = _mean_cover_Z(data, params, Z_star, level)
-        timing[m] = time.perf_counter() - t0
 
     if "oracle" in methods:
-        t0 = time.perf_counter()
         A_or = oracle_fit_A(data, Z_star)
         params = ParamPair(Z_star, A_or)
         se = np.sqrt(row_variances(plugin_covariances_A_all(data, params)))
-        per_method["oracle"] = _method_metrics(A_or, se, A_star, level, design.n)
+        per_method["oracle"] = _method_metrics(A_or, se, A_star, level)
         Z_or = oracle_fit_Z(data, A_star)
         per_method["oracle"]["mean_cover_Z"] = _mean_cover_Z(
             data, ParamPair(Z_or, A_star), Z_star, level
         )
-        timing["oracle"] = time.perf_counter() - t0
 
     if "varimax" in methods or "varimax_debiased" in methods:
-        t0 = time.perf_counter()
         fitted = pipe.fit.params
         vres = varimax_rotate(fitted.A, VintageConfig(seed=opts.get("vintage_seed", 0)))
         params = align_pair(ParamPair(fitted.Z @ vres.G, vres.A_rot), A_star)
         se = np.sqrt(row_variances(plugin_covariances_A_all(data, params)))
         if "varimax" in methods:
-            per_method["varimax"] = _method_metrics(params.A, se, A_star, level, design.n)
+            per_method["varimax"] = _method_metrics(params.A, se, A_star, level)
         if "varimax_debiased" in methods:
             debiased = infeasible_debias_varimax(
                 A_star, params.A, seed=opts.get("vintage_seed", 0)
             )
             per_method["varimax_debiased"] = _method_metrics(
-                params.A, se, A_star, level, design.n, centers=debiased
+                params.A, se, A_star, level, centers=debiased
             )
-        timing["varimax"] = time.perf_counter() - t0
 
     if "promax" in methods:
-        t0 = time.perf_counter()
         fitted = pipe.fit.params
         pres = promax_rotate(fitted.A, power=opts.get("promax_power", 4))
         params = align_pair(ParamPair(fitted.Z @ pres.G.T, pres.A_rot), A_star)
         se = np.sqrt(row_variances(plugin_covariances_A_all(data, params)))
-        per_method["promax"] = _method_metrics(params.A, se, A_star, level, design.n)
-        timing["promax"] = time.perf_counter() - t0
+        per_method["promax"] = _method_metrics(params.A, se, A_star, level)
 
-    return RepResult(rep=rep, A_star=A_star, per_method=per_method, timing=timing, gammas=gammas)
+    return RepResult(rep=rep, A_star=A_star, per_method=per_method, gammas=gammas)
 
 
 def _rep_task(args):
@@ -339,9 +296,33 @@ def _rep_task(args):
 
 
 def _limit_worker_blas():
-    # one BLAS thread per worker process, otherwise workers contend
+    """Give a forked worker process one BLAS thread.
+
+    BLAS libraries read ``OMP_NUM_THREADS`` and ``OPENBLAS_NUM_THREADS``
+    once, when they load, and a forked worker inherits the parent's
+    loaded library together with its thread count; left alone, the
+    workers' BLAS threads contend for the cores. The variables are set
+    for libraries the worker loads later, and every OpenBLAS the process
+    has mapped (plain, or under the numpy/scipy wheels' prefixed names)
+    is told directly. Without ``/proc/self/maps`` only the variables are
+    set.
+    """
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split()[-1] for line in fh if "openblas" in line.lower()}
+    except OSError:
+        return
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for name in (
+            "openblas_set_num_threads",
+            "scipy_openblas_set_num_threads",
+            "scipy_openblas_set_num_threads64_",
+        ):
+            if hasattr(lib, name):
+                getattr(lib, name)(1)
 
 
 def run_replications(
@@ -355,9 +336,11 @@ def run_replications(
     """Run the replication study and aggregate the metrics.
 
     All randomness derives from ``design.seed`` through one spawned
-    stream per replication, so results are independent of the worker
-    count and of which methods run. Failed replications are excluded
-    from the aggregates and listed in the summary.
+    stream per replication, so the data are independent of the worker
+    count and of which methods run. Worker processes run one BLAS
+    thread; when the calling process runs more, serial and parallel
+    estimates can differ in the last bits. Failed replications are
+    excluded from the aggregates and listed in the summary.
     """
     if n_reps < 1:
         raise ValueError("n_reps must be at least 1")
@@ -391,33 +374,28 @@ def run_replications(
 
     kept = [res for res in results if res is not None]
 
-    cov_mom = {m: StreamingMoments() for m in methods}
-    mse_mom = {m: StreamingMoments() for m in methods}
-    bias_mom = {m: StreamingMoments() for m in methods}
-    covz = {m: StreamingMoments() for m in methods}
-    for res in kept:
-        for m in methods:
-            if m not in res.per_method:
-                continue
-            rec = res.per_method[m]
-            cov_mom[m].add(rec["cover_A"].astype(float))
-            mse_mom[m].add(rec["sq_err_A"])
-            bias_mom[m].add(rec["aligned_A"] - res.A_star)
-            if "mean_cover_Z" in rec:
-                covz[m].add(np.array(rec["mean_cover_Z"]))
-
-    mean_coverage_A = {
-        m: float(cov_mom[m].mean.mean()) for m in methods if cov_mom[m].count
+    recs = {
+        m: [(res.per_method[m], res.A_star) for res in kept if m in res.per_method]
+        for m in methods
     }
-    mean_scaled_mse_A = {
-        m: float(design.n * mse_mom[m].mean.mean()) for m in methods if mse_mom[m].count
+    recs = {m: found for m, found in recs.items() if found}
+    entry_mean_sq_err = {
+        m: np.mean([rec["sq_err_A"] for rec, _ in found], axis=0) for m, found in recs.items()
     }
-    mean_coverage_Z = {
-        m: float(covz[m].mean) for m in methods if covz[m].count
+    entry_coverage = {
+        m: np.mean([rec["cover_A"] for rec, _ in found], axis=0) for m, found in recs.items()
     }
-    entry_mean_sq_err = {m: mse_mom[m].mean for m in methods if mse_mom[m].count}
-    entry_coverage = {m: cov_mom[m].mean for m in methods if cov_mom[m].count}
-    entry_mean_bias = {m: bias_mom[m].mean for m in methods if bias_mom[m].count}
+    entry_mean_bias = {
+        m: np.mean([rec["aligned_A"] - A_star for rec, A_star in found], axis=0)
+        for m, found in recs.items()
+    }
+    mean_coverage_A = {m: float(cover.mean()) for m, cover in entry_coverage.items()}
+    mean_scaled_mse_A = {m: float(design.n * err.mean()) for m, err in entry_mean_sq_err.items()}
+    cover_Z = {
+        m: [rec["mean_cover_Z"] for rec, _ in found if "mean_cover_Z" in rec]
+        for m, found in recs.items()
+    }
+    mean_coverage_Z = {m: float(np.mean(cover)) for m, cover in cover_Z.items() if cover}
 
     metadata = {
         "rng": RNG_NAME,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import varimax_criterion
+from .criteria import polar, varimax_criterion
 from .exceptions import DegenerateTargetError
 
 __all__ = ["VintageConfig", "varimax_rotate", "promax_rotate", "VarimaxResult", "PromaxResult"]
@@ -24,19 +24,11 @@ __all__ = ["VintageConfig", "varimax_rotate", "promax_rotate", "VarimaxResult", 
 class VintageConfig:
     """Optimizer settings for the baseline rotations."""
 
-    method: str = "varimax"
-    power: int = 4
     max_iters: int = 1000
     tol: float = 1e-10
     restarts: int = 10
     kaiser_normalize: bool = True
     seed: int = 0
-
-    def __post_init__(self):
-        if self.method not in ("varimax", "promax"):
-            raise ValueError(f"unknown method {self.method!r}")
-        if self.power < 2:
-            raise ValueError("promax power must be at least 2")
 
 
 @dataclass(frozen=True)
@@ -54,11 +46,6 @@ class PromaxResult:
     G: np.ndarray
     A_rot: np.ndarray
     factor_correlation: np.ndarray
-
-
-def _polar(X: np.ndarray) -> np.ndarray:
-    U, _, Vt = np.linalg.svd(X)
-    return U @ Vt
 
 
 def _varimax_value_grad(L: np.ndarray):
@@ -90,7 +77,7 @@ def _ascend(A: np.ndarray, G0: np.ndarray, max_iters: int, tol: float):
             break
         step *= 2.0
         for _ in range(60):
-            G_new = _polar(G + step * tangent)
+            G_new = polar(G + step * tangent)
             L = A @ G_new
             f_new, gq = _varimax_value_grad(L)
             if f_new > f + 1e-4 * step * s**2:
@@ -114,8 +101,7 @@ def _svd_polish(W: np.ndarray, G: np.ndarray, max_iters: int = 200):
     """
     f, gq = _varimax_value_grad(W @ G)
     for _ in range(max_iters):
-        U, _, Vt = np.linalg.svd(W.T @ gq)
-        G_new = U @ Vt
+        G_new = polar(W.T @ gq)
         f_new, gq_new = _varimax_value_grad(W @ G_new)
         if f_new < f - 1e-14 * (1.0 + abs(f)):
             break
@@ -154,7 +140,7 @@ def varimax_rotate(A: np.ndarray, config: VintageConfig | None = None) -> Varima
     rng = np.random.default_rng(config.seed)
     starts = [np.eye(r)]
     for _ in range(max(config.restarts - 1, 0)):
-        starts.append(_polar(rng.standard_normal((r, r))))
+        starts.append(polar(rng.standard_normal((r, r))))
 
     best = None
     for G0 in starts:
@@ -164,7 +150,7 @@ def varimax_rotate(A: np.ndarray, config: VintageConfig | None = None) -> Varima
         if best is None or f > best[1]:
             best = (G, f, iters, conv, trace)
     G, _, iters, conv, trace = best
-    G = _polar(G)  # refresh orthogonality to machine precision
+    G = polar(G)  # refresh orthogonality to machine precision
     A_rot = A @ G
     return VarimaxResult(
         G=G,
@@ -190,7 +176,9 @@ def promax_rotate(
     ``A_rot = A @ G^{-1}``, and ``factor_correlation = G G'`` has unit
     diagonal.
     """
-    config = config or VintageConfig(method="promax", power=power)
+    if power < 2:
+        raise ValueError("promax power must be at least 2")
+    config = config or VintageConfig()
     A = np.asarray(A, dtype=float)
     r = A.shape[1]
 

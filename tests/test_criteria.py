@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from folomin import (
@@ -10,6 +12,7 @@ from folomin import (
     sample_feasible,
     varimax_criterion,
 )
+from folomin.criteria import polar
 from folomin.exceptions import DegenerateRotationError
 from folomin.sim import SimDesign, gen_A, gen_Z
 
@@ -177,3 +180,21 @@ def test_varimax_gradient_nonzero_at_identity_for_block_matrix():
         varimax_criterion(A0 @ expm(h * J)) - varimax_criterion(A0 @ expm(-h * J))
     ) / (2 * h)
     assert abs(deriv) > 1e-3
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    r=st.integers(1, 6),
+    extra_rows=st.integers(0, 8),
+    log_scale=st.integers(-10, 10),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_polar_is_orthonormal_and_matches_full_svd(r, extra_rows, log_scale, seed):
+    rng = np.random.default_rng(seed)
+    X = 2.0**log_scale * rng.standard_normal((r + extra_rows, r))
+    Q = polar(X)
+    assert Q.shape == X.shape
+    assert np.abs(Q.T @ Q - np.eye(r)).max() <= 1e-12
+    if extra_rows == 0:
+        U, _, Vt = np.linalg.svd(X)
+        assert np.array_equal(Q, U @ Vt)

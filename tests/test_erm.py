@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from folomin import (
     FitConfig,
@@ -152,3 +154,21 @@ def test_param_pair_helpers():
     np.testing.assert_allclose(rotated.theta(), pair.theta(), atol=1e-12)
     with pytest.raises(ValueError):
         ParamPair(np.ones((4, 2)), np.ones((3, 3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 30),
+    q=st.integers(1, 30),
+    r=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_param_pair_rotate_preserves_theta(n, q, r, seed):
+    rng = np.random.default_rng(seed)
+    pair = ParamPair(rng.standard_normal((n, r)), rng.standard_normal((q, r)))
+    # an orthogonal factor times a column scaling keeps cond(G) <= 4
+    Q, _ = np.linalg.qr(rng.standard_normal((r, r)))
+    G = Q * rng.uniform(0.5, 2.0, size=r)
+    gap = np.linalg.norm(pair.rotate(G).theta() - pair.theta())
+    # ||Z A'|| <= ||Z|| ||A||, so this is a relative bound that cancellation cannot dodge
+    assert gap <= 1e-12 * np.linalg.norm(pair.Z) * np.linalg.norm(pair.A)

@@ -23,7 +23,7 @@ from folomin import (
     wald_intervals,
 )
 from folomin.erm import row_grams
-from folomin.inference import two_sided_p
+from folomin.inference import row_variances, two_sided_p
 
 
 def _orthonormal_scores(rng, n, r):
@@ -54,12 +54,12 @@ def test_gaussian_closed_form_sandwich():
     params = ParamPair(Z_star, oracle_fit_A(data, Z_star))
     covs = plugin_covariances_A_all(data, params)
     target = np.linalg.inv(Z_star.T @ Z_star / n)  # sigma^2 = 1
-    mean_sandwich = np.mean([c.sandwich for c in covs], axis=0)
+    mean_sandwich = np.mean(covs.sandwich, axis=0)
     assert np.linalg.norm(mean_sandwich - target) / np.linalg.norm(target) <= 0.05
-    for c in covs:
+    for sandwich in covs.sandwich:
         # each row's sandwich is a noisy but PSD estimate of the target
-        assert np.linalg.eigvalsh(c.sandwich)[0] >= -1e-12
-        assert np.linalg.norm(c.sandwich - target) / np.linalg.norm(target) <= 0.25
+        assert np.linalg.eigvalsh(sandwich)[0] >= -1e-12
+        assert np.linalg.norm(sandwich - target) / np.linalg.norm(target) <= 0.25
 
 
 def test_bernoulli_sandwich_psd():
@@ -72,12 +72,12 @@ def test_bernoulli_sandwich_psd():
     data = ResponseMatrix(Y, fam)
     params = ParamPair(Z_star, oracle_fit_A(data, Z_star))
     cov = plugin_covariance_A(data, params, 3)
-    assert np.linalg.eigvalsh(cov.bread)[0] > 0
-    assert np.linalg.eigvalsh(cov.meat)[0] >= -1e-12
-    assert np.linalg.eigvalsh(cov.sandwich)[0] >= -1e-12
+    assert np.linalg.eigvalsh(cov.bread[0])[0] > 0
+    assert np.linalg.eigvalsh(cov.meat[0])[0] >= -1e-12
+    assert np.linalg.eigvalsh(cov.sandwich[0])[0] >= -1e-12
     cov_z = plugin_covariance_Z(data, params, 7)
     assert cov_z.scale == q
-    assert np.linalg.eigvalsh(cov_z.sandwich)[0] >= -1e-12
+    assert np.linalg.eigvalsh(cov_z.sandwich[0])[0] >= -1e-12
 
 
 def test_scalar_mean_inference():
@@ -90,7 +90,7 @@ def test_scalar_mean_inference():
     a_hat = oracle_fit_A(data, z)
     params = ParamPair(z, a_hat)
     covs = plugin_covariances_A_all(data, params)
-    assert covs[0].sandwich[0, 0] == pytest.approx(1.0, rel=0.1)
+    assert covs.sandwich[0, 0, 0] == pytest.approx(1.0, rel=0.1)
     lower, upper, zscore, se = wald_intervals(params.A, covs, 0.95)
     half = (upper - lower)[0, 0] / 2
     assert half == pytest.approx(1.959964 / np.sqrt(n), rel=0.1)
@@ -105,9 +105,9 @@ def test_wald_rejects_zero_variance():
     )
     # zero residuals give a zero meat matrix -> degenerate variance
     with pytest.raises(DegenerateVarianceError):
-        wald_intervals(np.zeros((1, 1)), [cov], 0.95)
+        wald_intervals(np.zeros((1, 1)), cov, 0.95)
     with pytest.raises(ValueError):
-        wald_intervals(np.zeros((1, 1)), [cov], 1.5)
+        wald_intervals(np.zeros((1, 1)), cov, 1.5)
 
 
 def test_bh_hand_example():
@@ -260,8 +260,26 @@ def test_single_row_covariances_match_stacks():
     ):
         for i in rows:
             one = single(data, params, i)
-            assert one.index == stack[i].index == i
-            assert one.scale == stack[i].scale
+            assert len(one) == 1
+            assert one.scale == stack.scale
             for name in ("bread", "meat", "sandwich"):
-                a, b = getattr(one, name), getattr(stack[i], name)
+                a, b = getattr(one, name)[0], getattr(stack, name)[i]
                 assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+
+def test_row_variances_match_per_row_diagonals():
+    rng = np.random.default_rng(14)
+    n, q, r = 150, 12, 3
+    Z_star = _orthonormal_scores(rng, n, r)
+    A_star = 0.8 * rng.standard_normal((q, r))
+    fam = ResponseFamily.bernoulli()
+    data = ResponseMatrix(sample_response(fam, Z_star @ A_star.T, rng), fam)
+    params = ParamPair(Z_star, oracle_fit_A(data, Z_star))
+    for covs, rows in (
+        (plugin_covariances_A_all(data, params), q),
+        (plugin_covariances_Z_all(data, params), n),
+    ):
+        assert len(covs) == rows
+        assert covs.sandwich.shape == covs.bread.shape == covs.meat.shape == (rows, r, r)
+        per_row = np.stack([covs.sandwich[k].diagonal() / covs.scale for k in range(rows)])
+        assert np.array_equal(row_variances(covs), per_row)

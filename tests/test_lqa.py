@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from folomin import (
@@ -177,3 +179,23 @@ def test_config_validation():
         LqaConfig(loss=loss, T=-1)
     with pytest.raises(ValueError):
         LqaConfig(loss=loss, mode="sideways")
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    r=st.integers(2, 4),
+    mode=st.sampled_from(["oblique", "orthogonal"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_run_invariants_from_random_starts(r, mode, seed):
+    rng = np.random.default_rng(seed)
+    n, q = 60, 20
+    start = ParamPair(_orthonormal_scores(rng, n, r), rng.standard_normal((q, r)))
+    out = lqa_run(start, LqaConfig(loss=FoldedLoss.mcp(0.3), T=3, mode=mode)).params
+    theta = start.theta()
+    assert np.linalg.norm(out.theta() - theta) <= 1e-10 * np.linalg.norm(theta)
+    gram = out.gram()
+    if mode == "oblique":
+        assert np.abs(np.diag(gram) - 1.0).max() <= 1e-10
+    else:
+        assert np.abs(gram - np.eye(r)).max() <= 1e-10

@@ -12,7 +12,6 @@ from folomin import (
     varimax_rotate,
 )
 from folomin.inference import align
-from folomin.sim import StreamingMoments
 
 
 def test_design_validation():
@@ -97,19 +96,29 @@ def test_infeasible_debias_examples():
     np.testing.assert_allclose(debiased, A_mixed, atol=1e-8)
 
 
-def test_streaming_moments_match_batch():
-    rng = np.random.default_rng(6)
-    xs = rng.standard_normal((25, 4, 2))
-    mom = StreamingMoments()
-    for x in xs:
-        mom.add(x)
-    np.testing.assert_allclose(mom.mean, xs.mean(axis=0), atol=1e-10)
-    np.testing.assert_allclose(mom.variance, xs.var(axis=0, ddof=1), atol=1e-10)
-    assert mom.count == 25
-
-
 def _tiny_design(seed=7):
     return SimDesign(n=120, q=90, r=2, lambda_signal=0.4, tau=0.0, seed=seed)
+
+
+def test_aggregates_are_means_over_rep_results():
+    design = _tiny_design()
+    summary = run_replications(design, methods=("oracle", "folomin_mcp", "varimax"), n_reps=3)
+    reps = summary.rep_results
+    assert summary.n_failed == 0 and len(reps) == 3
+    for m in summary.methods:
+        recs = [res.per_method[m] for res in reps]
+        sq_err = np.mean([rec["sq_err_A"] for rec in recs], axis=0)
+        cover = np.mean([rec["cover_A"] for rec in recs], axis=0)
+        bias = np.mean([rec["aligned_A"] - res.A_star for rec, res in zip(recs, reps)], axis=0)
+        np.testing.assert_array_equal(summary.entry_mean_sq_err[m], sq_err)
+        np.testing.assert_array_equal(summary.entry_coverage[m], cover)
+        np.testing.assert_array_equal(summary.entry_mean_bias[m], bias)
+        assert summary.mean_coverage_A[m] == float(np.mean(cover))
+        assert summary.mean_scaled_mse_A[m] == float(design.n * np.mean(sq_err))
+    # latent-score coverage exists only for the methods that estimate Z
+    assert set(summary.mean_coverage_Z) == {"oracle", "folomin_mcp"}
+    for m, value in summary.mean_coverage_Z.items():
+        assert value == float(np.mean([res.per_method[m]["mean_cover_Z"] for res in reps]))
 
 
 def test_run_replications_determinism_and_structure():

@@ -139,7 +139,8 @@ def test_promax_power_changes_rotation():
 
 
 def test_vintage_config_validation():
-    with pytest.raises(ValueError):
-        VintageConfig(method="quartimin")
-    with pytest.raises(ValueError):
-        VintageConfig(power=1)
+    # the power is checked whether or not a config is passed
+    A = _simple_loadings(np.random.default_rng(5))
+    for config in (None, VintageConfig()):
+        with pytest.raises(ValueError):
+            promax_rotate(A, power=1, config=config)
