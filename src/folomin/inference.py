@@ -59,20 +59,25 @@ class RowCovariance:
         return self.sandwich.shape[0]
 
 
-def _sandwich_stack(X: np.ndarray, d1: np.ndarray, d2: np.ndarray, scale: int) -> RowCovariance:
+def _sandwich_stack(
+    X: np.ndarray, d1: np.ndarray, d2: np.ndarray, scale: int, name: str, first: int = 0
+) -> RowCovariance:
     """Sandwich covariances for all columns of ``d1``/``d2``.
 
     ``X`` is the (m, r) design shared by all rows, ``d1``/``d2`` are
-    (m, k) arrays of risk derivatives evaluated at the fit.
+    (m, k) arrays of risk derivatives evaluated at the fit. Column ``k``
+    is row ``first + k`` of the matrix ``name`` (``A`` or ``Z``), which
+    is how an ill-conditioned bread is reported.
     """
     m = X.shape[0]
     breads = row_grams(X, d2) / m
     meats = row_grams(X, d1**2) / m
     conds = np.linalg.cond(breads)
     if np.any(conds > 1e10):
-        j = int(np.argmax(conds))
+        k = int(np.argmax(conds))
         raise IllConditionedCovarianceError(
-            f"bread matrix for row {j} has condition number {conds[j]:.3e} > 1e10"
+            f"bread matrix for row {first + k} of {name} has condition number "
+            f"{conds[k]:.3e} > 1e10"
         )
     inv = np.linalg.inv(breads)
     sands = inv @ meats @ inv
@@ -85,7 +90,7 @@ def plugin_covariances_A_all(data: ResponseMatrix, params: ParamPair) -> RowCova
     theta = params.theta()
     d1 = risk_d1(data.family, theta, data.values)
     d2 = risk_d2(data.family, theta)
-    return _sandwich_stack(params.Z, d1, d2, params.n)
+    return _sandwich_stack(params.Z, d1, d2, params.n, "A")
 
 
 def plugin_covariances_Z_all(data: ResponseMatrix, params: ParamPair) -> RowCovariance:
@@ -93,7 +98,7 @@ def plugin_covariances_Z_all(data: ResponseMatrix, params: ParamPair) -> RowCova
     theta = params.theta()
     d1 = risk_d1(data.family, theta, data.values)
     d2 = risk_d2(data.family, theta)
-    return _sandwich_stack(params.A, d1.T, d2.T, params.q)
+    return _sandwich_stack(params.A, d1.T, d2.T, params.q, "Z")
 
 
 def plugin_covariance_A(data: ResponseMatrix, params: ParamPair, j: int) -> RowCovariance:
@@ -102,7 +107,7 @@ def plugin_covariance_A(data: ResponseMatrix, params: ParamPair, j: int) -> RowC
     theta = params.Z @ params.A[j]
     d1 = risk_d1(data.family, theta, data.values[:, j])[:, None]
     d2 = risk_d2(data.family, theta)[:, None]
-    return _sandwich_stack(params.Z, d1, d2, params.n)
+    return _sandwich_stack(params.Z, d1, d2, params.n, "A", first=j)
 
 
 def plugin_covariance_Z(data: ResponseMatrix, params: ParamPair, i: int) -> RowCovariance:
@@ -111,7 +116,7 @@ def plugin_covariance_Z(data: ResponseMatrix, params: ParamPair, i: int) -> RowC
     theta = params.A @ params.Z[i]
     d1 = risk_d1(data.family, theta, data.values[i])[:, None]
     d2 = risk_d2(data.family, theta)[:, None]
-    return _sandwich_stack(params.A, d1, d2, params.q)
+    return _sandwich_stack(params.A, d1, d2, params.q, "Z", first=i)
 
 
 def row_variances(covariances: RowCovariance) -> np.ndarray:

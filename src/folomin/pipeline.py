@@ -16,8 +16,6 @@ from .lqa import LqaConfig, LqaResult, lqa_run
 
 __all__ = ["PipelineResult", "suggest_gamma", "fit_pipeline", "make_loss", "auto_init"]
 
-_LOSS_SHAPES = {"mcp": 3.0, "scad": 3.7, "tl1": 1.0}
-
 AUTO_DELTA_PRIME_GRID = (0.02, 0.01, 0.005, 0.0025)
 
 
@@ -152,9 +150,9 @@ def fit_pipeline(
     gammas: dict[str, float] = {}
     for name, loss in losses.items():
         if loss is None:
-            a3 = _LOSS_SHAPES[name]
-            gamma = suggest_gamma(data, init.params, a3)
-            loss = make_loss(name, gamma)
+            # the plateau multiple a3 does not depend on the scale
+            a3 = make_loss(name, 1.0).a3
+            loss = make_loss(name, suggest_gamma(data, init.params, a3))
         gammas[name] = loss.gamma
         cfg = LqaConfig(loss=loss, R=R, eta=eta, T=T, mode=mode)
         rotations[name] = lqa_run(init.params, cfg)

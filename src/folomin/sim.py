@@ -266,24 +266,26 @@ def _run_one_rep(design: SimDesign, methods, rep: int, seed_seq, level: float, o
             data, ParamPair(Z_or, A_star), Z_star, level
         )
 
-    if "varimax" in methods or "varimax_debiased" in methods:
+    if vintage_methods:
+        # one varimax per replication, shared by varimax and promax
         fitted = pipe.fit.params
-        vres = varimax_rotate(fitted.A, VintageConfig(seed=opts.get("vintage_seed", 0)))
+        vintage_config = VintageConfig(seed=opts.get("vintage_seed", 0))
+        vres = varimax_rotate(fitted.A, vintage_config)
+
+    if "varimax" in methods or "varimax_debiased" in methods:
         params = align_pair(ParamPair(fitted.Z @ vres.G, vres.A_rot), A_star)
         se = np.sqrt(row_variances(plugin_covariances_A_all(data, params)))
         if "varimax" in methods:
             per_method["varimax"] = _method_metrics(params.A, se, A_star, level)
         if "varimax_debiased" in methods:
-            debiased = infeasible_debias_varimax(
-                A_star, params.A, seed=opts.get("vintage_seed", 0)
-            )
+            debiased = infeasible_debias_varimax(A_star, params.A, seed=vintage_config.seed)
             per_method["varimax_debiased"] = _method_metrics(
                 params.A, se, A_star, level, centers=debiased
             )
 
     if "promax" in methods:
-        fitted = pipe.fit.params
-        pres = promax_rotate(fitted.A, power=opts.get("promax_power", 4))
+        power = opts.get("promax_power", 4)
+        pres = promax_rotate(fitted.A, power, config=vintage_config, varimax=vres)
         params = align_pair(ParamPair(fitted.Z @ pres.G.T, pres.A_rot), A_star)
         se = np.sqrt(row_variances(plugin_covariances_A_all(data, params)))
         per_method["promax"] = _method_metrics(params.A, se, A_star, level)

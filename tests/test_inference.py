@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from folomin import (
     DegenerateVarianceError,
+    IllConditionedCovarianceError,
     ParamPair,
     ResponseFamily,
     ResponseMatrix,
@@ -283,3 +284,26 @@ def test_row_variances_match_per_row_diagonals():
         assert covs.sandwich.shape == covs.bread.shape == covs.meat.shape == (rows, r, r)
         per_row = np.stack([covs.sandwich[k].diagonal() / covs.scale for k in range(rows)])
         assert np.array_equal(row_variances(covs), per_row)
+
+
+def _nearly_collinear(rng, m):
+    z = rng.standard_normal(m)
+    return np.column_stack([z, z + 1e-7 * rng.standard_normal(m), rng.standard_normal(m)])
+
+
+def test_ill_conditioned_bread_names_the_requested_row():
+    # two nearly collinear latent columns make every bread singular; the
+    # error must name the row that was asked for, and which matrix it is in
+    rng = np.random.default_rng(11)
+    fam = ResponseFamily.bernoulli()
+    Z = _nearly_collinear(rng, 400)
+    A = 0.5 * rng.standard_normal((6, 3))
+    data = ResponseMatrix(sample_response(fam, Z @ A.T, rng), fam)
+    with pytest.raises(IllConditionedCovarianceError, match=r"row 3 of A "):
+        plugin_covariance_A(data, ParamPair(Z, A), 3)
+    # the same for a latent row, with the collinear columns in A
+    Z = 0.5 * rng.standard_normal((6, 3))
+    A = _nearly_collinear(rng, 400)
+    data = ResponseMatrix(sample_response(fam, Z @ A.T, rng), fam)
+    with pytest.raises(IllConditionedCovarianceError, match=r"row 4 of Z "):
+        plugin_covariance_Z(data, ParamPair(Z, A), 4)

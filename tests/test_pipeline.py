@@ -23,6 +23,30 @@ def test_make_loss():
         make_loss("lasso", 0.1)
 
 
+def test_suggested_scale_uses_each_losss_plateau(small_case, monkeypatch):
+    # the plateau multiple passed to suggest_gamma is the one of the loss
+    # that make_loss then builds with the suggested scale
+    from folomin import pipeline
+
+    design, Z_star, A_star, data = small_case
+    seen = []
+
+    def recording(data, params, a3):
+        gamma = suggest_gamma(data, params, a3)
+        seen.append((a3, gamma))
+        return gamma
+
+    monkeypatch.setattr(pipeline, "suggest_gamma", recording)
+    M = 1.5 * max(np.linalg.norm(A_star, axis=1).max(), np.linalg.norm(Z_star, axis=1).max())
+    kinds = ("mcp", "scad", "tl1")
+    pipe = fit_pipeline(data, design.r, losses=dict.fromkeys(kinds), fit_config=FitConfig(M=M))
+    per_loss = seen[-len(kinds) :]  # auto_init's comparison call comes first
+    for kind, (a3, gamma) in zip(kinds, per_loss):
+        assert pipe.gammas[kind] == gamma
+        assert make_loss(kind, gamma).a3 == a3
+    assert [a3 for a3, _ in per_loss] == [3.0, 3.7, 1.0]
+
+
 def test_pipeline_end_to_end(small_case):
     design, Z_star, A_star, data = small_case
     M = 1.5 * max(np.linalg.norm(A_star, axis=1).max(), np.linalg.norm(Z_star, axis=1).max())

@@ -4,10 +4,12 @@ from scipy.special import ndtr
 
 from folomin import (
     SimDesign,
+    VintageConfig,
     gen_A,
     gen_Z,
     infeasible_debias_varimax,
     is_sparse,
+    promax_rotate,
     run_replications,
     varimax_rotate,
 )
@@ -175,3 +177,25 @@ def test_failures_are_recorded_not_silent():
     assert len(summary.failures) == 2
     assert all("rep" in f and "error" in f for f in summary.failures)
     assert summary.mean_coverage_A == {}
+
+
+def test_promax_uses_the_vintage_seed(monkeypatch):
+    # promax reuses the replication's varimax, so it runs with the same
+    # vintage seed as varimax and varimax_debiased
+    from folomin import sim
+
+    fitted = []
+
+    def recording(A, config=None):
+        fitted.append(A)
+        return varimax_rotate(A, config)
+
+    monkeypatch.setattr(sim, "varimax_rotate", recording)
+    summary = run_replications(
+        _tiny_design(), methods=("varimax", "promax"), n_reps=1, workers=1, vintage_seed=3
+    )
+    assert summary.n_failed == 0 and len(fitted) == 1
+    rep = summary.rep_results[0]
+    pres = promax_rotate(fitted[0], config=VintageConfig(seed=3))
+    _, _, expected = align(pres.A_rot, rep.A_star)
+    np.testing.assert_array_equal(rep.per_method["promax"]["aligned_A"], expected)

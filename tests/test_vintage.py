@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from folomin import (
@@ -11,6 +13,8 @@ from folomin import (
     varimax_criterion,
     varimax_rotate,
 )
+from folomin import vintage
+from folomin.criteria import polar
 
 A_BLOCK = np.array(
     [[1.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0], [0.0, 1.0], [0.5, 0.3]]
@@ -98,8 +102,11 @@ def test_ascent_trace_nondecreasing():
     A = _simple_loadings(rng) + 0.3 * rng.standard_normal((30, 3))
     res = varimax_rotate(A, VintageConfig(seed=0))
     trace = np.asarray(res.trace)
-    assert trace.size >= 1
+    # the winning start's criterion before its first and after every step
+    assert trace.size == res.n_iters + 1 >= 2
     assert np.all(np.diff(trace) >= -1e-12)
+    W = A / np.linalg.norm(A, axis=1)[:, None]
+    assert trace[-1] == pytest.approx(varimax_criterion(W @ res.G), abs=1e-12)
 
 
 def test_product_preservation_through_pairing():
@@ -144,3 +151,77 @@ def test_vintage_config_validation():
     for config in (None, VintageConfig()):
         with pytest.raises(ValueError):
             promax_rotate(A, power=1, config=config)
+
+
+def _row_normalized(A):
+    return A / np.linalg.norm(A, axis=1)[:, None]
+
+
+def _stationarity(W, G):
+    """Norm of the skew part of ``G' W' grad`` at ``L = W G``."""
+    L = W @ G
+    sq = L**2
+    grad = 4.0 / len(L) * L * (sq - sq.mean(axis=0))
+    M = G.T @ W.T @ grad
+    return np.linalg.norm(M - M.T) / 2.0
+
+
+def _noisy_simple(seed, r, per_dim, noise):
+    # from exact simple structure (noise 0) to dense loadings (noise 2)
+    rng = np.random.default_rng(seed)
+    A = _simple_loadings(rng, q=r * per_dim, r=r, per_dim=per_dim)
+    return A + noise * rng.standard_normal(A.shape)
+
+
+loadings = st.builds(
+    _noisy_simple,
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 5),
+    st.integers(3, 12),
+    st.floats(0.0, 2.0),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(loadings, st.booleans())
+def test_result_is_orthogonal_and_stationary(A, kaiser):
+    res = varimax_rotate(A, VintageConfig(kaiser_normalize=kaiser))
+    r = A.shape[1]
+    assert np.abs(res.G.T @ res.G - np.eye(r)).max() <= 1e-12
+    assert np.array_equal(res.A_rot, A @ res.G)
+    W = _row_normalized(A) if kaiser else A
+    assert _stationarity(W, res.G) <= 1e-10
+    assert res.converged
+
+
+@settings(max_examples=25, deadline=None)
+@given(loadings, st.integers(0, 2**32 - 1))
+def test_criterion_is_rotation_invariant(A, seed):
+    Q = polar(np.random.default_rng(seed).standard_normal((A.shape[1], A.shape[1])))
+    assert varimax_rotate(A @ Q).criterion == pytest.approx(
+        varimax_rotate(A).criterion, abs=1e-10
+    )
+
+
+@settings(max_examples=20, deadline=None)
+@given(loadings)
+def test_batched_starts_keep_the_best_single_start(A):
+    config = VintageConfig()
+    W = _row_normalized(A)
+    best = varimax_criterion(W @ varimax_rotate(A, config).G)
+    for G0 in vintage._starts(A.shape[1], config):
+        _, f, _, _ = vintage._ascend(W, G0[None], config.max_iters)
+        assert best >= f[0] - 1e-12 * (1.0 + abs(f[0]))
+
+
+def test_promax_reuses_a_varimax_result():
+    rng = np.random.default_rng(6)
+    A = _simple_loadings(rng) + 0.2 * rng.standard_normal((30, 3))
+    config = VintageConfig(seed=2)
+    fresh = promax_rotate(A, config=config)
+    reused = promax_rotate(A, config=config, varimax=varimax_rotate(A, config))
+    for field in ("G", "A_rot", "factor_correlation"):
+        assert np.array_equal(getattr(fresh, field), getattr(reused, field))
+    other = varimax_rotate(A + 0.01 * rng.standard_normal(A.shape), config)
+    with pytest.raises(ValueError, match="not computed from these loadings"):
+        promax_rotate(A, config=config, varimax=other)
