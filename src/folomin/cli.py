@@ -8,6 +8,13 @@ timestamps, so reruns with the same seed are byte-identical. Floats are
 serialized with 17 significant digits, which round-trips IEEE doubles
 losslessly. Worker parallelism for the simulation harness is capped by
 the ``FOLOMIN_THREADS`` environment variable.
+
+``fit`` also saves the parsed data matrix as ``data.npy`` in the model
+directory (exact float64, uncentered) and records its digest in
+``rotation.json``. ``infer`` loads it in place of parsing the CSV again,
+but only when the data file's digest equals the one ``fit`` recorded,
+the cache's digest equals its recorded one and its shape matches the
+model; otherwise it parses the CSV. Deleting ``data.npy`` is safe.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ from .svgplots import heatmap_svg, histogram_svg, line_panel_svg
 __all__ = ["main"]
 
 USAGE_EXIT, DATA_EXIT, NUMERICAL_EXIT = 2, 3, 4
+DATA_CACHE = "data.npy"
 
 
 def _fmt(x) -> str:
@@ -77,9 +85,17 @@ def _json_ready(obj):
 
 
 def _write_manifest(
-    out_dir: Path, command: str, config: dict, inputs: dict[str, str], outputs: list[Path], t0: float
+    out_dir: Path,
+    command: str,
+    config: dict,
+    inputs: dict[str, str],
+    outputs: list[Path],
+    t0: float,
+    digests: dict[Path, str] | None = None,
 ):
-    """``inputs`` maps each input file's path to its SHA-256 digest."""
+    """``inputs`` maps each input file's path to its SHA-256 digest;
+    ``digests`` holds those of outputs that were already hashed."""
+    digests = digests or {}
     config = {k: v for k, v in config.items() if not callable(v)}
     manifest = {
         "command": command,
@@ -88,7 +104,7 @@ def _write_manifest(
         "rng": RNG_NAME,
         "duration_seconds": time.time() - t0,
         "inputs": inputs,
-        "outputs": {p.name: _sha256(p) for p in outputs},
+        "outputs": {p.name: digests.get(p) or _sha256(p) for p in outputs},
     }
     _write_json(out_dir / "manifest.json", manifest)
 
@@ -114,8 +130,7 @@ def _read_numeric_csv(path: Path) -> tuple[list[str], np.ndarray]:
     """
     import warnings
 
-    if not path.exists():
-        raise DataError(f"data file not found: {path}")
+    _require_file(path)
     with open(path) as fh:
         try:
             header = next(csv.reader(fh))
@@ -131,6 +146,11 @@ def _read_numeric_csv(path: Path) -> tuple[list[str], np.ndarray]:
     if values.shape[0] == 0 or values.shape[1] != len(header):
         raise _csv_error(path, len(header), f"expected {len(header)} columns")
     return header, values
+
+
+def _require_file(path: Path) -> None:
+    if not path.exists():
+        raise DataError(f"data file not found: {path}")
 
 
 def _is_c_float(cell: str) -> bool:
@@ -327,6 +347,9 @@ def cmd_fit(args) -> int:
     a_csv, z_csv = out / "A.csv", out / "Z.csv"
     _write_csv(a_csv, [f"dim{l + 1}" for l in range(args.r)], params.A)
     _write_csv(z_csv, [f"dim{l + 1}" for l in range(args.r)], params.Z)
+    cache = out / DATA_CACHE
+    np.save(cache, values)
+    cache_sha256 = _sha256(cache)
     rotation_payload = {
         "family": args.family,
         "variance": args.variance,
@@ -341,6 +364,7 @@ def cmd_fit(args) -> int:
         "column_means": column_means,
         "data": str(data_path),
         "data_sha256": data_sha256,
+        "data_cache_sha256": cache_sha256,
         "columns": header,
         "initial_rotation": pipe.init.rotation,
         "total_rotation": rotation.G_total,
@@ -352,9 +376,14 @@ def cmd_fit(args) -> int:
     rotation_json = out / "rotation.json"
     _write_json(rotation_json, _json_ready(rotation_payload))
 
-    outputs = [a_csv, z_csv, rotation_json]
-    _write_manifest(out, "fit", vars(args), {str(data_path): data_sha256}, outputs, t0)
-    print(f"fitted {q} x {args.r} representation; wrote A.csv, Z.csv, rotation.json to {out}")
+    outputs = [a_csv, z_csv, cache, rotation_json]
+    _write_manifest(
+        out, "fit", vars(args), {str(data_path): data_sha256}, outputs, t0, {cache: cache_sha256}
+    )
+    print(
+        f"fitted {q} x {args.r} representation; wrote A.csv, Z.csv, {DATA_CACHE}, "
+        f"rotation.json to {out}"
+    )
     return 0
 
 
@@ -374,6 +403,25 @@ def _load_model(model_dir: Path):
     return meta, ParamPair(Z, A)
 
 
+def _load_data_cache(model_dir: Path, meta: dict, data_sha256: str, shape: tuple[int, int]):
+    """The data matrix ``fit`` saved in ``model_dir``, or None.
+
+    It is used only when the data file has the digest ``fit`` recorded,
+    the cache has the digest ``fit`` recorded for it, and it holds a
+    float64 array of ``shape``; a missing, stale or foreign cache means
+    the CSV is parsed again.
+    """
+    cache = model_dir / DATA_CACHE
+    if data_sha256 != meta.get("data_sha256") or not cache.is_file():
+        return None
+    if _sha256(cache) != meta.get("data_cache_sha256"):
+        return None
+    values = np.load(cache, allow_pickle=False)
+    if values.shape != shape or values.dtype != np.float64:
+        return None
+    return values
+
+
 def cmd_infer(args) -> int:
     t0 = time.time()
     model_dir = Path(args.model_dir)
@@ -382,7 +430,11 @@ def cmd_infer(args) -> int:
     meta, params = _load_model(model_dir)
 
     data_path = Path(args.data) if args.data else Path(meta["data"])
-    _, values = _read_numeric_csv(data_path)
+    _require_file(data_path)
+    data_sha256 = _sha256(data_path)
+    values = _load_data_cache(model_dir, meta, data_sha256, (params.n, params.q))
+    if values is None:
+        _, values = _read_numeric_csv(data_path)
     if values.shape != (params.n, params.q):
         raise DataError(
             f"data shape {values.shape} does not match fitted model ({params.n}, {params.q})"
@@ -470,7 +522,7 @@ def cmd_infer(args) -> int:
             )
         )
         outputs.append(p)
-    _write_manifest(out, "infer", vars(args), {str(data_path): _sha256(data_path)}, outputs, t0)
+    _write_manifest(out, "infer", vars(args), {str(data_path): data_sha256}, outputs, t0)
     print(f"wrote {', '.join(p.name for p in outputs)} to {out}")
     return 0
 

@@ -14,6 +14,9 @@ blocks that restores diagonality without changing the fitted product,
 and finally row-norm clipping. Each projection is exact, so the
 constraint set is restored at every iteration (up to clipping, which is
 inactive when ``M`` is chosen above the solution's row norms).
+The default start, ``spectral_warm_start``, is the rank-``r`` truncated
+SVD of a transformed response matrix, computed from the top eigenpairs
+of its smaller Gram rather than a full SVD.
 
 ``oracle_fit_A`` / ``oracle_fit_Z`` solve the row-separable convex
 problems obtained when the opposite block is known, by damped Newton
@@ -27,6 +30,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import eigh
 from scipy.special import logit
 
 from .exceptions import DegenerateFitError, OracleFitError
@@ -122,8 +126,23 @@ class FitResult:
     trace: FitTrace
 
 
-def _objective(values: np.ndarray, family: ResponseFamily, Z, A) -> float:
-    return float(risk(family, Z @ A.T, values).sum())
+class _Cells:
+    """The risk and its derivative at ``Z A'``, computed in two reused
+    n x q buffers: allocating fresh ones at every line-search trial makes
+    the allocator hand pages back and fault them in again each time."""
+
+    def __init__(self, values: np.ndarray, family: ResponseFamily):
+        self.values, self.family = values, family
+        self.theta = np.empty(values.shape)
+        self.out = np.empty(values.shape)
+
+    def objective(self, Z, A) -> float:
+        theta = np.matmul(Z, A.T, out=self.theta)
+        return float(risk(self.family, theta, self.values, out=self.out).sum())
+
+    def d1(self, Z, A) -> np.ndarray:
+        theta = np.matmul(Z, A.T, out=self.theta)
+        return risk_d1(self.family, theta, self.values, out=self.out)
 
 
 def _polar_retract(Z: np.ndarray) -> np.ndarray:
@@ -169,11 +188,17 @@ def spectral_warm_start(data: ResponseMatrix, r: int) -> ParamPair:
 
     The transform maps each cell to a rough natural-parameter scale
     (identity for gaussian, logit of clipped values for bernoulli, log of
-    clipped values for poisson); the thin SVD of the transformed matrix
-    then provides a pair already satisfying both Gram constraints.
+    clipped values for poisson). Its rank-``r`` truncated SVD comes from
+    the top ``r + 1`` eigenpairs of the smaller Gram (``X'X`` or ``XX'``)
+    followed by one Rayleigh-Ritz step, a thin SVD of ``X`` projected on
+    the top ``r`` eigenvectors (Halko, Martinsson & Tropp 2011). When the
+    ``r``-th eigengap is at most ``1e-6`` of the largest eigenvalue, that
+    subspace is ill-determined and the full thin SVD of ``X`` is taken
+    instead. The pair already satisfies both Gram constraints; each
+    column pair is signed so that the largest-magnitude entry of its
+    ``A`` column is positive (first index on ties).
     """
     Y = data.values
-    n = Y.shape[0]
     kind = data.family.kind
     if kind == "gaussian":
         X = Y
@@ -181,10 +206,25 @@ def spectral_warm_start(data: ResponseMatrix, r: int) -> ParamPair:
         X = logit(np.clip(Y, 0.1, 0.9))
     else:
         X = np.log(np.clip(Y, 0.25, None))
-    U, s, Vt = np.linalg.svd(X, full_matrices=False)
-    Z = math.sqrt(n) * U[:, :r]
-    A = Vt[:r].T * (s[:r] / math.sqrt(n))
-    return ParamPair(Z, A)
+    n, q = X.shape
+    k = min(n, q)
+    wide = q > n
+    gram = X @ X.T if wide else X.T @ X
+    w, V = eigh(gram, subset_by_index=[max(k - r - 1, 0), k - 1])
+    w, V = w[::-1], V[:, ::-1]
+    if r < k and w[r - 1] - w[r] <= 1e-6 * w[0]:
+        U, s, Vt = np.linalg.svd(X, full_matrices=False)
+        U, s, Vt = U[:, :r], s[:r], Vt[:r]
+    elif wide:
+        W, s, Vt = np.linalg.svd(V[:, :r].T @ X, full_matrices=False)
+        U = V[:, :r] @ W
+    else:
+        U, s, Wt = np.linalg.svd(X @ V[:, :r], full_matrices=False)
+        Vt = Wt @ V[:, :r].T
+    A = Vt.T * (s / math.sqrt(n))
+    signs = np.sign(A[np.argmax(np.abs(A), axis=0), np.arange(r)])
+    signs[signs == 0] = 1.0
+    return ParamPair(math.sqrt(n) * U * signs, A * signs)
 
 
 def erm_fit(
@@ -226,7 +266,8 @@ def erm_fit(
     if clipped:
         Z = _polar_retract(Z)
 
-    f = _objective(Y, family, Z, A)
+    cells = _Cells(Y, family)
+    f = cells.objective(Z, A)
     trace = FitTrace(objectives=[f])
     step_z = step_a = 1.0
 
@@ -234,7 +275,7 @@ def erm_fit(
         # Z block: Riemannian gradient step with polar retraction; the
         # tangent projection avoids Armijo stalls at manifold-stationary
         # points where the normal gradient component dominates
-        grad_z = risk_d1(family, Z @ A.T, Y) @ A
+        grad_z = cells.d1(Z, A) @ A
         S = Z.T @ grad_z
         grad_z = grad_z - Z @ ((S + S.T) / (2.0 * n))
         gz2 = float((grad_z**2).sum())
@@ -244,19 +285,19 @@ def erm_fit(
             Z_c, clipped = _clip_rows(Z_c, M)
             if clipped:
                 Z_c = _polar_retract(Z_c)
-            f_c = _objective(Y, family, Z_c, A)
+            f_c = cells.objective(Z_c, A)
             if f_c <= f - 1e-4 * step_z * gz2:
                 Z, f = Z_c, f_c
                 break
             step_z *= 0.5
 
         # A block: gradient step, then co-rotation to restore diagonality
-        grad_a = risk_d1(family, Z @ A.T, Y).T @ Z
+        grad_a = cells.d1(Z, A).T @ Z
         ga2 = float((grad_a**2).sum())
         step_a *= 2.0
         for _ in range(60):
             A_c, _ = _clip_rows(A - step_a * grad_a, M)
-            f_c = _objective(Y, family, Z, A_c)
+            f_c = cells.objective(Z, A_c)
             if f_c <= f - 1e-4 * step_a * ga2:
                 A, f = A_c, f_c
                 break

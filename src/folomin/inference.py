@@ -164,7 +164,8 @@ def bh_adjust(p_values, alpha: float = 0.05):
         raise ValueError("p-values must lie in [0, 1]")
     m = p.size
     order = np.argsort(p, kind="stable")
-    ranked = p[order] * m / np.arange(1, m + 1)
+    # the factor m / k rounds to at least 1, so no adjusted value rounds below its raw one
+    ranked = p[order] * (m / np.arange(1, m + 1))
     adjusted_sorted = np.minimum.accumulate(ranked[::-1])[::-1]
     adjusted_sorted = np.minimum(adjusted_sorted, 1.0)
     adjusted = np.empty(m)

@@ -84,33 +84,49 @@ class ResponseFamily:
                 )
 
 
-def _softplus(theta):
-    # max(theta, 0) + log1p(exp(-|theta|)), computed by logaddexp for stability
-    return np.logaddexp(0.0, theta)
+def _output(theta, y, out):
+    return np.empty(np.broadcast_shapes(theta.shape, y.shape)) if out is None else out
 
 
-def risk(family: ResponseFamily, theta, y):
-    """Per-cell risk ``l(theta; y)``; convex in ``theta`` for every family."""
+def risk(family: ResponseFamily, theta, y, out=None):
+    """Per-cell risk ``l(theta; y)``; convex in ``theta`` for every family.
+
+    The result is written into ``out`` when it is given, so that a caller
+    evaluating many risks of one shape can reuse a single buffer.
+    """
     theta = np.asarray(theta, dtype=float)
     y = np.asarray(y, dtype=float)
     family.validate_responses(y)
+    out = _output(theta, y, out)
     if family.kind == "gaussian":
-        return (theta - y) ** 2
+        np.subtract(theta, y, out=out)
+        np.square(out, out=out)
+        return out[()]
     if family.kind == "bernoulli":
-        return -y * theta + _softplus(theta)
-    return -y * theta + np.exp(theta)
+        # softplus, max(theta, 0) + log1p(exp(-|theta|)), by logaddexp for stability
+        np.logaddexp(0.0, theta, out=out)
+    else:
+        np.exp(theta, out=out)
+    out -= y * theta
+    return out[()]
 
 
-def risk_d1(family: ResponseFamily, theta, y):
-    """First derivative of the risk in ``theta``."""
+def risk_d1(family: ResponseFamily, theta, y, out=None):
+    """First derivative of the risk in ``theta``, written into ``out`` when given."""
     theta = np.asarray(theta, dtype=float)
     y = np.asarray(y, dtype=float)
     family.validate_responses(y)
+    out = _output(theta, y, out)
     if family.kind == "gaussian":
-        return 2.0 * (theta - y)
+        np.subtract(theta, y, out=out)
+        out *= 2.0
+        return out[()]
     if family.kind == "bernoulli":
-        return expit(theta) - y
-    return np.exp(theta) - y
+        expit(theta, out=out)
+    else:
+        np.exp(theta, out=out)
+    out -= y
+    return out[()]
 
 
 def risk_d2(family: ResponseFamily, theta, y=None):

@@ -213,3 +213,106 @@ def test_report_from_simulation(tmp_path):
 
 def test_report_empty_dir(tmp_path):
     assert main(["report", str(tmp_path)]) == 3
+
+
+def _fit_model(tmp_path):
+    data_csv = tmp_path / "data.csv"
+    data = _write_dataset(data_csv, seed=4)
+    model = tmp_path / "model"
+    code = main(["fit", str(data_csv), "--family", "bernoulli", "--r", "2", "--out", str(model)])
+    assert code == 0
+    return data_csv, model, data
+
+
+def _spy_csv_reads(monkeypatch):
+    from folomin import cli
+
+    reads = []
+    real = cli._read_numeric_csv
+
+    def spy(path):
+        reads.append(Path(path))
+        return real(path)
+
+    monkeypatch.setattr(cli, "_read_numeric_csv", spy)
+    return reads
+
+
+def _infer_without_cache(model, out):
+    (model / "data.npy").unlink(missing_ok=True)
+    assert main(["infer", str(model), "--out", str(out)]) == 0
+    return (out / "inference.csv").read_bytes()
+
+
+def test_infer_reuses_the_data_cache(tmp_path, monkeypatch):
+    data_csv, model, data = _fit_model(tmp_path)
+    cache = model / "data.npy"
+    np.testing.assert_array_equal(np.load(cache), data.values)
+    digest = hashlib.sha256(cache.read_bytes()).hexdigest()
+    assert json.loads((model / "rotation.json").read_text())["data_cache_sha256"] == digest
+    assert json.loads((model / "manifest.json").read_text())["outputs"]["data.npy"] == digest
+
+    reads = _spy_csv_reads(monkeypatch)
+    assert main(["infer", str(model), "--out", str(tmp_path / "cached")]) == 0
+    assert reads == [model / "A.csv", model / "Z.csv"]
+    manifest = json.loads((tmp_path / "cached" / "manifest.json").read_text())
+    assert manifest["inputs"] == {str(data_csv): hashlib.sha256(data_csv.read_bytes()).hexdigest()}
+
+    parsed = _infer_without_cache(model, tmp_path / "parsed")
+    assert reads[-1] == data_csv
+    assert (tmp_path / "cached" / "inference.csv").read_bytes() == parsed
+
+
+def test_infer_parses_an_edited_data_file(tmp_path, monkeypatch):
+    data_csv, model, data = _fit_model(tmp_path)
+    assert main(["infer", str(model), "--out", str(tmp_path / "before")]) == 0
+
+    values = data.values.copy()
+    values[0, 0] = 1.0 - values[0, 0]
+    lines = data_csv.read_text().splitlines()
+    lines[1] = ",".join(f"{v:.17g}" for v in values[0])
+    data_csv.write_text("\n".join(lines) + "\n")
+
+    reads = _spy_csv_reads(monkeypatch)
+    assert main(["infer", str(model), "--out", str(tmp_path / "edited")]) == 0
+    assert data_csv in reads
+    edited = (tmp_path / "edited" / "inference.csv").read_bytes()
+    assert edited != (tmp_path / "before" / "inference.csv").read_bytes()
+    assert edited == _infer_without_cache(model, tmp_path / "parsed")
+
+
+def _truncate(model):
+    cache = model / "data.npy"
+    cache.write_bytes(cache.read_bytes()[:200])
+
+
+def _foreign(model):
+    np.save(model / "data.npy", np.ones((5, 5)))
+
+
+def _foreign_with_recorded_digest(model):
+    _foreign(model)
+    meta = json.loads((model / "rotation.json").read_text())
+    meta["data_cache_sha256"] = hashlib.sha256((model / "data.npy").read_bytes()).hexdigest()
+    (model / "rotation.json").write_text(json.dumps(meta))
+
+
+@pytest.mark.parametrize("spoil", [_truncate, _foreign, _foreign_with_recorded_digest])
+def test_infer_ignores_a_bad_data_cache(tmp_path, monkeypatch, spoil):
+    data_csv, model, _ = _fit_model(tmp_path)
+    assert main(["infer", str(model), "--out", str(tmp_path / "good")]) == 0
+    spoil(model)
+    reads = _spy_csv_reads(monkeypatch)
+    assert main(["infer", str(model), "--out", str(tmp_path / "spoiled")]) == 0
+    assert data_csv in reads
+    assert (tmp_path / "spoiled" / "inference.csv").read_bytes() == (
+        tmp_path / "good" / "inference.csv"
+    ).read_bytes()
+
+
+def test_infer_with_a_cache_still_needs_the_data_file(tmp_path, capsys):
+    data_csv, model, _ = _fit_model(tmp_path)
+    data_csv.unlink()
+    assert (model / "data.npy").exists()
+    assert main(["infer", str(model)]) == 3
+    assert f"data file not found: {data_csv}" in capsys.readouterr().err

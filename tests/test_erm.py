@@ -172,3 +172,105 @@ def test_param_pair_rotate_preserves_theta(n, q, r, seed):
     gap = np.linalg.norm(pair.rotate(G).theta() - pair.theta())
     # ||Z A'|| <= ||Z|| ||A||, so this is a relative bound that cancellation cannot dodge
     assert gap <= 1e-12 * np.linalg.norm(pair.Z) * np.linalg.norm(pair.A)
+
+
+def _with_spectrum(rng, n, q, s):
+    """An n x q matrix with singular values ``s`` and random singular vectors."""
+    U, _ = np.linalg.qr(rng.standard_normal((n, len(s))))
+    V, _ = np.linalg.qr(rng.standard_normal((q, len(s))))
+    return (U * s) @ V.T
+
+
+def _warm_start(X, r):
+    return spectral_warm_start(ResponseMatrix(X, ResponseFamily.gaussian()), r)
+
+
+def _assert_sign_convention(A):
+    lead = A[np.argmax(np.abs(A), axis=0), np.arange(A.shape[1])]
+    assert np.all(lead >= 0)
+
+
+@pytest.mark.parametrize("n, q", [(60, 25), (25, 60), (40, 40)])
+def test_warm_start_signs_do_not_depend_on_row_order(n, q):
+    rng = np.random.default_rng(n + 2 * q)
+    X = rng.standard_normal((n, q))
+    perm = rng.permutation(n)
+    base = _warm_start(X, 4)
+    permuted = _warm_start(X[perm], 4)
+    _assert_sign_convention(base.A)
+    _assert_sign_convention(permuted.A)
+    Z_back = np.empty_like(permuted.Z)
+    Z_back[perm] = permuted.Z
+    np.testing.assert_allclose(Z_back, base.Z, rtol=0, atol=1e-12 * np.abs(base.Z).max())
+    np.testing.assert_allclose(permuted.A, base.A, rtol=0, atol=1e-12 * np.abs(base.A).max())
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    q=st.integers(1, 40),
+    r_frac=st.floats(0.0, 1.0),
+    low_rank=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_warm_start_is_the_truncated_svd(n, q, r_frac, low_rank, seed):
+    rng = np.random.default_rng(seed)
+    k = min(n, q)
+    r = 1 + int(r_frac * (k - 1))
+    if low_rank:
+        # a strong rank-k/2 signal under small noise: large and tiny gaps
+        s = np.concatenate([rng.uniform(1.0, 10.0, (k + 1) // 2), 1e-3 * rng.uniform(size=k // 2)])
+        X = _with_spectrum(rng, n, q, s)
+    else:
+        X = rng.standard_normal((n, q))
+    pair = _warm_start(X, r)
+
+    assert np.abs(pair.Z.T @ pair.Z / n - np.eye(r)).max() <= 1e-12
+    AtA = pair.A.T @ pair.A
+    assert np.abs(AtA - np.diag(np.diag(AtA))).max() <= 1e-12 * np.abs(AtA).max()
+    _assert_sign_convention(pair.A)
+
+    U, s, Vt = np.linalg.svd(X, full_matrices=False)
+    w = s**2
+    if r < k and w[r - 1] - w[r] <= 1e-6 * w[0]:
+        return
+    best = (U[:, :r] * s[:r]) @ Vt[:r]
+    assert np.abs(pair.theta() - best).max() <= 1e-10 * np.abs(best).max()
+
+
+def _svd_shapes(monkeypatch):
+    shapes = []
+    real = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return shapes
+
+
+@pytest.mark.parametrize("n, q", [(50, 30), (30, 50)])
+def test_warm_start_takes_the_full_svd_only_at_a_tie(n, q, monkeypatch):
+    rng = np.random.default_rng(3)
+    shapes = _svd_shapes(monkeypatch)
+    _warm_start(_with_spectrum(rng, n, q, [9.0, 5.0, 4.0, 2.0, 1.0]), 3)
+    assert (n, q) not in shapes
+
+    tied = _with_spectrum(rng, n, q, [9.0, 5.0, 4.0, 4.0, 1.0])
+    pair = _warm_start(tied, 3)
+    assert (n, q) in shapes
+    U, s, Vt = np.linalg.svd(tied, full_matrices=False)
+    np.testing.assert_allclose(pair.theta(), (U[:, :3] * s[:3]) @ Vt[:3], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n, q, rank", [(20, 12, 0), (12, 20, 0), (20, 12, 2), (12, 20, 2), (8, 5, 3)])
+def test_warm_start_is_finite_on_rank_deficient_data(n, q, rank):
+    rng = np.random.default_rng(7)
+    X = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, q))
+    for r in range(1, min(n, q) + 1):
+        pair = _warm_start(X, r)
+        assert np.all(np.isfinite(pair.Z)) and np.all(np.isfinite(pair.A))
+        assert np.abs(pair.Z.T @ pair.Z / n - np.eye(r)).max() <= 1e-12
+        if r >= rank:
+            np.testing.assert_allclose(pair.theta(), X, rtol=0, atol=1e-12 * max(1.0, np.abs(X).max()))

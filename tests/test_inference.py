@@ -137,10 +137,12 @@ def test_bonferroni():
 @given(
     st.lists(st.floats(min_value=0.0, max_value=1.0, allow_nan=False), min_size=1, max_size=40)
 )
+# p * 3 / 3 rounds below p for the largest value here
+@example([0.1, 0.8158535541215322, 0.2])
 def test_bh_properties(p_values):
     p = np.asarray(p_values)
     adjusted, rejected = bh_adjust(p, alpha=0.05)
-    assert np.all(adjusted >= p - 1e-15)
+    assert np.all(adjusted >= p)
     assert np.all(adjusted <= 1.0 + 1e-15)
     # monotone: ordering of adjusted p-values follows ordering of raw ones
     order = np.argsort(p, kind="stable")

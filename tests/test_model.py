@@ -48,6 +48,36 @@ def _grid_for(family):
     return thetas, ys
 
 
+def _reference_risk_and_d1(kind, theta, y):
+    """The textbook formulas for the risk and its first derivative."""
+    if kind == "gaussian":
+        return (theta - y) ** 2, 2.0 * (theta - y)
+    if kind == "bernoulli":
+        return -y * theta + np.logaddexp(0.0, theta), 1.0 / (1.0 + np.exp(-theta)) - y
+    return -y * theta + np.exp(theta), np.exp(theta) - y
+
+
+@pytest.mark.parametrize("family", [GAUSS, BERN, POIS], ids=lambda f: f.kind)
+def test_risk_kernels_write_into_a_given_buffer(family):
+    rng = np.random.default_rng(5)
+    thetas, ys = _grid_for(family)
+    theta = rng.choice(thetas, size=(6, 4)) + rng.uniform(-0.1, 0.1, (6, 4))
+    y = rng.choice(ys, size=(6, 4))
+    ref_risk, ref_d1 = _reference_risk_and_d1(family.kind, theta, y)
+    for kernel, ref in ((risk, ref_risk), (risk_d1, ref_d1)):
+        fresh = kernel(family, theta, y)
+        buf = np.full((6, 4), np.nan)
+        into = kernel(family, theta, y, out=buf)
+        assert np.shares_memory(into, buf)
+        np.testing.assert_array_equal(into, fresh)
+        np.testing.assert_array_equal(buf, fresh)
+        np.testing.assert_allclose(fresh, ref, rtol=1e-15, atol=1e-15)
+        # a scalar theta broadcasts against the responses
+        t00 = theta[0, 0]
+        np.testing.assert_array_equal(kernel(family, t00, y), kernel(family, np.full_like(y, t00), y))
+    assert kernel(family, 0.5, ys[0]) == kernel(family, np.array([0.5]), np.array([ys[0]]))[0]
+
+
 @pytest.mark.parametrize("family", [GAUSS, BERN, POIS], ids=lambda f: f.kind)
 def test_finite_difference_derivatives(family):
     h = 1e-6
