@@ -22,7 +22,9 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -409,17 +411,28 @@ def _load_data_cache(model_dir: Path, meta: dict, data_sha256: str, shape: tuple
     It is used only when the data file has the digest ``fit`` recorded,
     the cache has the digest ``fit`` recorded for it, and it holds a
     float64 array of ``shape``; a missing, stale or foreign cache means
-    the CSV is parsed again.
+    the CSV is parsed again. The cache is read once: the digest is taken
+    of those bytes and the returned (read-only) array is a view of them.
     """
     cache = model_dir / DATA_CACHE
     if data_sha256 != meta.get("data_sha256") or not cache.is_file():
         return None
-    if _sha256(cache) != meta.get("data_cache_sha256"):
+    raw = cache.read_bytes()
+    if hashlib.sha256(raw).hexdigest() != meta.get("data_cache_sha256"):
         return None
-    values = np.load(cache, allow_pickle=False)
-    if values.shape != shape or values.dtype != np.float64:
+    fh = io.BytesIO(raw)  # shares the buffer of ``raw``
+    try:
+        # np.save writes format 1.0 for any 2-d float array
+        if np.lib.format.read_magic(fh) != (1, 0):
+            return None
+        header = np.lib.format.read_array_header_1_0(fh)
+    except ValueError:
         return None
-    return values
+    if header != (shape, False, np.dtype(np.float64)):
+        return None
+    if len(raw) != fh.tell() + 8 * math.prod(shape):
+        return None
+    return np.frombuffer(raw, np.float64, offset=fh.tell()).reshape(shape)
 
 
 def cmd_infer(args) -> int:
@@ -648,8 +661,15 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--eta", type=float, default=0.15, help="weight regularizer")
     fit.add_argument("--lqa-iters", type=int, default=5)
     fit.add_argument("--mode", choices=["oblique", "orthogonal"], default="oblique")
-    fit.add_argument("--max-iters", type=int, default=1000)
-    fit.add_argument("--tol", type=float, default=1e-9)
+    fit.add_argument(
+        "--max-iters", type=int, default=FitConfig.max_iters, help="cap on ERM sweeps"
+    )
+    fit.add_argument(
+        "--tol",
+        type=float,
+        default=FitConfig.tol,
+        help="ERM stopping tolerance: every row's Newton decrement relative to 1 + its risk",
+    )
     fit.add_argument(
         "--seed",
         type=int,

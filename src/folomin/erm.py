@@ -7,20 +7,22 @@ to the identification constraints
 * ``A'A / q`` diagonal,
 * all row norms of ``Z`` and ``A`` at most ``M``,
 
-by alternating projected gradient descent: a gradient step in ``Z``
-followed by a polar retraction onto the orthonormality manifold, a
-gradient step in ``A`` followed by an orthogonal co-rotation of both
-blocks that restores diagonality without changing the fitted product,
-and finally row-norm clipping. Each projection is exact, so the
-constraint set is restored at every iteration (up to clipping, which is
-inactive when ``M`` is chosen above the solution's row norms).
+by block-coordinate damped Newton (joint maximum likelihood by
+alternating row-separable convex solves, Chen, Li & Zhang 2019). Each
+sweep takes one damped Newton step for every row of ``Z`` with ``A``
+fixed, restores ``Z'Z / n = I`` by an ``r x r`` co-transformation of
+both blocks that keeps ``Z A'``, takes one damped Newton step for every
+row of ``A`` with ``Z`` fixed, and co-rotates both blocks to make
+``A'A`` diagonal. Row steps stay inside the cap ``M``. The fit stops
+when every row's Newton decrement is negligible against its risk, so a
+converged fit is stationary, not merely slow to change.
 The default start, ``spectral_warm_start``, is the rank-``r`` truncated
 SVD of a transformed response matrix, computed from the top eigenpairs
 of its smaller Gram rather than a full SVD.
 
 ``oracle_fit_A`` / ``oracle_fit_Z`` solve the row-separable convex
 problems obtained when the opposite block is known, by damped Newton
-vectorized across rows.
+vectorized across rows; they and the ERM sweeps share one Newton step.
 """
 
 from __future__ import annotations
@@ -100,21 +102,29 @@ class FitConfig:
 
     ``M`` caps all row norms; when None it defaults to twice the spectral
     warm start's largest row norm, which keeps the cap inactive at any
-    reasonable solution.
+    reasonable solution. ``tol`` bounds every row's Newton decrement
+    ``g'H^{-1}g`` relative to that row's risk ``f``: the fit has converged
+    when ``g'H^{-1}g <= tol * (1 + |f|)`` for every row of both blocks.
+    ``max_iters`` caps the number of sweeps.
     """
 
     M: float | None = None
     max_iters: int = 1000
-    tol: float = 1e-9
+    tol: float = 1e-11
 
 
 @dataclass
 class FitTrace:
-    """Per-iteration objective values and final diagnostics."""
+    """Per-sweep objective values and final diagnostics.
+
+    ``stationarity`` is the largest relative row decrement
+    ``g'H^{-1}g / (1 + |f|)`` over both blocks at the returned pair.
+    """
 
     objectives: list = field(default_factory=list)
     status: str = "converged"
     n_iters: int = 0
+    stationarity: float = math.nan
     gram_residual: float = math.nan
     diag_residual: float = math.nan
     max_row_norm: float = math.nan
@@ -126,34 +136,18 @@ class FitResult:
     trace: FitTrace
 
 
-class _Cells:
-    """The risk and its derivative at ``Z A'``, computed in two reused
-    n x q buffers: allocating fresh ones at every line-search trial makes
-    the allocator hand pages back and fault them in again each time."""
-
-    def __init__(self, values: np.ndarray, family: ResponseFamily):
-        self.values, self.family = values, family
-        self.theta = np.empty(values.shape)
-        self.out = np.empty(values.shape)
-
-    def objective(self, Z, A) -> float:
-        theta = np.matmul(Z, A.T, out=self.theta)
-        return float(risk(self.family, theta, self.values, out=self.out).sum())
-
-    def d1(self, Z, A) -> np.ndarray:
-        theta = np.matmul(Z, A.T, out=self.theta)
-        return risk_d1(self.family, theta, self.values, out=self.out)
-
-
-def _polar_retract(Z: np.ndarray) -> np.ndarray:
-    """Nearest matrix with ``Z'Z = n I`` (scaled polar factor)."""
+def _normalize(Z: np.ndarray, A: np.ndarray):
+    """Co-transform ``(Z, A)`` so that ``Z'Z / n = I``, leaving ``Z A'``
+    unchanged: ``Z`` is divided by the symmetric square root of its Gram,
+    which ``A`` takes on instead."""
     n = Z.shape[0]
-    U, s, Vt = np.linalg.svd(Z, full_matrices=False)
-    if s[-1] < 1e-8 * math.sqrt(n):
+    w, V = np.linalg.eigh(Z.T @ Z / n)
+    if w[0] < 1e-16:
         raise DegenerateFitError(
-            f"rank collapse: smallest singular value {s[-1]:.3e} below threshold"
+            f"rank collapse: smallest latent Gram eigenvalue {w[0]:.3e} below threshold"
         )
-    return math.sqrt(n) * (U @ Vt)
+    root = np.sqrt(w)
+    return Z @ ((V / root) @ V.T), A @ ((V * root) @ V.T)
 
 
 def _diagonalize(Z: np.ndarray, A: np.ndarray):
@@ -171,16 +165,6 @@ def _diagonalize(Z: np.ndarray, A: np.ndarray):
     signs[signs == 0] = 1.0
     V = V * signs
     return Z @ V, A @ V
-
-
-def _clip_rows(X: np.ndarray, M: float) -> tuple[np.ndarray, bool]:
-    norms = np.linalg.norm(X, axis=1)
-    over = norms > M
-    if not np.any(over):
-        return X, False
-    X = X.copy()
-    X[over] *= (M / norms[over])[:, None]
-    return X, True
 
 
 def spectral_warm_start(data: ResponseMatrix, r: int) -> ParamPair:
@@ -233,12 +217,19 @@ def erm_fit(
     config: FitConfig | None = None,
     warm_start: ParamPair | None = None,
 ) -> FitResult:
-    """Fit the constrained empirical risk minimizer.
+    """Fit the constrained empirical risk minimizer by the sweeps that the
+    module docstring describes.
 
-    Returns the fitted pair together with a trace of objective values;
-    the objective is nonincreasing along accepted steps. A warning status
-    is recorded if ``max_iters`` is reached before the relative objective
-    change drops below ``tol``.
+    Each sweep first tests every row of both blocks against the decrement
+    bound of :class:`FitConfig` and returns once all pass, so a start that
+    already passes is returned after normalization alone. Ending a sweep
+    on the ``A`` step keeps every ``A`` row inside the cap at each tested
+    pair. A row whose Newton point leaves the ball of radius ``M`` steps
+    to the minimizer of its quadratic model on it, and the ``Z`` step
+    prices the caps that bind (:class:`_CapPrice`). The objective is
+    recorded at each test and never rises by more than rounding. A
+    warning status is recorded if ``max_iters`` sweeps end before the
+    test passes.
     """
     config = config or FitConfig()
     Y = data.values
@@ -258,65 +249,49 @@ def erm_fit(
             np.linalg.norm(start.A, axis=1).max(),
         )
 
-    Z = _polar_retract(np.asarray(start.Z, dtype=float))
-    A = np.asarray(start.A, dtype=float).copy()
+    Z, A = _normalize(np.asarray(start.Z, dtype=float), np.asarray(start.A, dtype=float))
     Z, A = _diagonalize(Z, A)
-    A, _ = _clip_rows(A, M)
-    Z, clipped = _clip_rows(Z, M)
-    if clipped:
-        Z = _polar_retract(Z)
-
-    cells = _Cells(Y, family)
-    f = cells.objective(Z, A)
-    trace = FitTrace(objectives=[f])
-    step_z = step_a = 1.0
-
-    for it in range(config.max_iters):
-        # Z block: Riemannian gradient step with polar retraction; the
-        # tangent projection avoids Armijo stalls at manifold-stationary
-        # points where the normal gradient component dominates
-        grad_z = cells.d1(Z, A) @ A
-        S = Z.T @ grad_z
-        grad_z = grad_z - Z @ ((S + S.T) / (2.0 * n))
-        gz2 = float((grad_z**2).sum())
-        step_z *= 2.0
-        for _ in range(60):
-            Z_c = _polar_retract(Z - step_z * grad_z)
-            Z_c, clipped = _clip_rows(Z_c, M)
-            if clipped:
-                Z_c = _polar_retract(Z_c)
-            f_c = cells.objective(Z_c, A)
-            if f_c <= f - 1e-4 * step_z * gz2:
-                Z, f = Z_c, f_c
-                break
-            step_z *= 0.5
-
-        # A block: gradient step, then co-rotation to restore diagonality
-        grad_a = cells.d1(Z, A).T @ Z
-        ga2 = float((grad_a**2).sum())
-        step_a *= 2.0
-        for _ in range(60):
-            A_c, _ = _clip_rows(A - step_a * grad_a, M)
-            f_c = cells.objective(Z, A_c)
-            if f_c <= f - 1e-4 * step_a * ga2:
-                A, f = A_c, f_c
-                break
-            step_a *= 0.5
-        Z, A = _diagonalize(Z, A)
-
-        trace.objectives.append(f)
-        prev = trace.objectives[-2]
-        if abs(prev - f) <= config.tol * (1.0 + abs(prev)):
-            trace.n_iters = it + 1
+    trace = FitTrace()
+    rows_A, rows_Z = np.arange(q), np.arange(n)
+    nu = np.zeros(n)
+    for sweep in range(config.max_iters + 1):
+        f_A, f_Z, D1, W = _cells(family, Y, Z, A)
+        trace.objectives.append(float(f_A.sum()))
+        _, dec_A, mu = _newton_direction(Z, W, D1.T @ Z, A, M)
+        price = _CapPrice(Z, A, mu, nu)
+        f_Z += price(Z, rows_Z)
+        d_Z, dec_Z, nu = _newton_direction(A, W.T, D1 @ A + price.grad(Z), Z, M, price.K)
+        rel_A, rel_Z = dec_A / (1.0 + np.abs(f_A)), dec_Z / (1.0 + np.abs(f_Z))
+        trace.stationarity = float(max(rel_A.max(), rel_Z.max()))
+        if trace.stationarity <= config.tol:
             break
-    else:
-        trace.status = "max_iters"
-        trace.n_iters = config.max_iters
-        warnings.warn(
-            f"erm_fit reached max_iters={config.max_iters} with relative change "
-            f"above tol={config.tol}; returning last iterate",
-            RuntimeWarning,
-        )
+        if sweep == config.max_iters:
+            trace.status = "max_iters"
+            warnings.warn(
+                f"erm_fit reached max_iters={config.max_iters} with relative Newton "
+                f"decrement {trace.stationarity:.3e} above tol={config.tol}; "
+                "returning last iterate",
+                RuntimeWarning,
+            )
+            break
+        pure_Z = _full_step(rel_Z, Z, M)
+        Z_new = _newton_update(A, Y.T, family, Z, f_Z, rows_Z, d_Z, dec_Z, pure_Z, price)
+        # the priced Z step lowers the Lagrangian, not always the risk once
+        # caps bind; a sweep that would raise the risk is retaken with the
+        # Z step halved, down to the plain A step, which cannot raise it
+        for _halving in range(30):
+            Z_s, A_s = _normalize(Z_new, A)
+            f_A, _, D1, W = _cells(family, Y, Z_s, A_s)
+            d_A, dec_A, _ = _newton_direction(Z_s, W, D1.T @ Z_s, A_s, M)
+            rel_A = dec_A / (1.0 + np.abs(f_A))
+            pure_A = _full_step(rel_A, A_s, M)
+            A_s = _newton_update(Z_s, Y, family, A_s, f_A, rows_A, d_A, dec_A, pure_A)
+            f = trace.objectives[-1]
+            if f_A.sum() <= f + 1e-12 * (1.0 + abs(f)):
+                break
+            Z_new = 0.5 * (Z + Z_new)
+        Z, A = _diagonalize(Z_s, A_s)
+    trace.n_iters = sweep
 
     if np.linalg.svd(A, compute_uv=False)[-1] < 1e-10 * math.sqrt(q):
         raise DegenerateFitError("fitted representation matrix is rank deficient")
@@ -332,6 +307,24 @@ def erm_fit(
     return FitResult(params, trace)
 
 
+def _full_step(rel: np.ndarray, B: np.ndarray, M: float) -> np.ndarray:
+    """Rows of an ERM block that take the full Newton step: those whose
+    relative decrement is below ``1e-8``, where the value-based Armijo
+    test stalls once the decrease it asks for falls below the float
+    resolution of the row risk, and those the normalization left outside
+    the ball, which the full step puts back on it."""
+    return (rel <= 1e-8) | (np.linalg.norm(B, axis=1) > M)
+
+
+def _cells(family: ResponseFamily, Y: np.ndarray, Z: np.ndarray, A: np.ndarray):
+    """Row risks of both blocks, and the risk's first and second
+    derivatives at every cell of ``Z A'``."""
+    theta = Z @ A.T
+    cells = risk(family, theta, Y)
+    f_A, f_Z = cells.sum(axis=0), cells.sum(axis=1)
+    return f_A, f_Z, risk_d1(family, theta, Y, out=cells), risk_d2(family, theta)
+
+
 def row_grams(X: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Weighted Grams ``X' diag(w[:, k]) X`` for every column ``k`` of ``w``.
 
@@ -341,6 +334,116 @@ def row_grams(X: np.ndarray, w: np.ndarray) -> np.ndarray:
     m, r = X.shape
     outer = (X[:, :, None] * X[:, None, :]).reshape(m, r * r)
     return (w.T @ outer).reshape(w.shape[1], r, r)
+
+
+def _newton_direction(X, w, grad, B=None, M=None, K=None):
+    """Newton directions ``d_k = -H_k^{-1} g_k``, decrements ``-g_k' d_k``
+    and cap multipliers for the row problems with design ``X``, cell
+    curvatures ``w[:, k]`` and gradients ``grad[k]``.
+
+    ``K`` is added to every row's Hessian. With a cap ``M``, a row
+    ``B[k]`` whose Newton point leaves the ball moves instead to the
+    minimizer of its quadratic model on the ball, so that its decrement
+    also vanishes when the cap holds it on the sphere; its multiplier is
+    that minimizer's ``mu`` (zero for every other row).
+    """
+    r = X.shape[1]
+    H = row_grams(X, w) + 1e-12 * np.eye(r)
+    if K is not None:
+        H += K
+    d = -np.linalg.solve(H, grad[:, :, None])[:, :, 0]
+    mu = np.zeros(len(d))
+    if M is not None:
+        over = np.flatnonzero(np.linalg.norm(B + d, axis=1) > M)
+        if over.size:
+            x, mu[over] = _model_minimizer_on_ball(H[over], B[over] + d[over], M)
+            d[over] = x - B[over]
+    return d, -(grad * d).sum(axis=1), mu
+
+
+class _CapPrice:
+    """Terms added to the ``Z`` rows' risks so that the ``Z`` step sees
+    the caps, which bind on the normalized pair: there ``a_j`` has squared
+    norm ``a_j' S a_j`` and ``z_i`` has ``z_i' S^{-1} z_i``, ``S = Z'Z/n``.
+    With cap multipliers ``mu`` (``A`` rows) and ``nu`` (``Z`` rows, from
+    the previous sweep) the Lagrangian adds ``z' K z / 2``,
+    ``K = A' diag(mu) A / n``, to every ``Z`` row and, to first order,
+    ``-z' N z_i / n``, ``N = Z' diag(nu) Z``, to row ``i``. Without them
+    the blocks pull against each other through the normalization.
+    """
+
+    def __init__(self, Z, A, mu, nu):
+        n = Z.shape[0]
+        self.K = (A.T * mu) @ A / n
+        self.lin = Z @ ((Z.T * nu) @ Z) / n
+
+    def grad(self, Z):
+        return Z @ self.K - self.lin
+
+    def __call__(self, cand, rows):
+        return ((0.5 * cand @ self.K - self.lin[rows]) * cand).sum(axis=1)
+
+
+def _model_minimizer_on_ball(H: np.ndarray, x0: np.ndarray, M: float):
+    """Minimizers on ``||x|| <= M`` of the quadratics ``(x - x0)' H (x - x0)``
+    whose unconstrained minimizers ``x0`` lie outside the ball, with their
+    multipliers ``mu``.
+
+    The minimizer is ``x(mu) = (H + mu I)^{-1} H x0`` with ``||x(mu)|| = M``;
+    ``mu`` solves ``1/||x(mu)|| = 1/M`` by Newton's method from ``mu = 0``,
+    which increases monotonically to the root because the left side is
+    concave in ``mu`` (More & Sorensen 1983).
+    """
+    h, V = np.linalg.eigh(H)
+    c = h * np.einsum("kji,kj->ki", V, x0)  # V' H x0
+    mu = np.zeros(len(h))
+    s = c / h
+    norm = np.linalg.norm(s, axis=1)
+    for _ in range(50):
+        phi = 1.0 / norm - 1.0 / M
+        if np.all(phi * M >= -1e-15):
+            break
+        mu -= phi * norm**3 / (s**2 / (h + mu[:, None])).sum(axis=1)
+        s = c / (h + mu[:, None])
+        norm = np.linalg.norm(s, axis=1)
+    # from the left ||x(mu)|| >= M, so the rescaling only trims rounding
+    return np.einsum("kij,kj->ki", V, s * (M / norm)[:, None]), mu
+
+
+def _newton_update(X, targets, family, B, f, idx, d, dec, pure, price=None) -> np.ndarray:
+    """One damped Newton step for rows ``idx`` of ``B``.
+
+    Row ``idx[i]`` moves along ``d[i]``, whose decrement is ``dec[i]``.
+    Rows flagged ``pure`` take the full step; the others halve it until
+    the Armijo condition on their own risk (plus ``price(b, row)`` when
+    it is given) holds, and stay put if it never does. Returns the new
+    ``B`` and writes the accepted rows' values into ``f``.
+    """
+
+    def value(cand, cols):
+        f_c = risk(family, X @ cand.T, targets[:, cols]).sum(axis=0)
+        return f_c if price is None else f_c + price(cand, cols)
+
+    B_new = B.copy()
+    if pure.any():
+        cand = B[idx[pure]] + d[pure]
+        B_new[idx[pure]] = cand
+        f[idx[pure]] = value(cand, idx[pure])
+    t = np.ones(idx.size)
+    accepted = pure.copy()
+    for _ in range(50):
+        todo = ~accepted
+        if not todo.any():
+            break
+        cand = B[idx[todo]] + t[todo, None] * d[todo]
+        f_c = value(cand, idx[todo])
+        ok = f_c <= f[idx[todo]] - 1e-4 * t[todo] * dec[todo]
+        sel = np.flatnonzero(todo)[ok]
+        B_new[idx[sel]] = cand[ok]
+        f[idx[sel]] = f_c[ok]
+        accepted[sel] = True
+        t[np.flatnonzero(todo)[~ok]] *= 0.5
+    return B_new
 
 
 def _separable_fit(
@@ -367,42 +470,17 @@ def _separable_fit(
 
     for _ in range(max_iter):
         theta = X @ B.T
-        g1 = risk_d1(family, theta, targets)
-        grad = g1.T @ X  # (k, r)
+        grad = risk_d1(family, theta, targets).T @ X  # (k, r)
         gnorm = np.linalg.norm(grad, axis=1)
         active = gnorm > tol
         if not active.any():
             break
-        w = risk_d2(family, theta)
-        H = row_grams(X, w[:, active]) + 1e-12 * np.eye(r)
-        d = -np.linalg.solve(H, grad[active][:, :, None])[:, :, 0]
-        gd = (grad[active] * d).sum(axis=1)
-
         idx = np.flatnonzero(active)
-        B_new = B.copy()
+        d, dec, _ = _newton_direction(X, risk_d2(family, theta)[:, active], grad[active])
         # inside the quadratic basin the objective decrease falls below
         # float resolution; take pure Newton steps there instead of
         # stalling on the value-based line search
-        pure = gnorm[idx] < 1e-4
-        if pure.any():
-            cand = B[idx[pure]] + d[pure]
-            B_new[idx[pure]] = cand
-            f[idx[pure]] = risk(family, X @ cand.T, targets[:, idx[pure]]).sum(axis=0)
-        t = np.ones(idx.size)
-        accepted = pure.copy()
-        for _ in range(50):
-            todo = ~accepted
-            if not todo.any():
-                break
-            cand = B[idx[todo]] + t[todo, None] * d[todo]
-            f_c = risk(family, X @ cand.T, targets[:, idx[todo]]).sum(axis=0)
-            ok = f_c <= f[idx[todo]] + 1e-4 * t[todo] * gd[todo]
-            sel = np.flatnonzero(todo)[ok]
-            B_new[idx[sel]] = cand[ok]
-            f[idx[sel]] = f_c[ok]
-            accepted[sel] = True
-            t[np.flatnonzero(todo)[~ok]] *= 0.5
-        B = B_new
+        B = _newton_update(X, targets, family, B, f, idx, d, dec, gnorm[idx] < 1e-4)
 
     theta = X @ B.T
     gnorm = np.linalg.norm((risk_d1(family, theta, targets).T @ X), axis=1)

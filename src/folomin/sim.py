@@ -240,7 +240,7 @@ def _run_one_rep(design: SimDesign, methods, rep: int, seed_seq, level: float, o
             data,
             design.r,
             losses=losses,
-            fit_config=FitConfig(M=M, max_iters=opts.get("max_iters", 1000), tol=opts.get("tol", 1e-9)),
+            fit_config=FitConfig(M=M, **{k: opts[k] for k in ("max_iters", "tol") if k in opts}),
             init_config=init_cfg,
             init_delta=delta,
             eta=opts.get("eta", 0.15),

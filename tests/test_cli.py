@@ -1,5 +1,7 @@
+import builtins
 import csv
 import hashlib
+import io
 import json
 from pathlib import Path
 
@@ -261,6 +263,22 @@ def test_infer_reuses_the_data_cache(tmp_path, monkeypatch):
     parsed = _infer_without_cache(model, tmp_path / "parsed")
     assert reads[-1] == data_csv
     assert (tmp_path / "cached" / "inference.csv").read_bytes() == parsed
+
+
+def test_infer_opens_the_data_cache_once(tmp_path, monkeypatch):
+    _, model, _ = _fit_model(tmp_path)
+    cache = model / "data.npy"
+    opened = []
+    real_open = builtins.open
+
+    def spy(file, *args, **kwargs):
+        opened.append(Path(file) if isinstance(file, (str, Path)) else None)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", spy)
+    monkeypatch.setattr(io, "open", spy)
+    assert main(["infer", str(model), "--out", str(tmp_path / "cached")]) == 0
+    assert opened.count(cache) == 1
 
 
 def test_infer_parses_an_edited_data_file(tmp_path, monkeypatch):

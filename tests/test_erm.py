@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
 from folomin import (
     FitConfig,
@@ -14,7 +17,7 @@ from folomin import (
     oracle_fit_Z,
     spectral_warm_start,
 )
-from folomin.erm import _separable_fit
+from folomin.erm import _model_minimizer_on_ball, _separable_fit
 from folomin.sim import SimDesign, gen_dataset
 
 
@@ -96,6 +99,130 @@ def test_bernoulli_fit_matches_alternating_oracle():
     Z_alt, A_alt = _alternating_oracle(data, 2)
     alt_err = np.linalg.norm(Z_alt @ A_alt.T - theta_star)
     assert erm_err <= 1.05 * alt_err
+
+
+def _max_row_gradients(data, params):
+    """Largest per-row gradient norms of the summed risk at ``params``:
+    plain for ``A``, projected onto the tangent space of ``Z'Z = n I`` for
+    ``Z``. Coded from the risk's definition, independently of ``model``."""
+    Z, A = params.Z, params.A
+    theta = Z @ A.T
+    if data.family.kind == "gaussian":
+        D = 2.0 * (theta - data.values)
+    else:
+        D = expit(theta) - data.values
+    grad_A = D.T @ Z
+    grad_Z = D @ A
+    S = Z.T @ grad_Z
+    grad_Z = grad_Z - Z @ ((S + S.T) / (2.0 * Z.shape[0]))
+    return np.linalg.norm(grad_A, axis=1).max(), np.linalg.norm(grad_Z, axis=1).max()
+
+
+def test_bernoulli_fit_is_stationary():
+    rng = np.random.default_rng(42)
+    design = SimDesign(n=200, q=200, r=2, lambda_signal=0.2, tau=0.0, seed=3)
+    Z_star, A_star, data = gen_dataset(design, rng)
+    M = 1.5 * max(np.linalg.norm(A_star, axis=1).max(), np.linalg.norm(Z_star, axis=1).max())
+    res = erm_fit(data, 2, FitConfig(M=M))
+    assert res.trace.status == "converged"
+    assert res.trace.stationarity <= FitConfig().tol
+    assert max(_max_row_gradients(data, res.params)) <= 1e-3
+
+
+def test_binding_caps_converge_onto_the_ball():
+    # at this size some rows of A want norms beyond the cap: the fit still
+    # converges to a KKT point that holds them on the sphere
+    rng = np.random.default_rng(2)
+    design = SimDesign(n=120, q=80, r=2, lambda_signal=0.3, tau=0.5, seed=0)
+    Z_star, A_star, data = gen_dataset(design, rng)
+    M = 1.5 * max(np.linalg.norm(A_star, axis=1).max(), np.linalg.norm(Z_star, axis=1).max())
+    res = erm_fit(data, 2, FitConfig(M=M))
+    assert res.trace.status == "converged"
+    objs = np.asarray(res.trace.objectives)
+    assert np.all(np.diff(objs) <= 1e-12 * (1.0 + np.abs(objs[:-1])))
+    Z, A = res.params.Z, res.params.A
+    norms = np.linalg.norm(A, axis=1)
+    capped = norms >= M * (1 - 1e-12)
+    assert capped.any() and norms.max() <= M * (1 + 1e-12)
+    # free rows are stationary; a capped row's gradient points straight
+    # out of the ball, so the risk falls only by leaving it
+    grad = (expit(Z @ A.T) - data.values).T @ Z
+    assert np.linalg.norm(grad[~capped], axis=1).max() <= 1e-6
+    radial = (grad * A).sum(axis=1) / norms
+    tangential = grad - (radial / norms)[:, None] * A
+    assert np.all(radial[capped] < 0)
+    assert np.linalg.norm(tangential[capped], axis=1).max() <= 1e-6
+
+
+def _random_fit_input(kind, n, q, r, rng):
+    theta = rng.standard_normal((n, r)) @ (1.5 * rng.standard_normal((r, q)) / np.sqrt(r))
+    if kind == "gaussian":
+        Y = theta + rng.standard_normal((n, q))
+        return ResponseMatrix(Y, ResponseFamily.gaussian())
+    Y = (rng.random((n, q)) < expit(theta)).astype(float)
+    return ResponseMatrix(Y, ResponseFamily.bernoulli())
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["gaussian", "bernoulli"]),
+    n=st.integers(20, 60),
+    q=st.integers(20, 60),
+    r=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fit_meets_the_gauge_and_never_raises_the_objective(kind, n, q, r, seed):
+    data = _random_fit_input(kind, n, q, r, np.random.default_rng(seed))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        res = erm_fit(data, r, FitConfig(max_iters=100))
+    Z, A = res.params.Z, res.params.A
+    assert np.abs(Z.T @ Z / n - np.eye(r)).max() <= 1e-10
+    AtA = A.T @ A / q
+    assert np.abs(AtA - np.diag(np.diag(AtA))).max() <= 1e-10
+    objs = np.asarray(res.trace.objectives)
+    assert np.all(np.diff(objs) <= 1e-10 * (1.0 + np.abs(objs[:-1])))
+
+
+def test_stationary_gaussian_start_is_returned_without_a_step():
+    rng = np.random.default_rng(11)
+    n, q, r = 90, 70, 3
+    Y = _orthonormal_scores(rng, n, r) @ rng.standard_normal((q, r)).T + rng.standard_normal((n, q))
+    data = ResponseMatrix(Y, ResponseFamily.gaussian())
+    start = spectral_warm_start(data, r)
+    res = erm_fit(data, r)
+    assert res.trace.status == "converged"
+    assert res.trace.n_iters == 0 and len(res.trace.objectives) == 1
+    gap = np.abs(res.params.theta() - start.theta()).max()
+    assert gap <= 1e-12 * np.abs(start.theta()).max()
+
+
+def test_tolerance_below_reach_stops_at_max_iters():
+    rng = np.random.default_rng(42)
+    design = SimDesign(n=200, q=200, r=2, lambda_signal=0.2, tau=0.0, seed=3)
+    _, _, data = gen_dataset(design, rng)
+    with pytest.warns(RuntimeWarning, match="max_iters=20"):
+        res = erm_fit(data, 2, FitConfig(tol=0.0, max_iters=20))
+    assert res.trace.status == "max_iters"
+    assert res.trace.n_iters == 20 and len(res.trace.objectives) == 21
+    assert res.trace.stationarity > 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(r=st.integers(1, 5), k=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_model_minimizer_on_ball_meets_kkt(r, k, seed):
+    rng = np.random.default_rng(seed)
+    G = rng.standard_normal((k, r, r))
+    H = G @ G.transpose(0, 2, 1) + 0.1 * np.eye(r)
+    x0 = rng.standard_normal((k, r)) * rng.uniform(1.0, 10.0, (k, 1))
+    M = 0.9 * np.linalg.norm(x0, axis=1).min()
+    x, mu = _model_minimizer_on_ball(H, x0, M)
+    np.testing.assert_allclose(np.linalg.norm(x, axis=1), M, rtol=1e-12)
+    assert np.all(mu >= 0.0)
+    # stationarity of the Lagrangian: H (x - x0) + mu x = 0
+    resid = np.einsum("kij,kj->ki", H, x - x0) + mu[:, None] * x
+    scale = np.einsum("kij,kj->ki", H, x0)
+    assert np.abs(resid).max() <= 1e-9 * np.abs(scale).max()
 
 
 def test_oracle_fit_gaussian_is_least_squares():
