@@ -34,7 +34,7 @@ import numpy as np
 from . import __version__
 from .erm import FitConfig, ParamPair
 from .exceptions import DataError, FolominError, NumericalError
-from .inference import build_report
+from .inference import adjust_p_values, build_report
 from .model import ResponseFamily, ResponseMatrix
 from .pipeline import fit_pipeline, make_loss
 from .sim import RNG_NAME, SimDesign, run_replications
@@ -109,16 +109,6 @@ def _write_manifest(
         "outputs": {p.name: digests.get(p) or _sha256(p) for p in outputs},
     }
     _write_json(out_dir / "manifest.json", manifest)
-
-
-def _family_from_flag(name: str, variance: float = 1.0) -> ResponseFamily:
-    if name == "gaussian":
-        return ResponseFamily.gaussian(variance)
-    if name == "bernoulli":
-        return ResponseFamily.bernoulli()
-    if name == "poisson":
-        return ResponseFamily.poisson()
-    raise ValueError(f"unknown family {name!r}")
 
 
 def _read_numeric_csv(path: Path) -> tuple[list[str], np.ndarray]:
@@ -208,7 +198,7 @@ def cmd_simulate(args) -> int:
         r=args.r,
         lambda_signal=getattr(args, "lambda"),
         tau=args.tau,
-        family=_family_from_flag(args.family, args.variance),
+        family=ResponseFamily(args.family, args.variance),
         seed=args.seed,
     )
     losses = ["mcp", "scad", "tl1"] if args.loss == "all" else [args.loss]
@@ -330,8 +320,7 @@ def cmd_fit(args) -> int:
 
     column_means = values.mean(axis=0) if args.center else np.zeros(values.shape[1])
     centered = values - column_means
-    family = _family_from_flag(args.family, args.variance)
-    data = ResponseMatrix(centered, family)
+    data = ResponseMatrix(centered, ResponseFamily(args.family, args.variance))
 
     loss = None if args.gamma is None else make_loss(args.loss, args.gamma)
     pipe = fit_pipeline(
@@ -453,8 +442,7 @@ def cmd_infer(args) -> int:
             f"data shape {values.shape} does not match fitted model ({params.n}, {params.q})"
         )
     centered = values - np.asarray(meta["column_means"])
-    family = _family_from_flag(meta["family"], meta.get("variance", 1.0))
-    data = ResponseMatrix(centered, family)
+    data = ResponseMatrix(centered, ResponseFamily(meta["family"], meta.get("variance", 1.0)))
 
     report = build_report(
         data,
@@ -464,14 +452,7 @@ def cmd_infer(args) -> int:
         adjust=args.adjust,
         per_column=args.per_column,
     )
-    from .inference import bonferroni_adjust
-
-    p_bonf = np.empty_like(report.p_A)
-    if args.per_column:
-        for l in range(report.p_A.shape[1]):
-            p_bonf[:, l], _ = bonferroni_adjust(report.p_A[:, l], args.alpha)
-    else:
-        p_bonf = bonferroni_adjust(report.p_A.ravel(), args.alpha)[0].reshape(report.p_A.shape)
+    p_bonf, _ = adjust_p_values(report.p_A, args.alpha, "bonferroni", args.per_column)
 
     columns = meta.get("columns")
     rows = []

@@ -125,8 +125,6 @@ class FitTrace:
     status: str = "converged"
     n_iters: int = 0
     stationarity: float = math.nan
-    gram_residual: float = math.nan
-    diag_residual: float = math.nan
     max_row_norm: float = math.nan
 
 
@@ -296,15 +294,10 @@ def erm_fit(
     if np.linalg.svd(A, compute_uv=False)[-1] < 1e-10 * math.sqrt(q):
         raise DegenerateFitError("fitted representation matrix is rank deficient")
 
-    params = ParamPair(Z, A)
-    gram = params.gram()
-    trace.gram_residual = float(np.linalg.norm(gram - np.eye(r)))
-    AtA = A.T @ A / q
-    trace.diag_residual = float(np.abs(AtA - np.diag(np.diag(AtA))).max())
     trace.max_row_norm = float(
         max(np.linalg.norm(Z, axis=1).max(), np.linalg.norm(A, axis=1).max())
     )
-    return FitResult(params, trace)
+    return FitResult(ParamPair(Z, A), trace)
 
 
 def _full_step(rel: np.ndarray, B: np.ndarray, M: float) -> np.ndarray:
@@ -486,13 +479,9 @@ def _separable_fit(
     gnorm = np.linalg.norm((risk_d1(family, theta, targets).T @ X), axis=1)
     bad = np.flatnonzero((gnorm > tol) | (np.linalg.norm(B, axis=1) > 1e6))
     if bad.size:
-        if r == 1:
-            for j in bad:
-                B[j, 0] = _bisect_scalar(X[:, 0], targets[:, j], family, tol)
-        else:
-            raise OracleFitError(
-                f"per-row solve did not reach gradient tolerance for rows {bad.tolist()[:5]}"
-            )
+        raise OracleFitError(
+            f"per-row solve did not reach gradient tolerance for rows {bad.tolist()[:5]}"
+        )
     if family.kind == "bernoulli":
         # the binary risk is nonnegative with zero attainable only in the
         # limit of a perfect fit, so a vanishing row risk means separation
@@ -504,37 +493,6 @@ def _separable_fit(
                 f"rows {separated.tolist()[:5]} have no finite minimizer (separable data)"
             )
     return B
-
-
-def _bisect_scalar(x: np.ndarray, y: np.ndarray, family: ResponseFamily, tol: float) -> float:
-    """Bisection fallback for the one-dimensional row problem.
-
-    The gradient ``g(b) = sum_m d1(x_m b; y_m) x_m`` is nondecreasing in
-    ``b`` by convexity; a missing sign change over a huge bracket means
-    the minimizer diverges (e.g. separable binary data).
-    """
-
-    def g(b):
-        return float((risk_d1(family, x * b, y) * x).sum())
-
-    lo, hi = -1.0, 1.0
-    for _ in range(60):
-        if g(lo) < 0 < g(hi) or g(lo) == 0 or g(hi) == 0:
-            break
-        lo *= 2.0
-        hi *= 2.0
-        if hi > 1e12:
-            raise OracleFitError("row problem has no finite minimizer (separable data)")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        val = g(mid)
-        if abs(val) <= tol:
-            return mid
-        if val < 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def oracle_fit_A(data: ResponseMatrix, Z_star: np.ndarray, tol: float = 1e-10) -> np.ndarray:

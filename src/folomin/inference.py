@@ -33,6 +33,7 @@ __all__ = [
     "two_sided_p",
     "bh_adjust",
     "bonferroni_adjust",
+    "adjust_p_values",
     "align",
     "align_pair",
     "build_report",
@@ -183,6 +184,28 @@ def bonferroni_adjust(p_values, alpha: float = 0.05):
     return adjusted, adjusted <= alpha
 
 
+def adjust_p_values(p: np.ndarray, alpha: float, method: str, per_column: bool):
+    """Adjust a ``q x r`` array of p-values by ``method`` (``bh`` or
+    ``bonferroni``).
+
+    With ``per_column`` each column is its own testing family (one per
+    latent dimension); otherwise one family covers all entries. Returns
+    the adjusted p-values and the rejections at ``alpha``, shaped like
+    ``p``.
+    """
+    if method not in ("bh", "bonferroni"):
+        raise ValueError(f"unknown adjustment {method!r}")
+    adjuster = bh_adjust if method == "bh" else bonferroni_adjust
+    if not per_column:
+        adjusted, rejections = adjuster(p.ravel(), alpha)
+        return adjusted.reshape(p.shape), rejections.reshape(p.shape)
+    adjusted = np.empty_like(p)
+    rejections = np.empty_like(p, dtype=bool)
+    for l in range(p.shape[1]):
+        adjusted[:, l], rejections[:, l] = adjuster(p[:, l], alpha)
+    return adjusted, rejections
+
+
 def align(estimate: np.ndarray, truth: np.ndarray):
     """Best signed column permutation matching ``estimate`` to ``truth``.
 
@@ -225,16 +248,14 @@ def align_pair(params: ParamPair, truth_A: np.ndarray) -> ParamPair:
 
 @dataclass(frozen=True)
 class InferenceReport:
-    """Entrywise inference for a fitted pair.
+    """Entrywise inference on the representation matrix ``A`` of a fitted
+    pair; the latent scores get no intervals or tests.
 
-    Arrays for the representation matrix are ``q x r``; arrays for the
-    latent scores are ``n x r``. Adjusted p-values refer to the
-    representation matrix entries only (the testing target).
+    Every array is ``q x r``, one entry per entry of ``A``.
     """
 
     estimates: ParamPair
     cov_A: RowCovariance
-    cov_Z: RowCovariance
     level: float
     lower_A: np.ndarray
     upper_A: np.ndarray
@@ -243,10 +264,6 @@ class InferenceReport:
     p_A: np.ndarray
     adjusted_p_A: np.ndarray
     rejections_A: np.ndarray
-    lower_Z: np.ndarray
-    upper_Z: np.ndarray
-    z_Z: np.ndarray
-    se_Z: np.ndarray
     adjust_method: str
     per_column: bool
 
@@ -259,35 +276,19 @@ def build_report(
     adjust: str = "bh",
     per_column: bool = True,
 ) -> InferenceReport:
-    """Assemble the full inference report at the given parameters.
+    """Wald intervals, z-tests and adjusted p-values for every entry of
+    the representation matrix ``A`` at the given parameters.
 
-    ``per_column`` applies the multiplicity adjustment separately within
-    each column of the representation matrix (one testing family per
-    latent dimension); otherwise a single family covers all entries.
+    The latent scores are not covered. ``adjust`` and ``per_column`` are
+    passed to :func:`adjust_p_values`.
     """
-    if adjust not in ("bh", "bonferroni"):
-        raise ValueError(f"unknown adjustment {adjust!r}")
     cov_A = plugin_covariances_A_all(data, params)
-    cov_Z = plugin_covariances_Z_all(data, params)
     lower_A, upper_A, z_A, se_A = wald_intervals(params.A, cov_A, level)
-    lower_Z, upper_Z, z_Z, se_Z = wald_intervals(params.Z, cov_Z, level)
     p_A = two_sided_p(z_A)
-
-    adjuster = bh_adjust if adjust == "bh" else bonferroni_adjust
-    adjusted = np.empty_like(p_A)
-    rejections = np.empty_like(p_A, dtype=bool)
-    if per_column:
-        for l in range(p_A.shape[1]):
-            adjusted[:, l], rejections[:, l] = adjuster(p_A[:, l], alpha)
-    else:
-        flat_adj, flat_rej = adjuster(p_A.ravel(), alpha)
-        adjusted = flat_adj.reshape(p_A.shape)
-        rejections = flat_rej.reshape(p_A.shape)
-
+    adjusted, rejections = adjust_p_values(p_A, alpha, adjust, per_column)
     return InferenceReport(
         estimates=params,
         cov_A=cov_A,
-        cov_Z=cov_Z,
         level=level,
         lower_A=lower_A,
         upper_A=upper_A,
@@ -296,10 +297,6 @@ def build_report(
         p_A=p_A,
         adjusted_p_A=adjusted,
         rejections_A=rejections,
-        lower_Z=lower_Z,
-        upper_Z=upper_Z,
-        z_Z=z_Z,
-        se_Z=se_Z,
         adjust_method=adjust,
         per_column=per_column,
     )

@@ -11,12 +11,15 @@ from .criteria import FoldedLoss, folded_criterion
 from .erm import FitConfig, FitResult, ParamPair, ResponseMatrix, erm_fit
 from .exceptions import CollinearAxesError, InsufficientSimpleStructureError
 from .inference import plugin_covariances_A_all, row_variances
-from .initialization import InitConfig, InitResult, init_rotation, similarity_matrix
+from .initialization import InitResult, similarity_matrix
 from .lqa import LqaConfig, LqaResult, lqa_run
 
 __all__ = ["PipelineResult", "suggest_gamma", "fit_pipeline", "make_loss", "auto_init"]
 
 AUTO_DELTA_PRIME_GRID = (0.02, 0.01, 0.005, 0.0025)
+# clusters smaller than MIN_SET_SIZE are ignored as singleton noise
+MIN_SET_SIZE = 2
+EXTRA_SETS = 2
 
 
 def make_loss(kind: str, gamma: float) -> FoldedLoss:
@@ -52,8 +55,6 @@ def auto_init(
     params: ParamPair,
     delta: float = 0.01,
     grid: tuple = AUTO_DELTA_PRIME_GRID,
-    min_set_size: int = 2,
-    extra_sets: int = 2,
 ) -> InitResult:
     """Initial rotation with cluster slack and axis sets chosen by the
     criterion.
@@ -63,7 +64,7 @@ def auto_init(
     tight one can fragment a true cluster below a fake bundle's size.
     Candidate rotations are therefore built over a small grid of slacks
     (reusing one similarity matrix), and at every slack over all ways of
-    choosing the axes among the ``r + extra_sets`` largest disjoint
+    choosing the axes among the ``r + EXTRA_SETS`` largest disjoint
     clusters, so a true cluster pushed out of the top ``r`` by a fake
     bundle stays in play. Since the estimand is the rotation minimizing
     the folded criterion, the winner among candidates is picked the same
@@ -81,7 +82,7 @@ def auto_init(
     found_max = 0
     for dp in grid:
         try:
-            top = candidate_sets(sims, dp, r, min_set_size, extra=extra_sets)
+            top = candidate_sets(sims, dp, r, MIN_SET_SIZE, extra=EXTRA_SETS)
         except InsufficientSimpleStructureError as exc:
             found_max = max(found_max, exc.found)
             continue
@@ -96,7 +97,7 @@ def auto_init(
             found=found_max,
             needed=r,
             message=f"no slack in {grid} produced {r} disjoint clusters of size "
-            f">= {min_set_size}; best attempt found {found_max}",
+            f">= {MIN_SET_SIZE}; best attempt found {found_max}",
         )
     ref = candidates[0]
     gamma_cmp = suggest_gamma(data, ref.params, a3=3.0)
@@ -120,31 +121,22 @@ def fit_pipeline(
     r: int,
     losses: dict[str, FoldedLoss | None] | None = None,
     fit_config: FitConfig | None = None,
-    init_config: InitConfig | None = None,
     init_delta: float = 0.01,
-    R: float = 1.0,
     eta: float = 0.05,
     T: int = 3,
     mode: str = "oblique",
-    warm_start: ParamPair | None = None,
 ) -> PipelineResult:
     """Run the full estimation pipeline.
 
     ``losses`` maps a loss name (``mcp``, ``scad``, ``tl1``) to a fully
     specified :class:`FoldedLoss`, or to ``None`` to let
     :func:`suggest_gamma` pick the scale after the initial rotation.
-    With ``init_config=None`` the cluster slack is selected
-    automatically by :func:`auto_init` using ``init_delta`` as the norm
-    floor; pass an explicit config to pin both thresholds.
+    The initial rotation is :func:`auto_init`'s, with ``init_delta`` as
+    the norm floor. Without losses the pipeline stops after the fit.
     """
     losses = {"mcp": None} if losses is None else losses
-    fit = erm_fit(data, r, config=fit_config, warm_start=warm_start)
-    init = None
-    if losses:
-        if init_config is None:
-            init = auto_init(data, fit.params, delta=init_delta)
-        else:
-            init = init_rotation(fit.params, init_config)
+    fit = erm_fit(data, r, config=fit_config)
+    init = auto_init(data, fit.params, delta=init_delta) if losses else None
 
     rotations: dict[str, LqaResult] = {}
     gammas: dict[str, float] = {}
@@ -154,6 +146,6 @@ def fit_pipeline(
             a3 = make_loss(name, 1.0).a3
             loss = make_loss(name, suggest_gamma(data, init.params, a3))
         gammas[name] = loss.gamma
-        cfg = LqaConfig(loss=loss, R=R, eta=eta, T=T, mode=mode)
+        cfg = LqaConfig(loss=loss, eta=eta, T=T, mode=mode)
         rotations[name] = lqa_run(init.params, cfg)
     return PipelineResult(fit=fit, init=init, rotations=rotations, gammas=gammas)

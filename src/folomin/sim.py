@@ -37,9 +37,8 @@ from .inference import (
     plugin_covariances_Z_all,
     row_variances,
 )
-from .initialization import InitConfig
 from .model import ResponseFamily, ResponseMatrix, sample_response
-from .pipeline import fit_pipeline, make_loss
+from .pipeline import fit_pipeline
 from .vintage import VintageConfig, promax_rotate, varimax_rotate
 
 __all__ = [
@@ -79,7 +78,6 @@ class SimDesign:
     family: ResponseFamily = field(default_factory=ResponseFamily.bernoulli)
     simple_fraction: float = 0.1
     seed: int = 0
-    randomize_simple_signs: bool = False
 
     def __post_init__(self):
         if min(self.n, self.q) < self.r or self.r < 2:
@@ -112,10 +110,7 @@ def gen_A(design: SimDesign, rng: np.random.Generator) -> np.ndarray:
     A = np.zeros((q, r))
     for l in range(r):
         block = slice(l * m, (l + 1) * m)
-        values = rng.uniform(1.0, 2.0, size=m)
-        if design.randomize_simple_signs:
-            values *= rng.choice([-1.0, 1.0], size=m)
-        A[block, l] = values
+        A[block, l] = rng.uniform(1.0, 2.0, size=m)
     x = rng.standard_normal((q - r * m, r))
     A[r * m :] = np.sign(x) * np.minimum(np.abs(x), 2.5) * (np.abs(x) >= lam)
     return A
@@ -191,7 +186,6 @@ class SimulationSummary:
     entry_coverage: dict
     entry_mean_bias: dict
     rep_results: list
-    metadata: dict
 
 
 def _method_metrics(aligned_A, se_A, A_star, level, centers=None):
@@ -213,7 +207,7 @@ def _mean_cover_Z(data, params, Z_star, level) -> float:
     return float((np.abs(params.Z - Z_star) <= mult * se).mean())
 
 
-def _run_one_rep(design: SimDesign, methods, rep: int, seed_seq, level: float, opts: dict):
+def _run_one_rep(design: SimDesign, methods, rep: int, seed_seq, level: float, vintage_seed: int):
     rng = np.random.Generator(np.random.Philox(seed_seq))
     Z_star, A_star, data = gen_dataset(design, rng)
     M = 1.5 * max(
@@ -225,27 +219,15 @@ def _run_one_rep(design: SimDesign, methods, rep: int, seed_seq, level: float, o
     folomin_methods = [m for m in methods if m.startswith("folomin_")]
     vintage_methods = [m for m in methods if m in ("varimax", "varimax_debiased", "promax")]
 
-    pipe = None
     if folomin_methods or vintage_methods:
-        lam = design.lambda_signal
-        delta = 0.05 * lam * lam
-        delta_prime = opts.get("delta_prime")
-        init_cfg = None if delta_prime is None else InitConfig(delta=delta, delta_prime=delta_prime)
-        losses = {}
-        for m in folomin_methods:
-            kind = m.split("_", 1)[1]
-            gamma = opts.get("gamma")
-            losses[kind] = None if gamma is None else make_loss(kind, gamma)
         pipe = fit_pipeline(
             data,
             design.r,
-            losses=losses,
-            fit_config=FitConfig(M=M, **{k: opts[k] for k in ("max_iters", "tol") if k in opts}),
-            init_config=init_cfg,
-            init_delta=delta,
-            eta=opts.get("eta", 0.15),
-            T=opts.get("T", 5),
-            mode=opts.get("mode", "oblique"),
+            losses={m.split("_", 1)[1]: None for m in folomin_methods},
+            fit_config=FitConfig(M=M),
+            init_delta=0.05 * design.lambda_signal * design.lambda_signal,
+            eta=0.15,
+            T=5,
         )
         gammas = dict(pipe.gammas)
 
@@ -269,7 +251,7 @@ def _run_one_rep(design: SimDesign, methods, rep: int, seed_seq, level: float, o
     if vintage_methods:
         # one varimax per replication, shared by varimax and promax
         fitted = pipe.fit.params
-        vintage_config = VintageConfig(seed=opts.get("vintage_seed", 0))
+        vintage_config = VintageConfig(seed=vintage_seed)
         vres = varimax_rotate(fitted.A, vintage_config)
 
     if "varimax" in methods or "varimax_debiased" in methods:
@@ -284,8 +266,7 @@ def _run_one_rep(design: SimDesign, methods, rep: int, seed_seq, level: float, o
             )
 
     if "promax" in methods:
-        power = opts.get("promax_power", 4)
-        pres = promax_rotate(fitted.A, power, config=vintage_config, varimax=vres)
+        pres = promax_rotate(fitted.A, 4, config=vintage_config, varimax=vres)
         params = align_pair(ParamPair(fitted.Z @ pres.G.T, pres.A_rot), A_star)
         se = np.sqrt(row_variances(plugin_covariances_A_all(data, params)))
         per_method["promax"] = _method_metrics(params.A, se, A_star, level)
@@ -333,16 +314,18 @@ def run_replications(
     n_reps: int = 100,
     level: float = 0.95,
     workers: int | None = None,
-    **opts,
+    vintage_seed: int = 0,
 ) -> SimulationSummary:
     """Run the replication study and aggregate the metrics.
 
     All randomness derives from ``design.seed`` through one spawned
     stream per replication, so the data are independent of the worker
-    count and of which methods run. Worker processes run one BLAS
-    thread; when the calling process runs more, serial and parallel
-    estimates can differ in the last bits. Failed replications are
-    excluded from the aggregates and listed in the summary.
+    count and of which methods run. ``vintage_seed`` seeds the varimax
+    restarts that varimax, varimax_debiased and promax share. Worker
+    processes run one BLAS thread; when the calling process runs more,
+    serial and parallel estimates can differ in the last bits. Failed
+    replications are excluded from the aggregates and listed in the
+    summary.
     """
     if n_reps < 1:
         raise ValueError("n_reps must be at least 1")
@@ -354,7 +337,7 @@ def run_replications(
     workers = max(1, workers)
 
     seed_seqs = np.random.SeedSequence(design.seed).spawn(n_reps)
-    tasks = [(design, tuple(methods), k, seed_seqs[k], level, dict(opts)) for k in range(n_reps)]
+    tasks = [(design, tuple(methods), k, seed_seqs[k], level, vintage_seed) for k in range(n_reps)]
 
     results: list = [None] * n_reps
     failures: list = []
@@ -398,16 +381,6 @@ def run_replications(
         for m, found in recs.items()
     }
     mean_coverage_Z = {m: float(np.mean(cover)) for m, cover in cover_Z.items() if cover}
-
-    metadata = {
-        "rng": RNG_NAME,
-        "seed": design.seed,
-        "level": level,
-        "n_reps": n_reps,
-        "methods": list(methods),
-        "workers": workers,
-        "opts": {k: v for k, v in opts.items()},
-    }
     return SimulationSummary(
         design=design,
         methods=tuple(methods),
@@ -422,5 +395,4 @@ def run_replications(
         entry_coverage=entry_coverage,
         entry_mean_bias=entry_mean_bias,
         rep_results=kept,
-        metadata=metadata,
     )

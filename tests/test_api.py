@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import pkgutil
 import types
 
@@ -29,3 +30,18 @@ def test_package_reexports_are_public_in_their_modules():
         namespace = {}
         exec(f"from {obj.__module__} import *", namespace)
         assert namespace.get(attr) is obj, f"{attr} is not exported by {obj.__module__}"
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_public_callables_take_no_keyword_catchall(name):
+    # a ``**kwargs`` parameter would accept a misspelled option silently
+    module = importlib.import_module(f"folomin.{name}")
+    loose = []
+    for attr in getattr(module, "__all__", ()):
+        obj = getattr(module, attr)
+        if not callable(obj):
+            continue
+        params = inspect.signature(obj).parameters.values()
+        if any(p.kind is inspect.Parameter.VAR_KEYWORD for p in params):
+            loose.append(attr)
+    assert not loose, f"folomin.{name} exports callables taking **kwargs: {loose}"

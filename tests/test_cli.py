@@ -130,6 +130,11 @@ def test_fit_infer_roundtrip(tmp_path):
     got_bonf = np.array([float(r["p_bonferroni"]) for r in rows]).reshape(p_raw.shape)
     np.testing.assert_allclose(got_bonf, bonf, atol=1e-15)
 
+    # an unknown family read from rotation.json is a usage error
+    meta["family"] = "weibull"
+    (model / "rotation.json").write_text(json.dumps(meta))
+    assert main(["infer", str(model), "--out", str(tmp_path / "bad")]) == 2
+
 
 def test_fit_determinism(tmp_path):
     data_csv = tmp_path / "data.csv"

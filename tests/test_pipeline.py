@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from folomin import InitConfig, InsufficientSimpleStructureError, align
+from folomin import InsufficientSimpleStructureError, align
 from folomin.erm import FitConfig
 from folomin.pipeline import auto_init, fit_pipeline, make_loss, suggest_gamma
 from folomin.sim import SimDesign, gen_dataset
@@ -62,7 +62,7 @@ def test_pipeline_end_to_end(small_case):
     assert rms < 0.5
 
 
-def test_pipeline_explicit_init_config(small_case):
+def test_pipeline_explicit_loss_scale(small_case):
     design, Z_star, A_star, data = small_case
     M = 1.5 * max(np.linalg.norm(A_star, axis=1).max(), np.linalg.norm(Z_star, axis=1).max())
     pipe = fit_pipeline(
@@ -70,7 +70,7 @@ def test_pipeline_explicit_init_config(small_case):
         design.r,
         losses={"mcp": make_loss("mcp", 0.05)},
         fit_config=FitConfig(M=M),
-        init_config=InitConfig(delta=0.008, delta_prime=0.01),
+        init_delta=0.008,
     )
     assert pipe.gammas["mcp"] == 0.05
 

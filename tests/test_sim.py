@@ -3,6 +3,7 @@ import pytest
 from scipy.special import ndtr
 
 from folomin import (
+    InsufficientSimpleStructureError,
     SimDesign,
     VintageConfig,
     gen_A,
@@ -168,11 +169,23 @@ def test_run_replications_validation():
         run_replications(design, methods=("oracle", "mystery"), n_reps=1)
 
 
-def test_failures_are_recorded_not_silent():
-    # a cluster slack below the noise level makes every candidate set a
-    # singleton, so the initial rotation must fail on every replication
+def test_run_replications_rejects_unknown_options():
+    # a misspelled option must fail, not be silently ignored
+    with pytest.raises(TypeError):
+        run_replications(_tiny_design(), n_reps=1, vintage_sed=3)
+
+
+def test_failures_are_recorded_not_silent(monkeypatch):
+    # an initial rotation that finds no simple structure fails every
+    # replication; the failures are listed, not dropped
+    from folomin import sim
+
+    def failing(*args, **kwargs):
+        raise InsufficientSimpleStructureError(found=1, needed=2)
+
+    monkeypatch.setattr(sim, "fit_pipeline", failing)
     design = SimDesign(n=40, q=30, r=2, lambda_signal=0.2, tau=0.0, seed=1, simple_fraction=0.14)
-    summary = run_replications(design, methods=("folomin_mcp",), n_reps=2, delta_prime=1e-12)
+    summary = run_replications(design, methods=("folomin_mcp",), n_reps=2, workers=1)
     assert summary.n_failed == 2
     assert len(summary.failures) == 2
     assert all("rep" in f and "error" in f for f in summary.failures)
