@@ -49,14 +49,12 @@ from .inference import (
     bh_adjust,
     bonferroni_adjust,
     build_report,
-    plugin_covariance_A,
-    plugin_covariance_Z,
     plugin_covariances_A_all,
     plugin_covariances_Z_all,
     two_sided_p,
     wald_intervals,
 )
-from .initialization import InitConfig, InitResult, init_rotation, similarity, similarity_matrix
+from .initialization import InitConfig, InitResult, init_rotation, similarity_matrix
 from .lqa import LqaConfig, LqaResult, LqaTrace, lqa_run, lqa_subproblem, lqa_weights
 from .model import (
     ResponseFamily,

@@ -1,10 +1,11 @@
-"""Command-line front end: simulate | fit | infer | report.
+"""Command-line front end: simulate | fit | infer.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical failure.
 Every run writes a ``manifest.json`` recording the resolved
 configuration, the package version, wall-clock timing, and SHA-256
 digests of inputs and outputs; numeric outputs themselves carry no
-timestamps, so reruns with the same seed are byte-identical. Floats are
+timestamps, so reruns with the same seed are byte-identical (``fit``
+and ``infer`` draw no random numbers at all). Floats are
 serialized with 17 significant digits, which round-trips IEEE doubles
 losslessly. Worker parallelism for the simulation harness is capped by
 the ``FOLOMIN_THREADS`` environment variable.
@@ -35,10 +36,10 @@ from . import __version__
 from .erm import FitConfig, ParamPair
 from .exceptions import DataError, FolominError, NumericalError
 from .inference import adjust_p_values, build_report
+from .lqa import LqaConfig
 from .model import ResponseFamily, ResponseMatrix
 from .pipeline import fit_pipeline, make_loss
 from .sim import RNG_NAME, SimDesign, run_replications
-from .svgplots import heatmap_svg, histogram_svg, line_panel_svg
 
 __all__ = ["main"]
 
@@ -255,50 +256,9 @@ def cmd_simulate(args) -> int:
     _write_json(summary_json, _json_ready(summary_payload))
 
     outputs = [rep_csv, summary_json]
-    if args.plots:
-        outputs += _simulation_plots(out, summary)
     _write_manifest(out, "simulate", vars(args), {}, outputs, t0)
     print(f"wrote {', '.join(p.name for p in outputs)} and manifest.json to {out}")
     return 0
-
-
-def _simulation_plots(out: Path, summary) -> list[Path]:
-    paths = []
-    # bias histograms for the first row's entries, per method
-    for method in summary.methods:
-        samples = [
-            res.per_method[method]["aligned_A"][0] - res.A_star[0]
-            for res in summary.rep_results
-            if method in res.per_method
-        ]
-        if not samples:
-            continue
-        arr = np.stack(samples)
-        for l in range(min(arr.shape[1], 5)):
-            p = out / f"bias_hist_{method}_row1_dim{l + 1}.svg"
-            p.write_text(
-                histogram_svg(arr[:, l], title=f"{method}: estimate - truth, entry (1,{l + 1})")
-            )
-            paths.append(p)
-    # per-column scaled error and coverage panels
-    mse_series = {
-        m: [(l + 1, float(summary.design.n * t[:, l].mean())) for l in range(t.shape[1])]
-        for m, t in summary.entry_mean_sq_err.items()
-    }
-    cov_series = {
-        m: [(l + 1, float(t[:, l].mean())) for l in range(t.shape[1])]
-        for m, t in summary.entry_coverage.items()
-    }
-    p1 = out / "scaled_mse_columns.svg"
-    p1.write_text(line_panel_svg(mse_series, title="scaled MSE by latent dimension", ylabel="n x MSE"))
-    p2 = out / "coverage_columns.svg"
-    p2.write_text(
-        line_panel_svg(
-            cov_series, title="interval coverage by latent dimension", ylabel="coverage",
-            y_min=0.0, y_max=1.0,
-        )
-    )
-    return paths + [p1, p2]
 
 
 # --------------------------------------------------------------------- #
@@ -350,7 +310,6 @@ def cmd_fit(args) -> int:
         "eta": args.eta,
         "lqa_iters": args.lqa_iters,
         "mode": args.mode,
-        "seed": args.seed,
         "center": bool(args.center),
         "column_means": column_means,
         "data": str(data_path),
@@ -506,97 +465,9 @@ def cmd_infer(args) -> int:
     inference_json = out / "inference_summary.json"
     _write_json(inference_json, _json_ready(summary_payload))
     outputs = [inference_csv, inference_json]
-    if args.heatmap:
-        signs = np.where(report.rejections_A, np.sign(params.A), 0.0)
-        p = out / "significance_heatmap.svg"
-        p.write_text(
-            heatmap_svg(
-                signs.T,
-                title=f"significant entries ({args.adjust}, alpha={args.alpha:g})",
-            )
-        )
-        outputs.append(p)
     _write_manifest(out, "infer", vars(args), {str(data_path): data_sha256}, outputs, t0)
     print(f"wrote {', '.join(p.name for p in outputs)} to {out}")
     return 0
-
-
-# --------------------------------------------------------------------- #
-# report
-# --------------------------------------------------------------------- #
-
-
-def cmd_report(args) -> int:
-    t0 = time.time()
-    src = Path(args.source)
-    out = Path(args.out) if args.out else src
-    out.mkdir(parents=True, exist_ok=True)
-    outputs = []
-    lines = [f"folomin report ({__version__})", f"source: {src}", ""]
-
-    summary_json = src / "summary.json"
-    rep_csv = src / "replications.csv"
-    inference_csv = src / "inference.csv"
-    if summary_json.exists() and rep_csv.exists():
-        summary = json.loads(summary_json.read_text())
-        lines.append("simulation summary")
-        lines.append(f"  design: {summary['design']}")
-        lines.append(f"  replications: {summary['n_reps']} (failed: {summary['n_failed']})")
-        lines.append("  method                mean coverage    scaled MSE")
-        for m in summary["methods"]:
-            cov = summary["mean_coverage_A"].get(m)
-            mse = summary["mean_scaled_mse_A"].get(m)
-            if cov is not None:
-                lines.append(f"  {m:<20}  {cov:>13.4f}  {mse:>12.4f}")
-        _, table = _read_numeric_csv_strings(rep_csv)
-        outputs += _report_panels(out, table)
-    elif inference_csv.exists():
-        _, rows = _read_numeric_csv_strings(inference_csv)
-        n_sig = sum(int(float(r["rejected"])) for r in rows)
-        lines.append("inference summary")
-        lines.append(f"  entries tested: {len(rows)}")
-        lines.append(f"  rejected: {n_sig}")
-        zmax = max(abs(float(r["z"])) for r in rows)
-        lines.append(f"  max |z|: {zmax:.4f}")
-    else:
-        raise DataError(
-            f"{src}: nothing to report on (expected replications.csv + summary.json, or inference.csv)"
-        )
-
-    report_txt = out / "report.txt"
-    report_txt.write_text("\n".join(lines) + "\n")
-    outputs.append(report_txt)
-    _write_manifest(out, "report", vars(args), {}, outputs, t0)
-    print(f"wrote {', '.join(p.name for p in outputs)} to {out}")
-    return 0
-
-
-def _read_numeric_csv_strings(path: Path):
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        rows = list(reader)
-    return reader.fieldnames, rows
-
-
-def _report_panels(out: Path, tidy_rows) -> list[Path]:
-    by_method: dict = {}
-    for row in tidy_rows:
-        m, metric = row["method"], row["metric"]
-        l, value = int(row["col"]), float(row["value"])
-        by_method.setdefault(metric, {}).setdefault(m, {}).setdefault(l, []).append(value)
-    paths = []
-    for metric, series_by_method in by_method.items():
-        if metric not in ("mean_sq_err", "coverage"):
-            continue
-        series = {
-            m: [(l + 1, float(np.mean(vals))) for l, vals in sorted(cols.items())]
-            for m, cols in series_by_method.items()
-        }
-        p = out / f"report_{metric}.svg"
-        kwargs = {"y_min": 0.0, "y_max": 1.0} if metric == "coverage" else {}
-        p.write_text(line_panel_svg(series, title=f"{metric} by latent dimension", ylabel=metric, **kwargs))
-        paths.append(p)
-    return paths
 
 
 # --------------------------------------------------------------------- #
@@ -626,7 +497,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--methods", default=None, help="comma-separated subset of methods")
     sim.add_argument("--workers", type=int, default=None, help="parallel workers (default FOLOMIN_THREADS)")
-    sim.add_argument("--plots", action="store_true", help="also write SVG panels")
     sim.add_argument("--out", default=".", help="output directory")
     sim.set_defaults(func=cmd_simulate)
 
@@ -639,8 +509,8 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--gamma", type=float, default=None, help="folded loss scale (default: data-driven)")
     fit.add_argument("--center", action="store_true", help="subtract column means before fitting")
     fit.add_argument("--cap", type=float, default=None, help="row-norm cap (default: 2x warm start)")
-    fit.add_argument("--eta", type=float, default=0.15, help="weight regularizer")
-    fit.add_argument("--lqa-iters", type=int, default=5)
+    fit.add_argument("--eta", type=float, default=LqaConfig.eta, help="weight regularizer")
+    fit.add_argument("--lqa-iters", type=int, default=LqaConfig.T)
     fit.add_argument("--mode", choices=["oblique", "orthogonal"], default="oblique")
     fit.add_argument(
         "--max-iters", type=int, default=FitConfig.max_iters, help="cap on ERM sweeps"
@@ -650,12 +520,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=FitConfig.tol,
         help="ERM stopping tolerance: every row's Newton decrement relative to 1 + its risk",
-    )
-    fit.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="recorded in rotation.json only; the fit draws no random numbers",
     )
     fit.add_argument("--out", default=".", help="output directory")
     fit.set_defaults(func=cmd_fit)
@@ -672,14 +536,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=True,
         help="adjust p-values within each latent dimension separately",
     )
-    inf.add_argument("--heatmap", action="store_true", help="write a significance heatmap SVG")
     inf.add_argument("--out", default=None, help="output directory (default: model dir)")
     inf.set_defaults(func=cmd_infer)
-
-    rep = sub.add_parser("report", help="render plots and a text summary from prior outputs")
-    rep.add_argument("source", help="directory with simulate or infer outputs")
-    rep.add_argument("--out", default=None)
-    rep.set_defaults(func=cmd_report)
     return parser
 
 

@@ -157,19 +157,17 @@ def varimax_criterion(A: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class FeasibleSet:
-    """Rotations near a center keeping unit-variance latent columns.
+    """Rotations near the identity keeping unit-variance latent columns.
 
     ``gram`` is the empirical latent Gram ``Z'Z/n``; it must be symmetric
     positive definite with unit diagonal so the identity itself is
-    feasible. ``center`` defaults to the identity (the only center the
-    local theory uses). In orthogonal mode the Gram is replaced by the
-    identity and membership additionally requires orthogonality.
+    feasible. In orthogonal mode the Gram is replaced by the identity and
+    membership additionally requires orthogonality.
     """
 
     radius: float
     gram: np.ndarray
     mode: str = "oblique"
-    center: np.ndarray | None = None
 
     def __post_init__(self):
         if self.mode not in ("oblique", "orthogonal"):
@@ -188,10 +186,6 @@ class FeasibleSet:
         if not np.allclose(np.diag(gram), 1.0, atol=1e-8):
             raise ValueError("gram must have unit diagonal (unit-variance latent columns)")
         object.__setattr__(self, "gram", gram)
-        center = np.eye(gram.shape[0]) if self.center is None else np.asarray(self.center, float)
-        if center.shape != gram.shape:
-            raise ValueError("center must match the gram's shape")
-        object.__setattr__(self, "center", center)
 
     @property
     def r(self) -> int:
@@ -224,22 +218,22 @@ def feasible_project(fset: FeasibleSet, G: np.ndarray) -> np.ndarray:
 
 def sample_feasible(fset: FeasibleSet, rng: np.random.Generator) -> np.ndarray:
     """Draw a feasible rotation within operator-norm ``2 * radius`` of the
-    center.
+    identity.
 
     A random perturbation of operator norm at most ``radius`` is added to
-    the center and projected onto the constraint surface; the
+    the identity and projected onto the constraint surface; the
     perturbation is shrunk geometrically in the rare case the projection
     overshoots the ball.
     """
     c = fset.radius
-    center = fset.center
+    eye = np.eye(fset.r)
     if c == 0:
-        return center.copy()
-    E = rng.standard_normal(center.shape)
+        return eye
+    E = rng.standard_normal(eye.shape)
     E *= (c * rng.random()) / max(np.linalg.norm(E, 2), 1e-300)
     for _ in range(200):
-        G = feasible_project(fset, center + E)
-        if np.linalg.norm(G - center, 2) <= 2 * c:
+        G = feasible_project(fset, eye + E)
+        if np.linalg.norm(G - eye, 2) <= 2 * c:
             return G
         E *= 0.5
-    return center.copy()
+    return eye

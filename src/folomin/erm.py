@@ -16,7 +16,7 @@ row of ``A`` with ``Z`` fixed, and co-rotates both blocks to make
 ``A'A`` diagonal. Row steps stay inside the cap ``M``. The fit stops
 when every row's Newton decrement is negligible against its risk, so a
 converged fit is stationary, not merely slow to change.
-The default start, ``spectral_warm_start``, is the rank-``r`` truncated
+The start, ``spectral_warm_start``, is the rank-``r`` truncated
 SVD of a transformed response matrix, computed from the top eigenpairs
 of its smaller Gram rather than a full SVD.
 
@@ -213,7 +213,6 @@ def erm_fit(
     data: ResponseMatrix,
     r: int,
     config: FitConfig | None = None,
-    warm_start: ParamPair | None = None,
 ) -> FitResult:
     """Fit the constrained empirical risk minimizer by the sweeps that the
     module docstring describes.
@@ -236,10 +235,7 @@ def erm_fit(
         raise ValueError(f"need n, q >= r; got n={n}, q={q}, r={r}")
     family = data.family
 
-    if warm_start is None:
-        start = spectral_warm_start(data, r)
-    else:
-        start = warm_start
+    start = spectral_warm_start(data, r)
     M = config.M
     if M is None:
         M = 2.0 * max(

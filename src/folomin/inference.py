@@ -24,8 +24,6 @@ from .model import ResponseMatrix, risk_d1, risk_d2
 __all__ = [
     "RowCovariance",
     "InferenceReport",
-    "plugin_covariance_A",
-    "plugin_covariance_Z",
     "plugin_covariances_A_all",
     "plugin_covariances_Z_all",
     "row_variances",
@@ -61,14 +59,15 @@ class RowCovariance:
 
 
 def _sandwich_stack(
-    X: np.ndarray, d1: np.ndarray, d2: np.ndarray, scale: int, name: str, first: int = 0
+    X: np.ndarray, d1: np.ndarray, d2: np.ndarray, scale: int, name: str
 ) -> RowCovariance:
     """Sandwich covariances for all columns of ``d1``/``d2``.
 
     ``X`` is the (m, r) design shared by all rows, ``d1``/``d2`` are
     (m, k) arrays of risk derivatives evaluated at the fit. Column ``k``
-    is row ``first + k`` of the matrix ``name`` (``A`` or ``Z``), which
-    is how an ill-conditioned bread is reported.
+    is row ``k`` of the matrix ``name`` (``A`` or ``Z``); if any bread is
+    ill-conditioned, the error names the row whose bread has the largest
+    condition number.
     """
     m = X.shape[0]
     breads = row_grams(X, d2) / m
@@ -77,7 +76,7 @@ def _sandwich_stack(
     if np.any(conds > 1e10):
         k = int(np.argmax(conds))
         raise IllConditionedCovarianceError(
-            f"bread matrix for row {first + k} of {name} has condition number "
+            f"bread matrix for row {k} of {name} has condition number "
             f"{conds[k]:.3e} > 1e10"
         )
     inv = np.linalg.inv(breads)
@@ -100,24 +99,6 @@ def plugin_covariances_Z_all(data: ResponseMatrix, params: ParamPair) -> RowCova
     d1 = risk_d1(data.family, theta, data.values)
     d2 = risk_d2(data.family, theta)
     return _sandwich_stack(params.A, d1.T, d2.T, params.q, "Z")
-
-
-def plugin_covariance_A(data: ResponseMatrix, params: ParamPair, j: int) -> RowCovariance:
-    """Sandwich covariance for row ``j`` of the representation matrix, as a
-    stack of one."""
-    theta = params.Z @ params.A[j]
-    d1 = risk_d1(data.family, theta, data.values[:, j])[:, None]
-    d2 = risk_d2(data.family, theta)[:, None]
-    return _sandwich_stack(params.Z, d1, d2, params.n, "A", first=j)
-
-
-def plugin_covariance_Z(data: ResponseMatrix, params: ParamPair, i: int) -> RowCovariance:
-    """Sandwich covariance for row ``i`` of the latent scores, as a stack
-    of one."""
-    theta = params.A @ params.Z[i]
-    d1 = risk_d1(data.family, theta, data.values[i])[:, None]
-    d2 = risk_d2(data.family, theta)[:, None]
-    return _sandwich_stack(params.A, d1, d2, params.q, "Z", first=i)
 
 
 def row_variances(covariances: RowCovariance) -> np.ndarray:

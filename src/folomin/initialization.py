@@ -21,7 +21,6 @@ from .exceptions import CollinearAxesError, InsufficientSimpleStructureError
 __all__ = [
     "InitConfig",
     "InitResult",
-    "similarity",
     "similarity_matrix",
     "init_rotation",
     "axes_from_sets",
@@ -80,16 +79,6 @@ def similarity_matrix(params: ParamPair, delta: float) -> np.ndarray:
     cos = np.clip(cos, -1.0, 1.0)
     cos[outer / params.n <= delta] = 0.0
     return cos
-
-
-def similarity(params: ParamPair, j1: int, j2: int, delta: float) -> float:
-    """Similarity of rows ``j1`` and ``j2``; see :func:`similarity_matrix`."""
-    u = params.Z @ params.A[j1]
-    v = params.Z @ params.A[j2]
-    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-    if nu * nv / params.n <= delta:
-        return 0.0
-    return float(np.clip(u @ v / (nu * nv), -1.0, 1.0))
 
 
 def candidate_sets(

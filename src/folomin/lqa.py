@@ -34,13 +34,14 @@ class LqaConfig:
     be at least the estimation-error scale of the loadings (0.15 matches
     moderate sample sizes), and ``T`` is the number of iterations (one
     suffices for the statistical guarantee; a few more polish the
-    solution).
+    solution). ``fit_pipeline`` and ``folomin fit`` take their ``eta``
+    and ``T`` defaults from here.
     """
 
     loss: FoldedLoss
     R: float = 1.0
     eta: float = 0.15
-    T: int = 3
+    T: int = 5
     mode: str = "oblique"
 
     def __post_init__(self):
@@ -60,8 +61,6 @@ class LqaTrace:
 
     criterion: list = field(default_factory=list)
     step_norms: list = field(default_factory=list)
-    weight_max: list = field(default_factory=list)
-    weight_nnz: list = field(default_factory=list)
     gram_residuals: list = field(default_factory=list)
 
 
@@ -176,8 +175,6 @@ def lqa_run(start: ParamPair, config: LqaConfig) -> LqaResult:
             raise DegenerateSubproblemError("criterion became non-finite during iteration")
         trace.criterion.append(crit)
         trace.step_norms.append(float(np.linalg.norm(H - np.eye(r), 2)))
-        trace.weight_max.append(float(w.max()))
-        trace.weight_nnz.append(int((w > 0).sum()))
         trace.gram_residuals.append(float(np.abs(np.diag(Z.T @ Z / n) - 1.0).max()))
 
     return LqaResult(G_total=G_total, params=ParamPair(Z, A), trace=trace)

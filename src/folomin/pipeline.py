@@ -122,8 +122,8 @@ def fit_pipeline(
     losses: dict[str, FoldedLoss | None] | None = None,
     fit_config: FitConfig | None = None,
     init_delta: float = 0.01,
-    eta: float = 0.05,
-    T: int = 3,
+    eta: float = LqaConfig.eta,
+    T: int = LqaConfig.T,
     mode: str = "oblique",
 ) -> PipelineResult:
     """Run the full estimation pipeline.

@@ -226,8 +226,6 @@ def _run_one_rep(design: SimDesign, methods, rep: int, seed_seq, level: float, v
             losses={m.split("_", 1)[1]: None for m in folomin_methods},
             fit_config=FitConfig(M=M),
             init_delta=0.05 * design.lambda_signal * design.lambda_signal,
-            eta=0.15,
-            T=5,
         )
         gammas = dict(pipe.gammas)
 

@@ -100,8 +100,12 @@ def _ascend(W: np.ndarray, G: np.ndarray, max_iters: int):
     """Move each start to the better of its two candidates until a step
     is shorter than 1e-15 (or 1e-13 without gain), would lower the
     criterion by more than ``1e-14 (1 + |f|)`` (it is then rejected), or
-    ``max_iters`` steps are done. Returns the stack, criteria, accepted
-    steps and criterion history (one row per step, one column per start).
+    ``max_iters`` steps are done. Candidates whose criteria differ by at
+    most ``8e-16 (1 + |f|)`` are tied at rounding level; a tie goes to the
+    Newton step, since the fixed-point step can swing across a maximum
+    near simple structure without converging. Returns the stack,
+    criteria, accepted steps and criterion history (one row per step, one
+    column per start).
     """
     G = G.copy()
     f, gq = _varimax_value_grad(W @ G)
@@ -111,7 +115,8 @@ def _ascend(W: np.ndarray, G: np.ndarray, max_iters: int):
     for _ in range(max_iters):
         cand = _candidates(W, G[live], gq[live])
         f_cand, gq_cand = _varimax_value_grad(W @ cand)
-        pick = np.argmax(f_cand, axis=0), np.arange(live.size)
+        tie = np.abs(f_cand[0] - f_cand[1]) <= 8e-16 * (1.0 + np.abs(f[live]))
+        pick = np.where(tie, 1, np.argmax(f_cand, axis=0)), np.arange(live.size)
         G_new, f_new, gq_new = cand[pick], f_cand[pick], gq_cand[pick]
         ok = f_new >= f[live] - 1e-14 * (1.0 + np.abs(f[live]))
         moved = live[ok]

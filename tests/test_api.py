@@ -1,7 +1,9 @@
+import ast
 import importlib
 import inspect
 import pkgutil
 import types
+from pathlib import Path
 
 import pytest
 
@@ -45,3 +47,34 @@ def test_public_callables_take_no_keyword_catchall(name):
         if any(p.kind is inspect.Parameter.VAR_KEYWORD for p in params):
             loose.append(attr)
     assert not loose, f"folomin.{name} exports callables taking **kwargs: {loose}"
+
+
+def _package_imports(name: str) -> set[str]:
+    """Modules of the package that module ``name`` imports."""
+    tree = ast.parse((Path(folomin.__file__).parent / f"{name}.py").read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module)
+        elif isinstance(node, ast.ImportFrom) and node.level == 1:
+            # ``from .x import y`` or ``from . import x``
+            names = [node.module] if node.module else [alias.name for alias in node.names]
+            found.update(f"folomin.{n}" for n in names)
+    return {n.split(".")[1] for n in found if n.startswith("folomin.")} & set(MODULES)
+
+
+def test_every_module_is_reachable_from_the_package_or_the_entry_point():
+    # a module nothing imports is dead code that only its own tests exercise
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())
+    roots = {"__init__"} | {
+        target.split(":")[0].split(".")[1] for target in pyproject["project"]["scripts"].values()
+    }
+    reached, frontier = set(), set(roots)
+    while frontier:
+        name = frontier.pop()
+        reached.add(name)
+        frontier |= _package_imports(name) - reached
+    assert set(MODULES) <= reached, f"modules nothing imports: {sorted(set(MODULES) - reached)}"

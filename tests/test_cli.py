@@ -85,7 +85,7 @@ def test_fit_infer_roundtrip(tmp_path):
         [
             "fit", str(data_csv),
             "--family", "bernoulli", "--r", "2", "--loss", "mcp",
-            "--seed", "5", "--out", str(model),
+            "--out", str(model),
         ]
     )
     assert code == 0
@@ -99,12 +99,11 @@ def test_fit_infer_roundtrip(tmp_path):
     assert meta["data_sha256"] == digest
     assert json.loads((model / "manifest.json").read_text())["inputs"] == {str(data_csv): digest}
 
-    code = main(["infer", str(model), "--level", "0.95", "--adjust", "bh", "--per-column", "--heatmap"])
+    code = main(["infer", str(model), "--level", "0.95", "--adjust", "bh", "--per-column"])
     assert code == 0
     inference = model / "inference.csv"
     assert inference.exists()
     assert (model / "inference_summary.json").exists()
-    assert (model / "significance_heatmap.svg").exists()
     assert json.loads((model / "manifest.json").read_text())["inputs"] == {str(data_csv): digest}
     with open(inference) as fh:
         rows = list(csv.DictReader(fh))
@@ -139,7 +138,7 @@ def test_fit_infer_roundtrip(tmp_path):
 def test_fit_determinism(tmp_path):
     data_csv = tmp_path / "data.csv"
     _write_dataset(data_csv, seed=2)
-    base = ["fit", str(data_csv), "--family", "bernoulli", "--r", "2", "--seed", "9", "--out"]
+    base = ["fit", str(data_csv), "--family", "bernoulli", "--r", "2", "--out"]
     main(base + [str(tmp_path / "m1")])
     main(base + [str(tmp_path / "m2")])
     assert (tmp_path / "m1/A.csv").read_bytes() == (tmp_path / "m2/A.csv").read_bytes()
@@ -201,25 +200,24 @@ def test_center_flag_gaussian(tmp_path):
     np.testing.assert_allclose(np.asarray(meta["column_means"]), raw.mean(axis=0), atol=1e-12)
 
 
-def test_report_from_simulation(tmp_path):
-    out = tmp_path / "sim"
-    main(
-        [
-            "simulate", "--n", "100", "--q", "80", "--r", "2", "--tau", "0.0",
-            "--lambda", "0.4", "--reps", "2", "--seed", "7",
-            "--methods", "oracle", "--out", str(out),
-        ]
-    )
-    code = main(["report", str(out)])
-    assert code == 0
-    assert (out / "report.txt").exists()
-    assert (out / "report_coverage.svg").exists()
-    text = (out / "report.txt").read_text()
-    assert "oracle" in text
-
-
-def test_report_empty_dir(tmp_path):
-    assert main(["report", str(tmp_path)]) == 3
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["report", "{out}"],
+        ["simulate", "--n", "100", "--q", "80", "--r", "2", "--plots", "--out", "{out}"],
+        ["infer", "{out}", "--heatmap"],
+        ["fit", "data.csv", "--family", "gaussian", "--r", "2", "--seed", "5", "--out", "{out}"],
+    ],
+    ids=["report", "simulate-plots", "infer-heatmap", "fit-seed"],
+)
+def test_removed_commands_and_flags_are_usage_errors(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as info:
+        main([a.format(out=out) for a in argv])
+    assert info.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+    # argparse stops before any output directory is made
+    assert not out.exists()
 
 
 def _fit_model(tmp_path):

@@ -16,10 +16,9 @@ from folomin import (
     bonferroni_adjust,
     build_report,
     oracle_fit_A,
-    plugin_covariance_A,
-    plugin_covariance_Z,
     plugin_covariances_A_all,
     plugin_covariances_Z_all,
+    risk_d2,
     sample_response,
     wald_intervals,
 )
@@ -72,13 +71,14 @@ def test_bernoulli_sandwich_psd():
     Y = sample_response(fam, Z_star @ A_star.T, rng)
     data = ResponseMatrix(Y, fam)
     params = ParamPair(Z_star, oracle_fit_A(data, Z_star))
-    cov = plugin_covariance_A(data, params, 3)
-    assert np.linalg.eigvalsh(cov.bread[0])[0] > 0
-    assert np.linalg.eigvalsh(cov.meat[0])[0] >= -1e-12
-    assert np.linalg.eigvalsh(cov.sandwich[0])[0] >= -1e-12
-    cov_z = plugin_covariance_Z(data, params, 7)
+    cov = plugin_covariances_A_all(data, params)
+    assert cov.scale == n
+    assert np.linalg.eigvalsh(cov.bread)[:, 0].min() > 0
+    assert np.linalg.eigvalsh(cov.meat)[:, 0].min() >= -1e-12
+    assert np.linalg.eigvalsh(cov.sandwich)[:, 0].min() >= -1e-12
+    cov_z = plugin_covariances_Z_all(data, params)
     assert cov_z.scale == q
-    assert np.linalg.eigvalsh(cov_z.sandwich[0])[0] >= -1e-12
+    assert np.linalg.eigvalsh(cov_z.sandwich)[:, 0].min() >= -1e-12
 
 
 def test_scalar_mean_inference():
@@ -99,10 +99,9 @@ def test_scalar_mean_inference():
 
 
 def test_wald_rejects_zero_variance():
-    cov = plugin_covariance_A(
+    cov = plugin_covariances_A_all(
         ResponseMatrix(np.zeros((3, 1)), ResponseFamily.gaussian()),
         ParamPair(np.ones((3, 1)), np.zeros((1, 1))),
-        0,
     )
     # zero residuals give a zero meat matrix -> degenerate variance
     with pytest.raises(DegenerateVarianceError):
@@ -249,27 +248,6 @@ def test_row_grams_matches_column_loop(m, r, k, log_scale, seed):
         assert np.abs(grams[col] - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
-def test_single_row_covariances_match_stacks():
-    rng = np.random.default_rng(13)
-    n, q, r = 150, 12, 2
-    Z_star = _orthonormal_scores(rng, n, r)
-    A_star = 0.8 * rng.standard_normal((q, r))
-    fam = ResponseFamily.bernoulli()
-    data = ResponseMatrix(sample_response(fam, Z_star @ A_star.T, rng), fam)
-    params = ParamPair(Z_star, oracle_fit_A(data, Z_star))
-    for single, stack, rows in (
-        (plugin_covariance_A, plugin_covariances_A_all(data, params), range(q)),
-        (plugin_covariance_Z, plugin_covariances_Z_all(data, params), range(0, n, 7)),
-    ):
-        for i in rows:
-            one = single(data, params, i)
-            assert len(one) == 1
-            assert one.scale == stack.scale
-            for name in ("bread", "meat", "sandwich"):
-                a, b = getattr(one, name)[0], getattr(stack, name)[i]
-                assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
-
-
 def test_row_variances_match_per_row_diagonals():
     rng = np.random.default_rng(14)
     n, q, r = 150, 12, 3
@@ -295,17 +273,17 @@ def _nearly_collinear(rng, m):
 
 def test_ill_conditioned_bread_names_the_requested_row():
     # two nearly collinear latent columns make every bread singular; the
-    # error must name the row that was asked for, and which matrix it is in
+    # error must name the row of the stack with the worst bread, and which
+    # matrix it is in
     rng = np.random.default_rng(11)
     fam = ResponseFamily.bernoulli()
-    Z = _nearly_collinear(rng, 400)
-    A = 0.5 * rng.standard_normal((6, 3))
-    data = ResponseMatrix(sample_response(fam, Z @ A.T, rng), fam)
-    with pytest.raises(IllConditionedCovarianceError, match=r"row 3 of A "):
-        plugin_covariance_A(data, ParamPair(Z, A), 3)
-    # the same for a latent row, with the collinear columns in A
-    Z = 0.5 * rng.standard_normal((6, 3))
-    A = _nearly_collinear(rng, 400)
-    data = ResponseMatrix(sample_response(fam, Z @ A.T, rng), fam)
-    with pytest.raises(IllConditionedCovarianceError, match=r"row 4 of Z "):
-        plugin_covariance_Z(data, ParamPair(Z, A), 4)
+    for name, covariances in (("A", plugin_covariances_A_all), ("Z", plugin_covariances_Z_all)):
+        X = _nearly_collinear(rng, 400)
+        other = 0.5 * rng.standard_normal((6, 3))
+        params = ParamPair(X, other) if name == "A" else ParamPair(other, X)
+        theta = params.theta()
+        data = ResponseMatrix(sample_response(fam, theta, rng), fam)
+        d2 = risk_d2(fam, theta if name == "A" else theta.T)
+        worst = int(np.argmax(np.linalg.cond(row_grams(X, d2) / X.shape[0])))
+        with pytest.raises(IllConditionedCovarianceError, match=rf"row {worst} of {name} "):
+            covariances(data, params)

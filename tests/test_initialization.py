@@ -7,7 +7,7 @@ from folomin import (
     ParamPair,
     align,
     init_rotation,
-    similarity,
+    similarity_matrix,
 )
 
 
@@ -31,14 +31,18 @@ def _random_orthogonal(rng, r):
 def test_similarity_examples():
     rng = np.random.default_rng(0)
     Z_star, A_star = _simple_construction(rng)
-    params = ParamPair(Z_star, A_star)
-    assert similarity(params, 0, 0, delta=0.01) == pytest.approx(1.0)
+    sims = similarity_matrix(ParamPair(Z_star, A_star), delta=0.01)
+    assert sims.shape == (30, 30)
+    assert sims[0, 0] == pytest.approx(1.0)
     # same-dimension simple rows are exactly parallel
-    assert similarity(params, 0, 1, delta=0.01) == pytest.approx(1.0, abs=1e-12)
+    assert sims[0, 1] == pytest.approx(1.0, abs=1e-12)
+    # rows of different dimensions are orthogonal images
+    assert sims[0, 12] == pytest.approx(0.0, abs=1e-12)
     # zero row floors to zero
     A_zero = A_star.copy()
     A_zero[5] = 0.0
-    assert similarity(ParamPair(Z_star, A_zero), 5, 0, delta=0.01) == 0.0
+    sims = similarity_matrix(ParamPair(Z_star, A_zero), delta=0.01)
+    assert sims[5, 0] == sims[0, 5] == 0.0
 
 
 def test_similarity_rotation_invariance():
@@ -47,10 +51,8 @@ def test_similarity_rotation_invariance():
     params = ParamPair(Z_star, A_star)
     G = rng.standard_normal((3, 3)) + 3 * np.eye(3)
     rotated = ParamPair(Z_star @ G.T, A_star @ np.linalg.inv(G))
-    for j1, j2 in [(0, 1), (0, 12), (4, 25), (13, 14)]:
-        assert similarity(rotated, j1, j2, 0.01) == pytest.approx(
-            similarity(params, j1, j2, 0.01), abs=1e-10
-        )
+    sims = similarity_matrix(params, 0.01)
+    assert np.abs(similarity_matrix(rotated, 0.01) - sims).max() <= 1e-10
 
 
 def test_noiseless_exact_recovery():

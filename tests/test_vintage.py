@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -184,6 +184,9 @@ loadings = st.builds(
 
 @settings(max_examples=40, deadline=None)
 @given(loadings, st.booleans())
+# the identity start's two candidates tie below rounding here; taking the
+# fixed-point step on such ties left it swinging across the maximum
+@example(_noisy_simple(60, 2, 6, 1.192092896e-07), True)
 def test_result_is_orthogonal_and_stationary(A, kaiser):
     res = varimax_rotate(A, VintageConfig(kaiser_normalize=kaiser))
     r = A.shape[1]
