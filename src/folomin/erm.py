@@ -36,7 +36,8 @@ from scipy.linalg import eigh
 from scipy.special import logit
 
 from .exceptions import DegenerateFitError, OracleFitError
-from .model import ResponseFamily, ResponseMatrix, risk, risk_d1, risk_d2
+from .model import ResponseFamily, ResponseMatrix
+from .model import _cells as _risk_cells
 
 __all__ = [
     "ParamPair",
@@ -249,12 +250,12 @@ def erm_fit(
     rows_A, rows_Z = np.arange(q), np.arange(n)
     nu = np.zeros(n)
     for sweep in range(config.max_iters + 1):
-        f_A, f_Z, D1, W = _cells(family, Y, Z, A)
+        f_A, f_Z, G_A, G_Z, W = _cells(family, Y, Z, A)
         trace.objectives.append(float(f_A.sum()))
-        _, dec_A, mu = _newton_direction(Z, W, D1.T @ Z, A, M)
+        _, dec_A, mu = _newton_direction(Z, W, G_A, A, M)
         price = _CapPrice(Z, A, mu, nu)
         f_Z += price(Z, rows_Z)
-        d_Z, dec_Z, nu = _newton_direction(A, W.T, D1 @ A + price.grad(Z), Z, M, price.K)
+        d_Z, dec_Z, nu = _newton_direction(A, W.T, G_Z + price.grad(Z), Z, M, price.K)
         rel_A, rel_Z = dec_A / (1.0 + np.abs(f_A)), dec_Z / (1.0 + np.abs(f_Z))
         trace.stationarity = float(max(rel_A.max(), rel_Z.max()))
         if trace.stationarity <= config.tol:
@@ -275,8 +276,8 @@ def erm_fit(
         # Z step halved, down to the plain A step, which cannot raise it
         for _halving in range(30):
             Z_s, A_s = _normalize(Z_new, A)
-            f_A, _, D1, W = _cells(family, Y, Z_s, A_s)
-            d_A, dec_A, _ = _newton_direction(Z_s, W, D1.T @ Z_s, A_s, M)
+            f_A, _, G_A, _, W = _cells(family, Y, Z_s, A_s)
+            d_A, dec_A, _ = _newton_direction(Z_s, W, G_A, A_s, M)
             rel_A = dec_A / (1.0 + np.abs(f_A))
             pure_A = _full_step(rel_A, A_s, M)
             A_s = _newton_update(Z_s, Y, family, A_s, f_A, rows_A, d_A, dec_A, pure_A)
@@ -306,12 +307,10 @@ def _full_step(rel: np.ndarray, B: np.ndarray, M: float) -> np.ndarray:
 
 
 def _cells(family: ResponseFamily, Y: np.ndarray, Z: np.ndarray, A: np.ndarray):
-    """Row risks of both blocks, and the risk's first and second
-    derivatives at every cell of ``Z A'``."""
-    theta = Z @ A.T
-    cells = risk(family, theta, Y)
-    f_A, f_Z = cells.sum(axis=0), cells.sum(axis=1)
-    return f_A, f_Z, risk_d1(family, theta, Y, out=cells), risk_d2(family, theta)
+    """Row risks and risk gradients of both blocks, and the risk's second
+    derivative at every cell of ``Z A'``."""
+    cells, d1, d2 = _risk_cells(family, Z @ A.T, Y, 2)
+    return cells.sum(axis=0), cells.sum(axis=1), d1.T @ Z, d1 @ A, d2
 
 
 def row_grams(X: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -410,7 +409,7 @@ def _newton_update(X, targets, family, B, f, idx, d, dec, pure, price=None) -> n
     """
 
     def value(cand, cols):
-        f_c = risk(family, X @ cand.T, targets[:, cols]).sum(axis=0)
+        f_c = _risk_cells(family, X @ cand.T, targets[:, cols], 0)[0].sum(axis=0)
         return f_c if price is None else f_c + price(cand, cols)
 
     B_new = B.copy()
@@ -454,26 +453,31 @@ def _separable_fit(
     k = targets.shape[1]
     if np.linalg.matrix_rank(X) < r:
         raise DegenerateFitError("design matrix is rank deficient")
-    B = np.zeros((k, r))
-    f = risk(family, X @ B.T, targets).sum(axis=0)
 
-    for _ in range(max_iter):
-        theta = X @ B.T
-        grad = risk_d1(family, theta, targets).T @ X  # (k, r)
+    def newton_at(B):
+        """Row risks and gradient norms at ``B``, and the Newton steps of
+        the rows whose gradient norm exceeds ``tol``."""
+        cells, d1, d2 = _risk_cells(family, X @ B.T, targets, 2)
+        grad = d1.T @ X  # (k, r)
         gnorm = np.linalg.norm(grad, axis=1)
         active = gnorm > tol
+        d, dec, _ = _newton_direction(X, d2[:, active], grad[active])
+        return cells.sum(axis=0), gnorm, active, d, dec
+
+    B = np.zeros((k, r))
+    risks, gnorm, active, d, dec = newton_at(B)
+    f = risks.copy()  # the line search's row values
+    for _ in range(max_iter):
         if not active.any():
             break
         idx = np.flatnonzero(active)
-        d, dec, _ = _newton_direction(X, risk_d2(family, theta)[:, active], grad[active])
         # inside the quadratic basin the objective decrease falls below
         # float resolution; take pure Newton steps there instead of
         # stalling on the value-based line search
         B = _newton_update(X, targets, family, B, f, idx, d, dec, gnorm[idx] < 1e-4)
+        risks, gnorm, active, d, dec = newton_at(B)
 
-    theta = X @ B.T
-    gnorm = np.linalg.norm((risk_d1(family, theta, targets).T @ X), axis=1)
-    bad = np.flatnonzero((gnorm > tol) | (np.linalg.norm(B, axis=1) > 1e6))
+    bad = np.flatnonzero(active | (np.linalg.norm(B, axis=1) > 1e6))
     if bad.size:
         raise OracleFitError(
             f"per-row solve did not reach gradient tolerance for rows {bad.tolist()[:5]}"
@@ -482,8 +486,7 @@ def _separable_fit(
         # the binary risk is nonnegative with zero attainable only in the
         # limit of a perfect fit, so a vanishing row risk means separation
         # and the minimizer sits at infinity
-        f = risk(family, X @ B.T, targets).sum(axis=0)
-        separated = np.flatnonzero(f < 1e-8)
+        separated = np.flatnonzero(risks < 1e-8)
         if separated.size:
             raise OracleFitError(
                 f"rows {separated.tolist()[:5]} have no finite minimizer (separable data)"

@@ -19,7 +19,8 @@ from scipy.special import ndtr, ndtri
 
 from .erm import ParamPair, row_grams
 from .exceptions import DegenerateVarianceError, IllConditionedCovarianceError
-from .model import ResponseMatrix, risk_d1, risk_d2
+from .model import ResponseMatrix
+from .model import _cells as _risk_cells
 
 __all__ = [
     "RowCovariance",
@@ -87,17 +88,13 @@ def _sandwich_stack(
 
 def plugin_covariances_A_all(data: ResponseMatrix, params: ParamPair) -> RowCovariance:
     """Sandwich covariances for every row of the representation matrix."""
-    theta = params.theta()
-    d1 = risk_d1(data.family, theta, data.values)
-    d2 = risk_d2(data.family, theta)
+    _, d1, d2 = _risk_cells(data.family, params.theta(), data.values, 2)
     return _sandwich_stack(params.Z, d1, d2, params.n, "A")
 
 
 def plugin_covariances_Z_all(data: ResponseMatrix, params: ParamPair) -> RowCovariance:
     """Sandwich covariances for every row of the latent score matrix."""
-    theta = params.theta()
-    d1 = risk_d1(data.family, theta, data.values)
-    d2 = risk_d2(data.family, theta)
+    _, d1, d2 = _risk_cells(data.family, params.theta(), data.values, 2)
     return _sandwich_stack(params.A, d1.T, d2.T, params.q, "Z")
 
 

@@ -15,6 +15,9 @@ from folomin import (
     erm_fit,
     oracle_fit_A,
     oracle_fit_Z,
+    plugin_covariances_A_all,
+    plugin_covariances_Z_all,
+    risk,
     spectral_warm_start,
 )
 from folomin.erm import _model_minimizer_on_ball, _separable_fit
@@ -263,6 +266,30 @@ def test_oracle_fit_gradient_norms():
     Z_hat = oracle_fit_Z(data, A_star)
     grads_z = risk_d1(data.family, Z_hat @ A_star.T, data.values) @ A_star
     assert np.linalg.norm(grads_z, axis=1).max() <= 1e-10
+
+
+@pytest.mark.parametrize("family", [ResponseFamily.gaussian(), ResponseFamily.bernoulli()],
+                         ids=lambda f: f.kind)
+def test_fits_and_sandwiches_do_not_revalidate_responses(family, monkeypatch):
+    design = SimDesign(n=150, q=60, r=2, lambda_signal=0.3, tau=0.0, family=family, seed=3)
+    Z_star, A_star, data = gen_dataset(design, np.random.default_rng(12))
+    calls = []
+    validate = ResponseFamily.validate_responses
+
+    def counted(self, y):
+        calls.append(np.shape(y))
+        validate(self, y)
+
+    monkeypatch.setattr(ResponseFamily, "validate_responses", counted)
+    params = erm_fit(data, 2).params
+    oracle_fit_A(data, Z_star)
+    oracle_fit_Z(data, A_star)
+    plugin_covariances_A_all(data, params)
+    plugin_covariances_Z_all(data, params)
+    assert calls == []
+    # the public kernels still check the raw arrays they are given
+    risk(family, 0.0, data.values[:2])
+    assert calls == [(2, 60)]
 
 
 def test_erm_requires_enough_rows():

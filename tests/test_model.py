@@ -1,7 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from folomin import (
     DataError,
@@ -14,10 +17,12 @@ from folomin import (
     risk_d3,
     sample_response,
 )
+from folomin.model import _cells
 
 GAUSS = ResponseFamily.gaussian(1.0)
 BERN = ResponseFamily.bernoulli()
 POIS = ResponseFamily.poisson()
+EPS = np.finfo(float).eps
 
 
 def test_risk_examples():
@@ -76,6 +81,60 @@ def test_risk_kernels_write_into_a_given_buffer(family):
         t00 = theta[0, 0]
         np.testing.assert_array_equal(kernel(family, t00, y), kernel(family, np.full_like(y, t00), y))
     assert kernel(family, 0.5, ys[0]) == kernel(family, np.array([0.5]), np.array([ys[0]]))[0]
+
+
+@pytest.mark.parametrize("family", [GAUSS, BERN, POIS], ids=lambda f: f.kind)
+def test_public_risks_equal_the_kernel(family):
+    rng = np.random.default_rng(7)
+    thetas, ys = _grid_for(family)
+    theta = rng.choice(thetas, size=(6, 4)) + rng.uniform(-0.1, 0.1, (6, 4))
+    y = rng.choice(ys, size=(6, 4))
+    f, d1, d2 = _cells(family, theta, y, 2)
+    assert np.array_equal(_cells(family, theta, y, 0)[0], f)
+    for public, ref in ((risk, f), (risk_d1, d1)):
+        assert np.array_equal(public(family, theta, y), ref)
+        buf = np.full((6, 4), np.nan)
+        assert np.shares_memory(public(family, theta, y, out=buf), buf)
+        assert np.array_equal(buf, ref)
+        # 0-d theta, with and without a 0-d buffer
+        t, y0 = theta[1, 2], y[1, 2]
+        assert public(family, t, y0) == ref[1, 2]
+        buf0 = np.full((), np.nan)
+        assert public(family, t, y0, out=buf0) == ref[1, 2]
+        assert buf0 == ref[1, 2]
+    assert np.array_equal(risk_d2(family, theta), d2)
+    assert risk_d2(family, theta[1, 2]) == d2[1, 2]
+
+
+def test_gaussian_kernel_is_the_plain_arithmetic():
+    rng = np.random.default_rng(8)
+    theta = 3.0 * rng.standard_normal((9, 7))
+    y = rng.standard_normal((9, 7))
+    f, d1, d2 = _cells(GAUSS, theta, y, 2)
+    assert np.array_equal(f, (theta - y) ** 2)
+    assert np.array_equal(d1, 2 * (theta - y))
+    assert np.array_equal(d2, np.full_like(theta, 2.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(theta=st.floats(-700.0, 700.0), y=st.sampled_from([0.0, 1.0]))
+@example(theta=0.0, y=1.0)
+@example(theta=-700.0, y=0.0)
+@example(theta=700.0, y=1.0)
+@example(theta=-5e-324, y=0.0)
+@example(theta=37.5, y=0.0)
+def test_bernoulli_kernel_against_high_precision(theta, y):
+    f, d1, d2 = (v[0] for v in _cells(BERN, np.array([theta]), np.array([y]), 2))
+    with mpmath.workprec(300):
+        t = mpmath.mpf(theta)
+        e = mpmath.exp(-abs(t))
+        ref_f = max(t, 0) + mpmath.log1p(e) - y * t
+        ref_d1 = 1 / (1 + mpmath.exp(-t)) - y
+        ref_d2 = e / (1 + e) ** 2
+        assert abs(f - ref_f) <= 4 * EPS * (1 + abs(theta))
+        assert abs(d1 - ref_d1) <= 2 * EPS
+        assert abs(d2 - ref_d2) <= 4 * EPS * ref_d2
+    assert d2 > 0
 
 
 @pytest.mark.parametrize("family", [GAUSS, BERN, POIS], ids=lambda f: f.kind)
