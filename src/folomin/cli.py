@@ -47,12 +47,6 @@ USAGE_EXIT, DATA_EXIT, NUMERICAL_EXIT = 2, 3, 4
 DATA_CACHE = "data.npy"
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (float, np.floating)):
-        return f"{float(x):.17g}"
-    return str(x)
-
-
 def _sha256(path: Path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -61,12 +55,28 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _column_cells(column) -> list[str]:
+    """The CSV cells of one column: a float array is formatted in bulk with
+    17 significant digits, which round-trips every double; any other
+    column cell by cell with ``str``."""
+    if isinstance(column, np.ndarray):
+        values = column.tolist()
+        if column.dtype.kind == "f":
+            return ("%.17g," * len(values) % tuple(values)).split(",")[:-1]
+        return list(map(str, values))
+    return list(map(str, column))
+
+
+def _write_csv(path: Path, header: list[str], columns) -> None:
+    """Write equal-length ``columns`` under ``header``, quoted by the
+    :mod:`csv` defaults (``\\r\\n`` line ends). Rows are formatted 1024
+    at a time, which keeps the formatted cells held at once small."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(x) for x in row])
+        for start in range(0, len(columns[0]), 1024):
+            block = [column[start : start + 1024] for column in columns]
+            writer.writerows(zip(*map(_column_cells, block)))
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -215,7 +225,7 @@ def cmd_simulate(args) -> int:
         design, methods=methods, n_reps=args.reps, level=args.level, workers=args.workers
     )
 
-    tidy_rows = []
+    methods, metrics, tables = [], [], []
     for method in summary.methods:
         if method not in summary.entry_mean_sq_err:
             continue
@@ -224,11 +234,22 @@ def cmd_simulate(args) -> int:
             ("coverage", summary.entry_coverage[method]),
             ("mean_bias", summary.entry_mean_bias[method]),
         ):
-            for j in range(table.shape[0]):
-                for l in range(table.shape[1]):
-                    tidy_rows.append([method, j, l, metric, table[j, l]])
+            methods += [method] * table.size
+            metrics += [metric] * table.size
+            tables.append(table)
+    j, l = np.indices((design.q, design.r)).reshape(2, -1)
     rep_csv = out / "replications.csv"
-    _write_csv(rep_csv, ["method", "row", "col", "metric", "value"], tidy_rows)
+    _write_csv(
+        rep_csv,
+        ["method", "row", "col", "metric", "value"],
+        [
+            methods,
+            np.tile(j, len(tables)),
+            np.tile(l, len(tables)),
+            metrics,
+            np.array(tables, dtype=float).ravel(),
+        ],
+    )
 
     summary_payload = {
         "design": {
@@ -296,8 +317,8 @@ def cmd_fit(args) -> int:
     params = rotation.params
 
     a_csv, z_csv = out / "A.csv", out / "Z.csv"
-    _write_csv(a_csv, [f"dim{l + 1}" for l in range(args.r)], params.A)
-    _write_csv(z_csv, [f"dim{l + 1}" for l in range(args.r)], params.Z)
+    _write_csv(a_csv, [f"dim{l + 1}" for l in range(args.r)], params.A.T)
+    _write_csv(z_csv, [f"dim{l + 1}" for l in range(args.r)], params.Z.T)
     cache = out / DATA_CACHE
     np.save(cache, values)
     cache_sha256 = _sha256(cache)
@@ -414,25 +435,12 @@ def cmd_infer(args) -> int:
     p_bonf, _ = adjust_p_values(report.p_A, args.alpha, "bonferroni", args.per_column)
 
     columns = meta.get("columns")
-    rows = []
-    for j in range(params.q):
-        for l in range(params.r):
-            rows.append(
-                [
-                    j,
-                    l,
-                    columns[j] if columns and j < len(columns) else f"col{j + 1}",
-                    params.A[j, l],
-                    report.se_A[j, l],
-                    report.z_A[j, l],
-                    report.p_A[j, l],
-                    report.adjusted_p_A[j, l],
-                    p_bonf[j, l],
-                    int(report.rejections_A[j, l]),
-                    report.lower_A[j, l],
-                    report.upper_A[j, l],
-                ]
-            )
+    items = [
+        columns[j] if columns and j < len(columns) else f"col{j + 1}"
+        for j in range(params.q)
+        for _ in range(params.r)
+    ]
+    j, l = np.indices(params.A.shape).reshape(2, -1)
     inference_csv = out / "inference.csv"
     _write_csv(
         inference_csv,
@@ -450,7 +458,20 @@ def cmd_infer(args) -> int:
             "ci_lower",
             "ci_upper",
         ],
-        rows,
+        [
+            j,
+            l,
+            items,
+            params.A.ravel(),
+            report.se_A.ravel(),
+            report.z_A.ravel(),
+            report.p_A.ravel(),
+            report.adjusted_p_A.ravel(),
+            p_bonf.ravel(),
+            report.rejections_A.ravel().astype(int),
+            report.lower_A.ravel(),
+            report.upper_A.ravel(),
+        ],
     )
     summary_payload = {
         "entries_tested": int(params.q * params.r),

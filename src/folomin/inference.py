@@ -86,6 +86,16 @@ def _sandwich_stack(
     return RowCovariance(breads, meats, sands, scale)
 
 
+def _sandwich_stacks(data: ResponseMatrix, params: ParamPair):
+    """Sandwich covariances of every row of ``A`` and of ``Z``, from one
+    pass of the risk kernel at ``Z A'``."""
+    _, d1, d2 = _risk_cells(data.family, params.theta(), data.values, 2)
+    return (
+        _sandwich_stack(params.Z, d1, d2, params.n, "A"),
+        _sandwich_stack(params.A, d1.T, d2.T, params.q, "Z"),
+    )
+
+
 def plugin_covariances_A_all(data: ResponseMatrix, params: ParamPair) -> RowCovariance:
     """Sandwich covariances for every row of the representation matrix."""
     _, d1, d2 = _risk_cells(data.family, params.theta(), data.values, 2)

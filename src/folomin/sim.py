@@ -31,6 +31,7 @@ from .criteria import polar
 from .erm import FitConfig, ParamPair, oracle_fit_A, oracle_fit_Z
 from .exceptions import FolominError
 from .inference import (
+    _sandwich_stacks,
     align,
     align_pair,
     plugin_covariances_A_all,
@@ -201,10 +202,10 @@ def _method_metrics(aligned_A, se_A, A_star, level, centers=None):
     }
 
 
-def _mean_cover_Z(data, params, Z_star, level) -> float:
-    se = np.sqrt(row_variances(plugin_covariances_Z_all(data, params)))
+def _mean_cover_Z(Z, cov_Z, Z_star, level) -> float:
+    se = np.sqrt(row_variances(cov_Z))
     mult = float(ndtri((1.0 + level) / 2.0))
-    return float((np.abs(params.Z - Z_star) <= mult * se).mean())
+    return float((np.abs(Z - Z_star) <= mult * se).mean())
 
 
 def _run_one_rep(design: SimDesign, methods, rep: int, seed_seq, level: float, vintage_seed: int):
@@ -232,9 +233,9 @@ def _run_one_rep(design: SimDesign, methods, rep: int, seed_seq, level: float, v
     for m in folomin_methods:
         kind = m.split("_", 1)[1]
         params = align_pair(pipe.rotations[kind].params, A_star)
-        se = np.sqrt(row_variances(plugin_covariances_A_all(data, params)))
-        per_method[m] = _method_metrics(params.A, se, A_star, level)
-        per_method[m]["mean_cover_Z"] = _mean_cover_Z(data, params, Z_star, level)
+        cov_A, cov_Z = _sandwich_stacks(data, params)
+        per_method[m] = _method_metrics(params.A, np.sqrt(row_variances(cov_A)), A_star, level)
+        per_method[m]["mean_cover_Z"] = _mean_cover_Z(params.Z, cov_Z, Z_star, level)
 
     if "oracle" in methods:
         A_or = oracle_fit_A(data, Z_star)
@@ -242,9 +243,8 @@ def _run_one_rep(design: SimDesign, methods, rep: int, seed_seq, level: float, v
         se = np.sqrt(row_variances(plugin_covariances_A_all(data, params)))
         per_method["oracle"] = _method_metrics(A_or, se, A_star, level)
         Z_or = oracle_fit_Z(data, A_star)
-        per_method["oracle"]["mean_cover_Z"] = _mean_cover_Z(
-            data, ParamPair(Z_or, A_star), Z_star, level
-        )
+        cov_Z = plugin_covariances_Z_all(data, ParamPair(Z_or, A_star))
+        per_method["oracle"]["mean_cover_Z"] = _mean_cover_Z(Z_or, cov_Z, Z_star, level)
 
     if vintage_methods:
         # one varimax per replication, shared by varimax and promax

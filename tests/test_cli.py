@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from folomin import ResponseFamily, ResponseMatrix, build_report
-from folomin.cli import main
+from folomin.cli import _write_csv, main
 from folomin.erm import ParamPair
 from folomin.sim import SimDesign, gen_dataset
 
@@ -337,3 +337,41 @@ def test_infer_with_a_cache_still_needs_the_data_file(tmp_path, capsys):
     assert (model / "data.npy").exists()
     assert main(["infer", str(model)]) == 3
     assert f"data file not found: {data_csv}" in capsys.readouterr().err
+
+
+def _fmt(x) -> str:
+    if isinstance(x, (float, np.floating)):
+        return f"{float(x):.17g}"
+    return str(x)
+
+
+def test_csv_writer_matches_a_per_cell_reference(tmp_path):
+    rng = np.random.default_rng(3)
+    special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e300]
+    values = np.concatenate([special, rng.standard_normal(12) * 10.0 ** rng.integers(-20, 20, 12)])
+    m = values.size
+    items = ["plain", 'say "hi"', "a,b", 'both, "x"', "", "tab\there"] * 4
+    columns = [
+        np.arange(m),
+        items[:m],
+        values,
+        rng.permutation(values),
+        (values > 0).astype(int),
+    ]
+    header = ["row", "item, name", "estimate", "std_error", "rejected"]
+    _write_csv(tmp_path / "fast.csv", header, columns)
+    with open(tmp_path / "reference.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for i in range(m):
+            writer.writerow([_fmt(column[i]) for column in columns])
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    # a float matrix is passed as its columns; 1100 rows span two blocks
+    matrix = np.tile(values, 110).reshape(-1, 2)
+    _write_csv(tmp_path / "matrix.csv", ["dim1", "dim2"], matrix.T)
+    with open(tmp_path / "reference.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["dim1", "dim2"])
+        for row in matrix:
+            writer.writerow([_fmt(x) for x in row])
+    assert (tmp_path / "matrix.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()

@@ -20,7 +20,14 @@ from folomin import (
     risk,
     spectral_warm_start,
 )
-from folomin.erm import _model_minimizer_on_ball, _separable_fit
+from folomin import erm
+from folomin.erm import (
+    _model_minimizer_on_ball,
+    _newton_direction,
+    _newton_update,
+    _separable_fit,
+)
+from folomin.model import _cells
 from folomin.sim import SimDesign, gen_dataset
 
 
@@ -244,8 +251,115 @@ def test_oracle_fit_bernoulli_symmetric_and_separable():
     sym = ResponseMatrix(np.array([[1.0], [0.0], [0.0], [1.0]]), ResponseFamily.bernoulli())
     assert oracle_fit_A(sym, z)[0, 0] == pytest.approx(0.0, abs=1e-9)
     sep = ResponseMatrix(np.array([[1.0], [1.0], [0.0], [0.0]]), ResponseFamily.bernoulli())
-    with pytest.raises(OracleFitError):
+    with pytest.raises(OracleFitError, match=r"^oracle fit of A: rows \[0\] "):
         oracle_fit_A(sep, z)
+
+
+def _full_pass_fit(X, targets, family, tol=1e-10, max_iter=100):
+    """The row-separable Newton solver re-evaluating every column on every
+    pass, with the step rules of ``_separable_fit``."""
+    B = np.zeros((targets.shape[1], X.shape[1]))
+    for _ in range(max_iter + 1):
+        cells, d1, d2 = _cells(family, X @ B.T, targets, 2)
+        grad = d1.T @ X
+        gnorm = np.linalg.norm(grad, axis=1)
+        active = np.flatnonzero(gnorm > tol)
+        if not active.size:
+            break
+        d, dec, _ = _newton_direction(X, d2[:, active], grad[active])
+        pure = gnorm[active] < 1e-4
+        B = _newton_update(X, targets, family, B, cells.sum(axis=0), active, d, dec, pure)
+    return B
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["gaussian", "bernoulli", "poisson"]),
+    m=st.integers(40, 120),
+    k=st.integers(1, 30),
+    r=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_active_set_solver_matches_full_passes(kind, m, k, r, seed):
+    # poisson natural parameters stay within [-1.5, 1.5], where the
+    # absolute gradient tolerance is reachable
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-1.0, 1.0, (m, r))
+    theta = X @ rng.uniform(-1.5, 1.5, (r, k)) / r
+    family = ResponseFamily(kind)
+    if kind == "gaussian":
+        Y = theta + rng.standard_normal((m, k))
+    elif kind == "bernoulli":
+        Y = (rng.random((m, k)) < expit(theta)).astype(float)
+    else:
+        Y = rng.poisson(np.exp(theta)).astype(float)
+    try:
+        B = _separable_fit(X, Y, family)
+    except OracleFitError:
+        # a separable bernoulli column: the reference fails the same checks
+        B_ref = _full_pass_fit(X, Y, family)
+        grad = _cells(family, X @ B_ref.T, Y, 1)[1].T @ X
+        cells = _cells(family, X @ B_ref.T, Y, 0)[0].sum(axis=0)
+        unsettled = np.linalg.norm(grad, axis=1) > 1e-10
+        assert np.any(unsettled | (np.linalg.norm(B_ref, axis=1) > 1e6) | (cells < 1e-8))
+        return
+    np.testing.assert_allclose(B, _full_pass_fit(X, Y, family), rtol=0, atol=1e-12)
+
+
+def test_oracle_passes_evaluate_only_the_moved_columns(monkeypatch):
+    rng = np.random.default_rng(6)
+    design = SimDesign(n=150, q=60, r=2, lambda_signal=0.3, tau=0.0, seed=1)
+    Z_star, A_star, data = gen_dataset(design, rng)
+    calls, moves = [], []
+    kernel, update = erm._risk_cells, erm._newton_update
+
+    def counted_kernel(family, theta, y, order):
+        calls.append((order, theta.shape[1], y.copy()))
+        return kernel(family, theta, y, order)
+
+    def counted_update(X, targets, family, B, f, idx, *args, **kwargs):
+        moves.append(idx.copy())
+        return update(X, targets, family, B, f, idx, *args, **kwargs)
+
+    monkeypatch.setattr(erm, "_risk_cells", counted_kernel)
+    monkeypatch.setattr(erm, "_newton_update", counted_update)
+    oracle_fit_A(data, Z_star)
+    passes = [(cols, y) for order, cols, y in calls if order == 2]
+    assert passes[0][0] == data.q and len(moves) >= 2
+    # one pass after each step, on exactly the columns that step moved
+    assert len(passes) == len(moves) + 1
+    for (cols, y), idx in zip(passes[1:], moves):
+        assert cols == idx.size
+        assert np.array_equal(y, data.values[:, idx])
+    assert moves[-1].size < data.q
+
+
+def test_erm_z_step_does_not_evaluate_full_step_rows(monkeypatch):
+    rng = np.random.default_rng(42)
+    design = SimDesign(n=200, q=200, r=2, lambda_signal=0.2, tau=0.0, seed=3)
+    _, _, data = gen_dataset(design, rng)
+    z_steps = []  # per Z step: rows left to the line search, widths of its kernel calls
+    kernel, update = erm._risk_cells, erm._newton_update
+
+    def counted_kernel(family, theta, y, order):
+        if z_steps and z_steps[-1][2]:
+            z_steps[-1][1].append(theta.shape[1])
+        return kernel(family, theta, y, order)
+
+    def counted_update(X, targets, family, B, f, idx, d, dec, pure, price=None, **kwargs):
+        if price is None:  # the A step
+            return update(X, targets, family, B, f, idx, d, dec, pure, **kwargs)
+        z_steps.append([int((~pure).sum()), [], True])
+        B_new = update(X, targets, family, B, f, idx, d, dec, pure, price, **kwargs)
+        z_steps[-1][2] = False
+        return B_new
+
+    monkeypatch.setattr(erm, "_risk_cells", counted_kernel)
+    monkeypatch.setattr(erm, "_newton_update", counted_update)
+    assert erm_fit(data, 2).trace.status == "converged"
+    assert any(searched < data.n for searched, _, _ in z_steps)
+    for searched, widths, _ in z_steps:
+        assert all(width <= searched for width in widths)
 
 
 def test_oracle_fit_poisson_closed_form():

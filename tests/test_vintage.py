@@ -217,6 +217,27 @@ def test_batched_starts_keep_the_best_single_start(A):
         assert best >= f[0] - 1e-12 * (1.0 + abs(f[0]))
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    r=st.integers(2, 6),
+    q=st.integers(6, 300),
+    k=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_value_and_gradient_match_the_fourth_power_formula(r, q, k, seed):
+    # rotated Kaiser-normalized loadings, as the ascent evaluates them
+    rng = np.random.default_rng(seed)
+    W = _row_normalized(rng.standard_normal((q, r)))
+    L = W @ polar(rng.standard_normal((k, r, r)))
+    sq = L**2
+    col_means = sq.mean(axis=-2, keepdims=True)
+    value = ((L**4).sum(axis=-2) - q * col_means[..., 0, :] ** 2).sum(axis=-1) / q
+    grad = 4.0 / q * L * (sq - col_means)
+    got_value, got_grad = vintage._varimax_value_grad(np.swapaxes(L, 1, 2))
+    np.testing.assert_allclose(got_value, value, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(np.swapaxes(got_grad, 1, 2), grad, rtol=0, atol=1e-15)
+
+
 def test_promax_reuses_a_varimax_result():
     rng = np.random.default_rng(6)
     A = _simple_loadings(rng) + 0.2 * rng.standard_normal((30, 3))
