@@ -5,10 +5,10 @@ Every run writes a ``manifest.json`` recording the resolved
 configuration, the package version, wall-clock timing, and SHA-256
 digests of inputs and outputs; numeric outputs themselves carry no
 timestamps, so reruns with the same seed are byte-identical (``fit``
-and ``infer`` draw no random numbers at all). Floats are
-serialized with 17 significant digits, which round-trips IEEE doubles
-losslessly. Worker parallelism for the simulation harness is capped by
-the ``FOLOMIN_THREADS`` environment variable.
+and ``infer`` draw no random numbers at all). Floats are written with
+17 significant digits (CSV) or as their shortest ``repr`` (JSON); both
+read back as the same doubles. Worker parallelism for the simulation
+harness is capped by the ``FOLOMIN_THREADS`` environment variable.
 
 ``fit`` also saves the parsed data matrix as ``data.npy`` in the model
 directory (exact float64, uncentered) and records its digest in
@@ -79,22 +79,18 @@ def _write_csv(path: Path, header: list[str], columns) -> None:
             writer.writerows(zip(*map(_column_cells, block)))
 
 
+def _numpy_to_json(obj):
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _json_ready(obj):
-    if isinstance(obj, dict):
-        return {k: _json_ready(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_ready(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_json_ready(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, float)):
-        return float(f"{float(obj):.17g}")
-    if isinstance(obj, np.integer):
-        return int(obj)
-    return obj
+    """Write ``payload`` as indented JSON with sorted keys. numpy arrays
+    and scalars are written as their ``tolist()``, and every float,
+    ``np.float64`` included, as ``float.__repr__``."""
+    text = json.dumps(payload, indent=2, sort_keys=True, default=_numpy_to_json)
+    path.write_text(text + "\n")
 
 
 def _write_manifest(
@@ -112,7 +108,7 @@ def _write_manifest(
     config = {k: v for k, v in config.items() if not callable(v)}
     manifest = {
         "command": command,
-        "config": _json_ready(config),
+        "config": config,
         "version": __version__,
         "rng": RNG_NAME,
         "duration_seconds": time.time() - t0,
@@ -274,7 +270,7 @@ def cmd_simulate(args) -> int:
         "manifest": "manifest.json",
     }
     summary_json = out / "summary.json"
-    _write_json(summary_json, _json_ready(summary_payload))
+    _write_json(summary_json, summary_payload)
 
     outputs = [rep_csv, summary_json]
     _write_manifest(out, "simulate", vars(args), {}, outputs, t0)
@@ -295,9 +291,6 @@ def cmd_fit(args) -> int:
 
     header, values = _read_numeric_csv(data_path)
     data_sha256 = _sha256(data_path)
-    n, q = values.shape
-    if n < args.r or q < args.r:
-        raise ValueError(f"need n, q >= r; data is {n} x {q} with r = {args.r}")
 
     column_means = values.mean(axis=0) if args.center else np.zeros(values.shape[1])
     centered = values - column_means
@@ -345,14 +338,14 @@ def cmd_fit(args) -> int:
         "manifest": "manifest.json",
     }
     rotation_json = out / "rotation.json"
-    _write_json(rotation_json, _json_ready(rotation_payload))
+    _write_json(rotation_json, rotation_payload)
 
     outputs = [a_csv, z_csv, cache, rotation_json]
     _write_manifest(
         out, "fit", vars(args), {str(data_path): data_sha256}, outputs, t0, {cache: cache_sha256}
     )
     print(
-        f"fitted {q} x {args.r} representation; wrote A.csv, Z.csv, {DATA_CACHE}, "
+        f"fitted {params.q} x {args.r} representation; wrote A.csv, Z.csv, {DATA_CACHE}, "
         f"rotation.json to {out}"
     )
     return 0
@@ -484,7 +477,7 @@ def cmd_infer(args) -> int:
         "manifest": "manifest.json",
     }
     inference_json = out / "inference_summary.json"
-    _write_json(inference_json, _json_ready(summary_payload))
+    _write_json(inference_json, summary_payload)
     outputs = [inference_csv, inference_json]
     _write_manifest(out, "infer", vars(args), {str(data_path): data_sha256}, outputs, t0)
     print(f"wrote {', '.join(p.name for p in outputs)} to {out}")

@@ -145,14 +145,23 @@ def folded_criterion(A: np.ndarray, loss: FoldedLoss) -> float:
     return float(loss.value(np.asarray(A, dtype=float)).sum())
 
 
+def _varimax_value_grad(Lt: np.ndarray):
+    """Varimax criterion (Kaiser 1958) and its gradient in the rotated
+    loadings, both transposed: ``Lt`` is ``L'``, ``(r, q)`` or a stack
+    ``(k, r, q)`` giving ``k`` values, and so is the gradient. Fourth
+    powers are ``sq * sq``, since numpy's ``L**4`` calls ``pow`` per cell."""
+    q = Lt.shape[-1]
+    sq = Lt * Lt
+    col_means = sq.mean(axis=-1, keepdims=True)
+    value = ((sq * sq).sum(axis=-1) - q * col_means[..., 0] ** 2).sum(axis=-1) / q
+    grad = 4.0 / q * Lt * (sq - col_means)
+    return value, grad
+
+
 def varimax_criterion(A: np.ndarray) -> float:
     """Mean variance of squared loadings per column (the classical
     orthogonal-rotation criterion, conventionally maximized)."""
-    A = np.asarray(A, dtype=float)
-    q = A.shape[0]
-    sq = A**2
-    col_means = sq.mean(axis=0)
-    return float(((A**4).sum(axis=0) - q * col_means**2).sum() / q)
+    return float(_varimax_value_grad(np.asarray(A, dtype=float).T)[0])
 
 
 @dataclass(frozen=True)
@@ -199,6 +208,17 @@ def polar(X: np.ndarray) -> np.ndarray:
     return U @ Vt
 
 
+def _feasible_project(G: np.ndarray, gram: np.ndarray, mode: str) -> np.ndarray:
+    """:func:`feasible_project` of a float ``G`` against ``gram`` in ``mode``."""
+    if mode == "orthogonal":
+        return polar(G)
+    d = np.einsum("ij,jk,ik->i", G, gram, G)
+    if np.any(d <= 1e-300):
+        bad = int(np.argmin(d))
+        raise DegenerateRotationError(f"row {bad} of the rotation is numerically zero")
+    return G / np.sqrt(d)[:, None]
+
+
 def feasible_project(fset: FeasibleSet, G: np.ndarray) -> np.ndarray:
     """Map ``G`` onto the constraint surface of the feasible set.
 
@@ -206,14 +226,7 @@ def feasible_project(fset: FeasibleSet, G: np.ndarray) -> np.ndarray:
     ``diag(G gram G') = I``; orthogonal mode returns the nearest
     orthogonal matrix (polar factor).
     """
-    G = np.asarray(G, dtype=float)
-    if fset.mode == "orthogonal":
-        return polar(G)
-    d = np.einsum("ij,jk,ik->i", G, fset.gram, G)
-    if np.any(d <= 1e-300):
-        bad = int(np.argmin(d))
-        raise DegenerateRotationError(f"row {bad} of the rotation is numerically zero")
-    return G / np.sqrt(d)[:, None]
+    return _feasible_project(np.asarray(G, dtype=float), fset.gram, fset.mode)
 
 
 def sample_feasible(fset: FeasibleSet, rng: np.random.Generator) -> np.ndarray:

@@ -110,12 +110,21 @@ class FitConfig:
     reasonable solution. ``tol`` bounds every row's Newton decrement
     ``g'H^{-1}g`` relative to that row's risk ``f``: the fit has converged
     when ``g'H^{-1}g <= tol * (1 + |f|)`` for every row of both blocks.
-    ``max_iters`` caps the number of sweeps.
+    ``max_iters`` caps the number of sweeps. A given ``M`` must be
+    positive, and ``max_iters`` and ``tol`` nonnegative.
     """
 
     M: float | None = None
     max_iters: int = 1000
     tol: float = 1e-11
+
+    def __post_init__(self):
+        if not (self.M is None or self.M > 0):
+            raise ValueError("the row-norm cap M must be strictly positive")
+        if self.max_iters < 0:
+            raise ValueError("max_iters must be nonnegative")
+        if not self.tol >= 0:
+            raise ValueError("tol must be nonnegative")
 
 
 @dataclass
@@ -236,8 +245,8 @@ def erm_fit(
     config = config or FitConfig()
     Y = data.values
     n, q = Y.shape
-    if n < r or q < r:
-        raise ValueError(f"need n, q >= r; got n={n}, q={q}, r={r}")
+    if not 1 <= r <= min(n, q):
+        raise ValueError(f"need 1 <= r <= min(n, q); got n={n}, q={q}, r={r}")
     family = data.family
 
     start = spectral_warm_start(data, r)
@@ -446,24 +455,23 @@ def _newton_update(
     return B_new
 
 
+ORACLE_TOL, ORACLE_MAX_ITER = 1e-10, 100
+
+
 def _separable_fit(
-    X: np.ndarray,
-    targets: np.ndarray,
-    family: ResponseFamily,
-    name: str = "B",
-    tol: float = 1e-10,
-    max_iter: int = 100,
+    X: np.ndarray, targets: np.ndarray, family: ResponseFamily, name: str = "B"
 ) -> np.ndarray:
     """Solve ``min_b sum_m l(x_m' b; y_mk)`` for every target column ``k``.
 
     Damped Newton vectorized across columns; rows of the output ``name``
     are the per-column solutions. A column is active while its gradient
-    norm exceeds ``tol``. The first pass evaluates every column; each
-    later pass evaluates only the columns the previous step moved, and a
-    settled column keeps its last risk and gradient norm, since it does
-    not move again. Columns whose problem has no finite minimizer
-    (separable binary data) are detected by a gradient that will not
-    vanish and raise :class:`OracleFitError`, which names ``name``.
+    norm exceeds ``ORACLE_TOL``, for at most ``ORACLE_MAX_ITER`` passes.
+    The first pass evaluates every column; each later pass evaluates only
+    the columns the previous step moved, and a settled column keeps its
+    last risk and gradient norm, since it does not move again. Columns
+    whose problem has no finite minimizer (separable binary data) are
+    detected by a gradient that will not vanish and raise
+    :class:`OracleFitError`, which names ``name``.
     """
     X = np.asarray(X, dtype=float)
     m, r = X.shape
@@ -475,7 +483,7 @@ def _separable_fit(
     f = np.empty(k)  # the last pass's risks, and the line search's reference
     gnorm = np.empty(k)
     idx = np.arange(k)  # the columns to evaluate: all, then those just moved
-    for it in range(max_iter + 1):
+    for it in range(ORACLE_MAX_ITER + 1):
         cells, d1, w = _risk_cells(family, X @ B[idx].T, targets[:, idx], 2)
         f[idx] = cells.sum(axis=0)
         grad = d1.T @ X
@@ -486,9 +494,9 @@ def _separable_fit(
         # 19-23k minor faults per 500 x 500 bernoulli fit)
         del cells, d1
         gnorm[idx] = np.linalg.norm(grad, axis=1)
-        active = gnorm[idx] > tol
+        active = gnorm[idx] > ORACLE_TOL
         idx = idx[active]
-        if not idx.size or it == max_iter:
+        if not idx.size or it == ORACLE_MAX_ITER:
             break
         d, dec, _ = _newton_direction(X, w[:, active], grad[active])
         # inside the quadratic basin the objective decrease falls below
@@ -514,11 +522,13 @@ def _separable_fit(
     return B
 
 
-def oracle_fit_A(data: ResponseMatrix, Z_star: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Fit every row of ``A`` with the latent scores held fixed at ``Z_star``."""
-    return _separable_fit(np.asarray(Z_star, dtype=float), data.values, data.family, "A", tol)
+def oracle_fit_A(data: ResponseMatrix, Z_star: np.ndarray) -> np.ndarray:
+    """Fit every row of ``A`` with the latent scores held fixed at ``Z_star``,
+    to a gradient norm of ``ORACLE_TOL`` per row."""
+    return _separable_fit(np.asarray(Z_star, dtype=float), data.values, data.family, "A")
 
 
-def oracle_fit_Z(data: ResponseMatrix, A_star: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Fit every row of ``Z`` with the representation held fixed at ``A_star``."""
-    return _separable_fit(np.asarray(A_star, dtype=float), data.values.T, data.family, "Z", tol)
+def oracle_fit_Z(data: ResponseMatrix, A_star: np.ndarray) -> np.ndarray:
+    """Fit every row of ``Z`` with the representation held fixed at
+    ``A_star``, to a gradient norm of ``ORACLE_TOL`` per row."""
+    return _separable_fit(np.asarray(A_star, dtype=float), data.values.T, data.family, "Z")

@@ -242,9 +242,6 @@ class InferenceReport:
     Every array is ``q x r``, one entry per entry of ``A``.
     """
 
-    estimates: ParamPair
-    cov_A: RowCovariance
-    level: float
     lower_A: np.ndarray
     upper_A: np.ndarray
     z_A: np.ndarray
@@ -252,8 +249,6 @@ class InferenceReport:
     p_A: np.ndarray
     adjusted_p_A: np.ndarray
     rejections_A: np.ndarray
-    adjust_method: str
-    per_column: bool
 
 
 def build_report(
@@ -274,17 +269,4 @@ def build_report(
     lower_A, upper_A, z_A, se_A = wald_intervals(params.A, cov_A, level)
     p_A = two_sided_p(z_A)
     adjusted, rejections = adjust_p_values(p_A, alpha, adjust, per_column)
-    return InferenceReport(
-        estimates=params,
-        cov_A=cov_A,
-        level=level,
-        lower_A=lower_A,
-        upper_A=upper_A,
-        z_A=z_A,
-        se_A=se_A,
-        p_A=p_A,
-        adjusted_p_A=adjusted,
-        rejections_A=rejections,
-        adjust_method=adjust,
-        per_column=per_column,
-    )
+    return InferenceReport(lower_A, upper_A, z_A, se_A, p_A, adjusted, rejections)

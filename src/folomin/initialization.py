@@ -27,6 +27,8 @@ __all__ = [
     "candidate_sets",
 ]
 
+MIN_SET_SIZE = 2
+
 
 @dataclass(frozen=True)
 class InitConfig:
@@ -35,7 +37,7 @@ class InitConfig:
     ``delta`` floors the product of the two compared row images (rows
     below the floor are treated as uninformative); ``delta_prime`` is
     the cosine slack defining a cluster; clusters smaller than
-    ``min_set_size`` are ignored to guard against singleton noise.
+    ``MIN_SET_SIZE`` are ignored to guard against singleton noise.
 
     The cluster slack must sit between the similarity estimation noise
     and the angular gap separating truly proportional rows from merely
@@ -45,15 +47,12 @@ class InitConfig:
 
     delta: float = 0.01
     delta_prime: float = 0.01
-    min_set_size: int = 2
 
     def __post_init__(self):
         if not self.delta > 0:
             raise ValueError("delta must be strictly positive")
         if not 0 < self.delta_prime < 1:
             raise ValueError("delta_prime must lie in (0, 1)")
-        if self.min_set_size < 1:
-            raise ValueError("min_set_size must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -121,8 +120,7 @@ def axes_from_sets(params: ParamPair, sets: list[frozenset[int]]) -> InitResult:
     sign-fixed toward nonnegative column sums on its own set; a diagonal
     rescale keeps the rotated latent columns at unit empirical variance.
     """
-    A0, Z0 = params.A, params.Z
-    r = A0.shape[1]
+    A0, r = params.A, params.r
     if len(sets) != r:
         raise ValueError(f"need exactly {r} sets, got {len(sets)}")
     V = np.empty((r, r))
@@ -141,8 +139,7 @@ def axes_from_sets(params: ParamPair, sets: list[frozenset[int]]) -> InitResult:
     V_inv = np.linalg.inv(V)
     scale = np.sqrt(np.diag(V_inv @ V_inv.T))
     G0 = V_inv / scale[:, None]
-    out = ParamPair(Z0 @ G0.T, A0 @ np.linalg.inv(G0))
-    return InitResult(params=out, rotation=G0, selected_sets=list(sets))
+    return InitResult(params=params.rotate(G0), rotation=G0, selected_sets=list(sets))
 
 
 def init_rotation(
@@ -163,5 +160,5 @@ def init_rotation(
     config = config or InitConfig()
     if sims is None:
         sims = similarity_matrix(params, config.delta)
-    selected = candidate_sets(sims, config.delta_prime, params.r, config.min_set_size)
+    selected = candidate_sets(sims, config.delta_prime, params.r, MIN_SET_SIZE)
     return axes_from_sets(params, selected)

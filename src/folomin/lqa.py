@@ -17,29 +17,31 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .criteria import FoldedLoss, folded_criterion, polar
+from .criteria import FoldedLoss, _feasible_project, folded_criterion
 from .erm import ParamPair
 from .exceptions import DegenerateSubproblemError
 
 __all__ = ["LqaConfig", "LqaTrace", "LqaResult", "lqa_weights", "lqa_subproblem", "lqa_run"]
+
+# bound on each step's distance from the identity in operator norm: a
+# numerical guard, since any fixed value works
+STEP_RADIUS = 1.0
 
 
 @dataclass(frozen=True)
 class LqaConfig:
     """Settings for the rotation iterations.
 
-    ``R`` bounds the per-step rotation's distance from the identity (a
-    numerical guard; any fixed value works), ``eta`` regularizes the
-    quadratic weights so they stay bounded near zero loadings and should
-    be at least the estimation-error scale of the loadings (0.15 matches
-    moderate sample sizes), and ``T`` is the number of iterations (one
-    suffices for the statistical guarantee; a few more polish the
-    solution). ``fit_pipeline`` and ``folomin fit`` take their ``eta``
-    and ``T`` defaults from here.
+    ``eta`` regularizes the quadratic weights so they stay bounded near
+    zero loadings and should be at least the estimation-error scale of
+    the loadings (0.15 matches moderate sample sizes), and ``T`` is the
+    number of iterations (one suffices for the statistical guarantee; a
+    few more polish the solution). ``fit_pipeline`` and ``folomin fit``
+    take their ``eta`` and ``T`` defaults from here. Each step stays
+    within the constant ``STEP_RADIUS`` of the identity.
     """
 
     loss: FoldedLoss
-    R: float = 1.0
     eta: float = 0.15
     T: int = 5
     mode: str = "oblique"
@@ -47,8 +49,6 @@ class LqaConfig:
     def __post_init__(self):
         if not self.eta > 0:
             raise ValueError("eta must be strictly positive")
-        if not self.R > 0:
-            raise ValueError("R must be strictly positive")
         if self.T < 0:
             raise ValueError("T must be nonnegative")
         if self.mode not in ("oblique", "orthogonal"):
@@ -148,33 +148,22 @@ def lqa_run(start: ParamPair, config: LqaConfig) -> LqaResult:
     trace. Orthogonal mode projects each step's rotation onto the
     orthogonal group instead of rescaling against the latent Gram.
     """
-    Z, A = start.Z, start.A
-    n, r = Z.shape[0], Z.shape[1]
-    loss = config.loss
-    G_total = np.eye(r)
+    pair, loss = start, config.loss
+    G_total = np.eye(start.r)
     trace = LqaTrace()
-    trace.criterion.append(folded_criterion(A, loss))
+    trace.criterion.append(folded_criterion(pair.A, loss))
 
     for _ in range(config.T):
-        w = lqa_weights(A, loss, config.eta)
-        H = lqa_subproblem(A, w, config.R)
-        H_inv = np.linalg.inv(H)
-        if config.mode == "orthogonal":
-            G = polar(H_inv)
-        else:
-            gram = Z.T @ Z / n
-            d = np.einsum("ij,jk,ik->i", H_inv, gram, H_inv)
-            G = H_inv / np.sqrt(d)[:, None]
-        G_inv = np.linalg.inv(G)
-        Z = Z @ G.T
-        A = A @ G_inv
+        H = lqa_subproblem(pair.A, lqa_weights(pair.A, loss, config.eta), STEP_RADIUS)
+        G = _feasible_project(np.linalg.inv(H), pair.gram(), config.mode)
+        pair = pair.rotate(G)
         G_total = G @ G_total
 
-        crit = folded_criterion(A, loss)
+        crit = folded_criterion(pair.A, loss)
         if not math.isfinite(crit):
             raise DegenerateSubproblemError("criterion became non-finite during iteration")
         trace.criterion.append(crit)
-        trace.step_norms.append(float(np.linalg.norm(H - np.eye(r), 2)))
-        trace.gram_residuals.append(float(np.abs(np.diag(Z.T @ Z / n) - 1.0).max()))
+        trace.step_norms.append(float(np.linalg.norm(H - np.eye(start.r), 2)))
+        trace.gram_residuals.append(float(np.abs(np.diag(pair.gram()) - 1.0).max()))
 
-    return LqaResult(G_total=G_total, params=ParamPair(Z, A), trace=trace)
+    return LqaResult(G_total=G_total, params=pair, trace=trace)

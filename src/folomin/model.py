@@ -152,40 +152,35 @@ def _cells(family: ResponseFamily, theta: np.ndarray, y: np.ndarray, order: int)
     return (f, d1) if order == 1 else (f, d1, d2)
 
 
-def _checked(family: ResponseFamily, theta, y, order: int, out):
+def _checked(family: ResponseFamily, theta, y, order: int):
     theta = np.asarray(theta, dtype=float)
     y = np.asarray(y, dtype=float)
     family.validate_responses(y)
-    value = _cells(family, theta, y, order)[order]
-    if out is not None:
-        np.copyto(out, value)
-        value = out
-    return value[()]
+    return _cells(family, theta, y, order)[order][()]
 
 
-def risk(family: ResponseFamily, theta, y, out=None):
+def risk(family: ResponseFamily, theta, y):
     """Per-cell risk ``l(theta; y)``; convex in ``theta`` for every family.
 
-    The responses are validated first (:class:`DomainError`). The result
-    is written into ``out`` when it is given.
+    The responses are validated first (:class:`DomainError`).
     """
-    return _checked(family, theta, y, 0, out)
+    return _checked(family, theta, y, 0)
 
 
-def risk_d1(family: ResponseFamily, theta, y, out=None):
-    """First derivative of the risk in ``theta``, written into ``out`` when given."""
-    return _checked(family, theta, y, 1, out)
+def risk_d1(family: ResponseFamily, theta, y):
+    """First derivative of the risk in ``theta``, after the same validation."""
+    return _checked(family, theta, y, 1)
 
 
-def risk_d2(family: ResponseFamily, theta, y=None):
+def risk_d2(family: ResponseFamily, theta):
     """Second derivative; nonnegative everywhere, and strictly positive on
     any bounded interval for the bernoulli and poisson families. It does
-    not depend on ``y``."""
+    not depend on the responses."""
     return _cells(family, np.asarray(theta, dtype=float), np.zeros(()), 2)[2][()]
 
 
-def risk_d3(family: ResponseFamily, theta, y=None):
-    """Third derivative."""
+def risk_d3(family: ResponseFamily, theta):
+    """Third derivative; like the second, it does not depend on the responses."""
     theta = np.asarray(theta, dtype=float)
     if family.kind == "gaussian":
         return np.zeros_like(theta)

@@ -11,14 +11,12 @@ from .criteria import FoldedLoss, folded_criterion
 from .erm import FitConfig, FitResult, ParamPair, ResponseMatrix, erm_fit
 from .exceptions import CollinearAxesError, InsufficientSimpleStructureError
 from .inference import plugin_covariances_A_all, row_variances
-from .initialization import InitResult, similarity_matrix
+from .initialization import MIN_SET_SIZE, InitResult, similarity_matrix
 from .lqa import LqaConfig, LqaResult, lqa_run
 
 __all__ = ["PipelineResult", "suggest_gamma", "fit_pipeline", "make_loss", "auto_init"]
 
 AUTO_DELTA_PRIME_GRID = (0.02, 0.01, 0.005, 0.0025)
-# clusters smaller than MIN_SET_SIZE are ignored as singleton noise
-MIN_SET_SIZE = 2
 EXTRA_SETS = 2
 
 

@@ -273,7 +273,11 @@ def _run_one_rep(design: SimDesign, methods, rep: int, seed_seq, level: float, v
 
 
 def _rep_task(args):
-    return _run_one_rep(*args)
+    """One replication's :class:`RepResult`, or its failure as ``{rep, error}``."""
+    try:
+        return _run_one_rep(*args)
+    except (FolominError, np.linalg.LinAlgError) as exc:
+        return {"rep": args[2], "error": f"{type(exc).__name__}: {exc}"}
 
 
 def _limit_worker_blas():
@@ -327,6 +331,8 @@ def run_replications(
     """
     if n_reps < 1:
         raise ValueError("n_reps must be at least 1")
+    if not 0 < level < 1:
+        raise ValueError("level must lie in (0, 1)")
     unknown = [m for m in methods if m not in SIM_METHODS]
     if unknown:
         raise ValueError(f"unknown methods {unknown}; expected subset of {SIM_METHODS}")
@@ -337,25 +343,13 @@ def run_replications(
     seed_seqs = np.random.SeedSequence(design.seed).spawn(n_reps)
     tasks = [(design, tuple(methods), k, seed_seqs[k], level, vintage_seed) for k in range(n_reps)]
 
-    results: list = [None] * n_reps
-    failures: list = []
     if workers == 1:
-        for k, task in enumerate(tasks):
-            try:
-                results[k] = _rep_task(task)
-            except (FolominError, np.linalg.LinAlgError) as exc:
-                failures.append({"rep": k, "error": f"{type(exc).__name__}: {exc}"})
+        results = list(map(_rep_task, tasks))
     else:
         with ProcessPoolExecutor(max_workers=workers, initializer=_limit_worker_blas) as pool:
-            futures = {pool.submit(_rep_task, task): k for k, task in enumerate(tasks)}
-            for fut, k in futures.items():
-                try:
-                    results[k] = fut.result()
-                except (FolominError, np.linalg.LinAlgError) as exc:
-                    failures.append({"rep": k, "error": f"{type(exc).__name__}: {exc}"})
-        failures.sort(key=lambda f: f["rep"])
-
-    kept = [res for res in results if res is not None]
+            results = list(pool.map(_rep_task, tasks))
+    failures = [res for res in results if isinstance(res, dict)]
+    kept = [res for res in results if isinstance(res, RepResult)]
 
     recs = {
         m: [(res.per_method[m], res.A_star) for res in kept if m in res.per_method]

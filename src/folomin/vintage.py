@@ -11,9 +11,7 @@ variances are one.
 The ascent holds rotated loadings in the transposed layout ``(k, r, q)``,
 with the ``q`` rows innermost, so every reduction over rows runs along
 contiguous memory, and the Newton curvature is one batched matrix
-product over ``(k, p, r q)``. The fourth powers are ``sq * sq`` of the
-squares already formed: numpy evaluates ``L**4`` by calling ``pow`` per
-cell, which took most of the criterion's time.
+product over ``(k, p, r q)``. The criterion comes from :mod:`criteria`.
 """
 
 from __future__ import annotations
@@ -22,22 +20,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import polar, varimax_criterion
+from .criteria import _varimax_value_grad, polar, varimax_criterion
 from .exceptions import DegenerateTargetError
 
 __all__ = ["VintageConfig", "varimax_rotate", "promax_rotate", "VarimaxResult", "PromaxResult"]
 
 
+MAX_ITERS = 1000
+TOL = 1e-10
+RESTARTS = 10
+
+
 @dataclass(frozen=True)
 class VintageConfig:
-    """Optimizer settings for the baseline rotations. ``max_iters`` caps
-    the steps of each varimax start; the result is converged when its
-    stationarity residual, the norm of the skew part of ``G' W' grad``,
-    is at most ``tol``."""
+    """Kaiser row normalization and the seed of the random varimax starts.
+    Each of the ``RESTARTS`` starts takes at most ``MAX_ITERS`` steps; the
+    result is converged when its stationarity residual, the norm of the
+    skew part of ``G' W' grad``, is at most ``TOL``."""
 
-    max_iters: int = 1000
-    tol: float = 1e-10
-    restarts: int = 10
     kaiser_normalize: bool = True
     seed: int = 0
 
@@ -57,19 +57,6 @@ class PromaxResult:
     G: np.ndarray
     A_rot: np.ndarray
     factor_correlation: np.ndarray
-
-
-def _varimax_value_grad(Lt: np.ndarray):
-    """Criterion and its gradient in the rotated loadings, both in the
-    transposed layout: ``Lt`` is ``L'``, ``(r, q)`` or a stack
-    ``(k, r, q)`` giving ``k`` values, and the gradient comes back
-    ``(..., r, q)`` too."""
-    q = Lt.shape[-1]
-    sq = Lt * Lt
-    col_means = sq.mean(axis=-1, keepdims=True)
-    value = ((sq * sq).sum(axis=-1) - q * col_means[..., 0] ** 2).sum(axis=-1) / q
-    grad = 4.0 / q * Lt * (sq - col_means)
-    return value, grad
 
 
 def _row_norms(A: np.ndarray) -> np.ndarray:
@@ -144,9 +131,9 @@ def _ascend(W: np.ndarray, G: np.ndarray, max_iters: int):
 
 
 def _starts(r: int, config: VintageConfig) -> np.ndarray:
-    """The identity, then ``restarts - 1`` random rotations from ``seed``."""
+    """The identity, then ``RESTARTS - 1`` random rotations from ``seed``."""
     rng = np.random.default_rng(config.seed)
-    random_starts = polar(rng.standard_normal((max(config.restarts - 1, 0), r, r)))
+    random_starts = polar(rng.standard_normal((RESTARTS - 1, r, r)))
     return np.concatenate([np.eye(r)[None], random_starts])
 
 
@@ -170,11 +157,11 @@ def varimax_rotate(A: np.ndarray, config: VintageConfig | None = None) -> Varima
         return VarimaxResult(np.eye(1), A.copy(), varimax_criterion(A), 0, True, ())
 
     W = A / _row_norms(A) if config.kaiser_normalize else A
-    G, f, iters, history = _ascend(W, _starts(r, config), config.max_iters)
+    G, f, iters, history = _ascend(W, _starts(r, config), MAX_ITERS)
     best = int(np.argmax(f >= f.max() - 1e-12 * (1.0 + abs(f.max()))))
     G = polar(G[best])  # refresh orthogonality to machine precision
     M = G.T @ W.T @ _varimax_value_grad(G.T @ W.T)[1].T
-    converged = bool(np.linalg.norm(M - M.T) / 2.0 <= config.tol)
+    converged = bool(np.linalg.norm(M - M.T) / 2.0 <= TOL)
     trace = tuple(history[: iters[best] + 1, best].tolist())
     A_rot = A @ G
     return VarimaxResult(G, A_rot, varimax_criterion(A_rot), int(iters[best]), converged, trace)

@@ -78,3 +78,31 @@ def test_every_module_is_reachable_from_the_package_or_the_entry_point():
         reached.add(name)
         frontier |= _package_imports(name) - reached
     assert set(MODULES) <= reached, f"modules nothing imports: {sorted(set(MODULES) - reached)}"
+
+
+def _public_functions(name: str):
+    """The ``def`` nodes of module ``name``'s ``__all__`` functions and of
+    the methods of its ``__all__`` classes, with their qualified names."""
+    module = importlib.import_module(f"folomin.{name}")
+    public = set(getattr(module, "__all__", ()))
+    tree = ast.parse((Path(folomin.__file__).parent / f"{name}.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name in public:
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef) and node.name in public:
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield f"{node.name}.{item.name}", item
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_public_parameters_are_read(name):
+    # a parameter the body never reads is a setting that does nothing
+    unread = []
+    for qualname, node in _public_functions(name):
+        args = node.args
+        declared = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)]
+        declared += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+        used = {n.id for stmt in node.body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+        unread += [f"{qualname}({arg})" for arg in declared if arg not in used]
+    assert not unread, f"folomin.{name} declares parameters its body never reads: {unread}"

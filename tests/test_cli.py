@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from folomin import ResponseFamily, ResponseMatrix, build_report
-from folomin.cli import _write_csv, main
+from folomin.cli import _write_csv, _write_json, main
 from folomin.erm import ParamPair
 from folomin.sim import SimDesign, gen_dataset
 
@@ -59,6 +59,13 @@ def test_simulate_usage_errors(tmp_path, capsys):
         ["simulate", "--n", "100", "--q", "80", "--r", "2", "--reps", "0", "--out", str(tmp_path)]
     )
     assert code == 2
+
+    # a level outside (0, 1) would give a nan multiplier and zero coverage
+    base = ["simulate", "--n", "100", "--q", "80", "--r", "2", "--reps", "1"]
+    code = main(base + ["--level", "1.5", "--out", str(tmp_path / "level")])
+    assert code == 2
+    assert "usage error: level must lie in (0, 1)" in capsys.readouterr().err
+    assert not (tmp_path / "level" / "summary.json").exists()
 
 
 def test_simulate_determinism(tmp_path):
@@ -171,6 +178,28 @@ def test_fit_domain_violation(tmp_path):
     bad.write_text("a,b,c\n0.0,1.0,2.0\n1.0,0.0,1.0\n0.5,1.0,0.0\n")
     code = main(["fit", str(bad), "--family", "bernoulli", "--r", "2"])
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "option, message",
+    [
+        (["--r", "0"], "1 <= r <= min(n, q)"),
+        (["--r", "61"], "1 <= r <= min(n, q)"),
+        (["--r", "2", "--max-iters", "-1"], "max_iters must be nonnegative"),
+        (["--r", "2", "--cap", "-1"], "cap M must be strictly positive"),
+        (["--r", "2", "--cap", "0"], "cap M must be strictly positive"),
+        (["--r", "2", "--tol", "-1"], "tol must be nonnegative"),
+    ],
+    ids=["r-zero", "r-above-q", "max-iters", "cap-negative", "cap-zero", "tol"],
+)
+def test_fit_rejects_bad_numeric_options(tmp_path, capsys, option, message):
+    data_csv = tmp_path / "data.csv"
+    _write_dataset(data_csv)
+    code = main(["fit", str(data_csv), "--family", "bernoulli", *option, "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and message in err
+    assert not (tmp_path / "A.csv").exists()
 
 
 def test_infer_requires_model(tmp_path):
@@ -375,3 +404,45 @@ def test_csv_writer_matches_a_per_cell_reference(tmp_path):
         for row in matrix:
             writer.writerow([_fmt(x) for x in row])
     assert (tmp_path / "matrix.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+def _json_ready(obj):
+    """The former JSON preparation: an explicit walk that rounds every
+    float through 17 significant digits."""
+    if isinstance(obj, dict):
+        return {k: _json_ready(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_ready(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [_json_ready(v) for v in obj.tolist()]
+    if isinstance(obj, (np.floating, float)):
+        return float(f"{float(obj):.17g}")
+    if isinstance(obj, np.integer):
+        return int(obj)
+    return obj
+
+
+def test_json_writer_matches_the_explicit_walk(tmp_path):
+    rng = np.random.default_rng(4)
+    special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 2.2250738585072014e-308, 0.1]
+    payload = {
+        "f64": np.float64(0.1) + np.float64(0.2),
+        "i64": np.int64(-7),
+        "float": 1 / 3,
+        "one_d": np.array(special),
+        "two_d": rng.standard_normal((3, 2)) * 10.0 ** rng.integers(-300, 300, (3, 2)),
+        "ints": np.arange(4),
+        "tuple": (np.float64(-0.0), 1, "x", (np.nan, np.int64(3))),
+        "nested": {"b": {"inf": -np.inf, "sub": np.float64(5e-324)}, "a": [np.array([[1.0]])]},
+        "plain": [True, None, "text"],
+    }
+    _write_json(tmp_path / "fast.json", payload)
+    reference = json.dumps(_json_ready(payload), indent=2, sort_keys=True) + "\n"
+    assert (tmp_path / "fast.json").read_bytes() == reference.encode()
+    # the walk raised on a 0-d array; the writer gives its scalar
+    zero_d = {"x": np.array(-0.0), "y": np.array(5e-324), "z": np.array(7)}
+    _write_json(tmp_path / "zero_d.json", zero_d)
+    reference = json.dumps(_json_ready({k: v.item() for k, v in zero_d.items()}), indent=2)
+    assert (tmp_path / "zero_d.json").read_text() == reference + "\n"
+    with pytest.raises(TypeError, match="set is not JSON serializable"):
+        _write_json(tmp_path / "bad.json", {"s": {1}})

@@ -110,5 +110,3 @@ def test_init_config_validation():
         InitConfig(delta=0.0)
     with pytest.raises(ValueError):
         InitConfig(delta_prime=1.0)
-    with pytest.raises(ValueError):
-        InitConfig(min_set_size=0)

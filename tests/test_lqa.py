@@ -174,8 +174,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         LqaConfig(loss=loss, eta=0.0)
     with pytest.raises(ValueError):
-        LqaConfig(loss=loss, R=0.0)
-    with pytest.raises(ValueError):
         LqaConfig(loss=loss, T=-1)
     with pytest.raises(ValueError):
         LqaConfig(loss=loss, mode="sideways")

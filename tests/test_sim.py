@@ -15,6 +15,7 @@ from folomin import (
     varimax_rotate,
 )
 from folomin.inference import align
+from folomin.sim import gen_dataset
 
 
 def test_design_validation():
@@ -167,6 +168,9 @@ def test_run_replications_validation():
         run_replications(design, n_reps=0)
     with pytest.raises(ValueError):
         run_replications(design, methods=("oracle", "mystery"), n_reps=1)
+    for level in (0.0, 1.0, 1.5):
+        with pytest.raises(ValueError, match=r"level must lie in \(0, 1\)"):
+            run_replications(design, methods=("oracle",), n_reps=1, level=level)
 
 
 def test_run_replications_rejects_unknown_options():
@@ -190,6 +194,45 @@ def test_failures_are_recorded_not_silent(monkeypatch):
     assert len(summary.failures) == 2
     assert all("rep" in f and "error" in f for f in summary.failures)
     assert summary.mean_coverage_A == {}
+
+
+def test_failures_match_between_serial_and_pooled_runs(monkeypatch):
+    # the odd replications fail; with and without workers the same ones
+    # fail, in rep order, and the same ones are kept (forked workers
+    # inherit the patched module)
+    from folomin import sim
+
+    design = _tiny_design()
+    streams = np.random.SeedSequence(design.seed).spawn(4)
+    odd = {
+        gen_dataset(design, np.random.Generator(np.random.Philox(streams[k])))[2].values.tobytes()
+        for k in (1, 3)
+    }
+    fit_pipeline = sim.fit_pipeline
+
+    def failing_on_odd_reps(data, *args, **kwargs):
+        if data.values.tobytes() in odd:
+            raise InsufficientSimpleStructureError(found=1, needed=2)
+        return fit_pipeline(data, *args, **kwargs)
+
+    monkeypatch.setattr(sim, "fit_pipeline", failing_on_odd_reps)
+    serial, pooled = (
+        run_replications(design, methods=("folomin_mcp",), n_reps=4, workers=workers)
+        for workers in (1, 2)
+    )
+    assert [f["rep"] for f in serial.failures] == [1, 3]
+    assert serial.failures == pooled.failures
+    assert serial.n_failed == pooled.n_failed == 2
+    assert [res.rep for res in serial.rep_results] == [0, 2]
+    assert [res.rep for res in pooled.rep_results] == [0, 2]
+    for a, b in zip(serial.rep_results, pooled.rep_results):
+        assert np.array_equal(a.A_star, b.A_star)
+        np.testing.assert_allclose(
+            a.per_method["folomin_mcp"]["aligned_A"],
+            b.per_method["folomin_mcp"]["aligned_A"],
+            rtol=0,
+            atol=1e-12,
+        )
 
 
 def test_promax_uses_the_vintage_seed(monkeypatch):

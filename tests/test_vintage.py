@@ -14,7 +14,7 @@ from folomin import (
     varimax_rotate,
 )
 from folomin import vintage
-from folomin.criteria import polar
+from folomin.criteria import _varimax_value_grad, polar
 
 A_BLOCK = np.array(
     [[1.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0], [0.0, 1.0], [0.5, 0.3]]
@@ -213,7 +213,7 @@ def test_batched_starts_keep_the_best_single_start(A):
     W = _row_normalized(A)
     best = varimax_criterion(W @ varimax_rotate(A, config).G)
     for G0 in vintage._starts(A.shape[1], config):
-        _, f, _, _ = vintage._ascend(W, G0[None], config.max_iters)
+        _, f, _, _ = vintage._ascend(W, G0[None], vintage.MAX_ITERS)
         assert best >= f[0] - 1e-12 * (1.0 + abs(f[0]))
 
 
@@ -233,8 +233,9 @@ def test_value_and_gradient_match_the_fourth_power_formula(r, q, k, seed):
     col_means = sq.mean(axis=-2, keepdims=True)
     value = ((L**4).sum(axis=-2) - q * col_means[..., 0, :] ** 2).sum(axis=-1) / q
     grad = 4.0 / q * L * (sq - col_means)
-    got_value, got_grad = vintage._varimax_value_grad(np.swapaxes(L, 1, 2))
+    got_value, got_grad = _varimax_value_grad(np.swapaxes(L, 1, 2))
     np.testing.assert_allclose(got_value, value, rtol=1e-13, atol=0)
+    np.testing.assert_allclose([varimax_criterion(Lk) for Lk in L], value, rtol=1e-13, atol=0)
     np.testing.assert_allclose(np.swapaxes(got_grad, 1, 2), grad, rtol=0, atol=1e-15)
 
 
