@@ -24,7 +24,7 @@ print(f"constrained fit: {pipe.fit.trace.n_iters} iterations, status {pipe.fit.t
 print(f"initial rotation: selected cluster sizes {[len(s) for s in pipe.init.selected_sets]}")
 print(f"chosen loss scale: gamma = {pipe.gammas['mcp']:.4f}")
 
-params = align_pair(pipe.params("mcp"), A_star)
+params, _ = align_pair(pipe.params("mcp"), A_star)
 A_or = oracle_fit_A(data, Z_star)
 
 rms = np.sqrt(((params.A - A_star) ** 2).mean())

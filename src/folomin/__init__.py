@@ -51,6 +51,8 @@ from .inference import (
     build_report,
     plugin_covariances_A_all,
     plugin_covariances_Z_all,
+    rotated_covariances_A,
+    rotated_covariances_Z,
     two_sided_p,
     wald_intervals,
 )

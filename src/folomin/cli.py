@@ -198,7 +198,6 @@ def cmd_simulate(args) -> int:
     if args.reps < 1:
         raise ValueError("--reps must be at least 1")
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     design = SimDesign(
         n=args.n,
         q=args.q,
@@ -220,6 +219,8 @@ def cmd_simulate(args) -> int:
     summary = run_replications(
         design, methods=methods, n_reps=args.reps, level=args.level, workers=args.workers
     )
+    # made once the study has validated its design, methods and level
+    out.mkdir(parents=True, exist_ok=True)
 
     methods, metrics, tables = [], [], []
     for method in summary.methods:
@@ -401,7 +402,6 @@ def cmd_infer(args) -> int:
     t0 = time.time()
     model_dir = Path(args.model_dir)
     out = Path(args.out) if args.out else model_dir
-    out.mkdir(parents=True, exist_ok=True)
     meta, params = _load_model(model_dir)
 
     data_path = Path(args.data) if args.data else Path(meta["data"])
@@ -426,6 +426,7 @@ def cmd_infer(args) -> int:
         per_column=args.per_column,
     )
     p_bonf, _ = adjust_p_values(report.p_A, args.alpha, "bonferroni", args.per_column)
+    out.mkdir(parents=True, exist_ok=True)
 
     columns = meta.get("columns")
     items = [

@@ -23,10 +23,17 @@ of its smaller Gram rather than a full SVD.
 ``oracle_fit_A`` / ``oracle_fit_Z`` solve the row-separable convex
 problems obtained when the opposite block is known, by damped Newton
 vectorized across rows; they and the ERM sweeps share one Newton step.
-The oracle works on an active set: after its first pass it evaluates
-only the rows its last step moved, since a settled row does not move
-again. A row that takes the full Newton step is evaluated only where its
-value is read, which is in the ERM's ``A`` step alone.
+That step evaluates each trial point once, at order 2, so the risk,
+gradient and curvature of an accepted row feed the next direction with
+no further kernel call: the ``Z`` step's cells serve the ``A`` step
+(the normalization keeps ``Z A'``), and the ``A`` step's cells serve the
+next sweep's test and ``Z`` step (so does the diagonalization). Only a
+halved or retaken step is evaluated again. The oracle works on an
+active set: a settled row does not move again, so each step evaluates
+only the rows that are still active. An ERM fit also returns
+the bread and meat stacks of its plug-in sandwiches at the returned
+pair: the breads are the rows' risk Hessians that its last convergence
+test formed, and the meats come from the gradients it holds there.
 """
 
 from __future__ import annotations
@@ -144,8 +151,22 @@ class FitTrace:
 
 @dataclass(frozen=True)
 class FitResult:
+    """A fitted pair, its trace, and the bread and meat stacks of the
+    sandwich covariances of every row at ``params``.
+
+    Row ``j`` of ``A`` has bread ``Z' diag(l''_j) Z / n`` and meat
+    ``Z' diag(l'_j^2) Z / n``, with the risk's derivatives ``l'`` and
+    ``l''`` taken at column ``j`` of ``Z A'``; row ``i`` of ``Z`` has the
+    same with ``A``, row ``i`` of ``Z A'`` and ``q``. Each stack is
+    ``(k, r, r)``.
+    """
+
     params: ParamPair
     trace: FitTrace
+    bread_A: np.ndarray
+    meat_A: np.ndarray
+    bread_Z: np.ndarray
+    meat_Z: np.ndarray
 
 
 def _normalize(Z: np.ndarray, A: np.ndarray):
@@ -262,13 +283,24 @@ def erm_fit(
     trace = FitTrace()
     rows_A, rows_Z = np.arange(q), np.arange(n)
     nu = np.zeros(n)
+    # Z A' and the risk cells and both derivatives there, carried from the
+    # accepted trial points of each step to the next: (n, q) buffers that
+    # every evaluation of all rows overwrites, the Z step's through their
+    # transposes
+    buffers = tuple(np.empty((n, q)) for _ in range(4))
+    transposed = tuple(b.T for b in buffers)
+    _, cells, d1, W = buffers
+    _row_cells(Z, Y, family, A, rows_A, buffers)
     for sweep in range(config.max_iters + 1):
-        f_A, f_Z, G_A, G_Z, W = _cells(family, Y, Z, A)
+        f_A, f_Z = cells.sum(axis=0), cells.sum(axis=1)
         trace.objectives.append(float(f_A.sum()))
-        _, dec_A, mu = _newton_direction(Z, W, G_A, A, M)
+        # the rows' risk Hessians, which at the returned pair are also the
+        # breads of its sandwiches
+        grams_A, grams_Z = row_grams(Z, W), row_grams(A, W.T)
+        _, dec_A, mu = _newton_direction(grams_A, d1.T @ Z, A, M)
         price = _CapPrice(Z, A, mu, nu)
         f_Z += price(Z, rows_Z)
-        d_Z, dec_Z, nu = _newton_direction(A, W.T, G_Z + price.grad(Z), Z, M, price.K)
+        d_Z, dec_Z, nu = _newton_direction(grams_Z, d1 @ A + price.grad(Z), Z, M, price.K)
         rel_A, rel_Z = dec_A / (1.0 + np.abs(f_A)), dec_Z / (1.0 + np.abs(f_Z))
         trace.stationarity = float(max(rel_A.max(), rel_Z.max()))
         if trace.stationarity <= config.tol:
@@ -283,23 +315,27 @@ def erm_fit(
             )
             break
         pure_Z = _full_step(rel_Z, Z, M)
-        Z_new = _newton_update(A, Y.T, family, Z, f_Z, rows_Z, d_Z, dec_Z, pure_Z, price)
+        Z_new, _ = _newton_update(
+            A, Y.T, family, Z, f_Z, rows_Z, d_Z, dec_Z, pure_Z, price, transposed
+        )
         # the priced Z step lowers the Lagrangian, not always the risk once
         # caps bind; a sweep that would raise the risk is retaken with the
         # Z step halved, down to the plain A step, which cannot raise it
-        for _halving in range(30):
+        for retake in range(30):
+            # the normalization keeps Z A', so the cells at Z_new serve the A step
             Z_s, A_s = _normalize(Z_new, A)
-            f_A, _, G_A, _, W = _cells(family, Y, Z_s, A_s)
-            d_A, dec_A, _ = _newton_direction(Z_s, W, G_A, A_s, M)
-            rel_A = dec_A / (1.0 + np.abs(f_A))
-            pure_A = _full_step(rel_A, A_s, M)
-            A_s = _newton_update(
-                Z_s, Y, family, A_s, f_A, rows_A, d_A, dec_A, pure_A, pure_values=True
+            f_A = cells.sum(axis=0)
+            d_A, dec_A, _ = _newton_direction(row_grams(Z_s, W), d1.T @ Z_s, A_s, M)
+            pure_A = _full_step(dec_A / (1.0 + np.abs(f_A)), A_s, M)
+            A_s, _ = _newton_update(
+                Z_s, Y, family, A_s, f_A, rows_A, d_A, dec_A, pure_A, out=buffers
             )
             f = trace.objectives[-1]
-            if f_A.sum() <= f + 1e-12 * (1.0 + abs(f)):
+            if f_A.sum() <= f + 1e-12 * (1.0 + abs(f)) or retake == 29:
                 break
             Z_new = 0.5 * (Z + Z_new)
+            _row_cells(A, Y.T, family, Z_new, rows_Z, transposed)
+        # an orthogonal co-rotation: Z A' and the cells stay
         Z, A = _diagonalize(Z_s, A_s)
     trace.n_iters = sweep
 
@@ -309,7 +345,15 @@ def erm_fit(
     trace.max_row_norm = float(
         max(np.linalg.norm(Z, axis=1).max(), np.linalg.norm(A, axis=1).max())
     )
-    return FitResult(ParamPair(Z, A), trace)
+    meat = np.square(d1, out=d1)
+    return FitResult(
+        ParamPair(Z, A),
+        trace,
+        bread_A=grams_A / n,
+        meat_A=row_grams(Z, meat) / n,
+        bread_Z=grams_Z / q,
+        meat_Z=row_grams(A, meat.T) / q,
+    )
 
 
 def _full_step(rel: np.ndarray, B: np.ndarray, M: float) -> np.ndarray:
@@ -319,13 +363,6 @@ def _full_step(rel: np.ndarray, B: np.ndarray, M: float) -> np.ndarray:
     resolution of the row risk, and those the normalization left outside
     the ball, which the full step puts back on it."""
     return (rel <= 1e-8) | (np.linalg.norm(B, axis=1) > M)
-
-
-def _cells(family: ResponseFamily, Y: np.ndarray, Z: np.ndarray, A: np.ndarray):
-    """Row risks and risk gradients of both blocks, and the risk's second
-    derivative at every cell of ``Z A'``."""
-    cells, d1, d2 = _risk_cells(family, Z @ A.T, Y, 2)
-    return cells.sum(axis=0), cells.sum(axis=1), d1.T @ Z, d1 @ A, d2
 
 
 def row_grams(X: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -339,10 +376,11 @@ def row_grams(X: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (w.T @ outer).reshape(w.shape[1], r, r)
 
 
-def _newton_direction(X, w, grad, B=None, M=None, K=None):
+def _newton_direction(grams, grad, B=None, M=None, K=None):
     """Newton directions ``d_k = -H_k^{-1} g_k``, decrements ``-g_k' d_k``
-    and cap multipliers for the row problems with design ``X``, cell
-    curvatures ``w[:, k]`` and gradients ``grad[k]``.
+    and cap multipliers for the row problems with risk Hessians
+    ``grams[k]`` (:func:`row_grams` of the design and the cell
+    curvatures) and gradients ``grad[k]``.
 
     ``K`` is added to every row's Hessian. With a cap ``M``, a row
     ``B[k]`` whose Newton point leaves the ball moves instead to the
@@ -350,8 +388,7 @@ def _newton_direction(X, w, grad, B=None, M=None, K=None):
     also vanishes when the cap holds it on the sphere; its multiplier is
     that minimizer's ``mu`` (zero for every other row).
     """
-    r = X.shape[1]
-    H = row_grams(X, w) + 1e-12 * np.eye(r)
+    H = grams + 1e-12 * np.eye(grams.shape[1])
     if K is not None:
         H += K
     d = -np.linalg.solve(H, grad[:, :, None])[:, :, 0]
@@ -413,46 +450,66 @@ def _model_minimizer_on_ball(H: np.ndarray, x0: np.ndarray, M: float):
     return np.einsum("kij,kj->ki", V, s * (M / norm)[:, None]), mu
 
 
-def _newton_update(
-    X, targets, family, B, f, idx, d, dec, pure, price=None, pure_values=False
-) -> np.ndarray:
-    """One damped Newton step for rows ``idx`` of ``B``.
+def _newton_update(X, targets, family, B, f, idx, d, dec, pure, price=None, out=None):
+    """One damped Newton step for rows ``idx`` (increasing) of ``B``.
 
     Row ``idx[i]`` moves along ``d[i]``, whose decrement is ``dec[i]``.
     Rows flagged ``pure`` take the full step; the others halve it until
     the Armijo condition on their own risk (plus ``price(b, row)`` when
-    it is given) holds, and stay put if it never does. Returns the new
-    ``B`` and writes the accepted rows' values into ``f``. The risk of a
-    full-step row is evaluated only with ``pure_values``: the ``A`` step
-    of :func:`erm_fit` sums those values, while its ``Z`` step and the
-    oracle fits never read them.
+    it is given) holds, and stay put if it never does. Each trial point
+    is evaluated once, at order 2, and the full steps of all rows share
+    one kernel call. Writes the accepted rows' values into ``f`` and
+    returns the new ``B`` with the risk cells and both derivatives at its
+    rows ``idx`` (each ``(m, idx.size)``, column ``i`` for row
+    ``idx[i]``); a row that stays put is evaluated again where it is.
+    ``out`` takes the evaluation as :func:`_row_cells` describes.
     """
-
-    def value(cand, cols):
-        f_c = _risk_cells(family, X @ cand.T, targets[:, cols], 0)[0].sum(axis=0)
-        return f_c if price is None else f_c + price(cand, cols)
-
     B_new = B.copy()
-    if pure.any():
-        cand = B[idx[pure]] + d[pure]
-        B_new[idx[pure]] = cand
-        if pure_values:
-            f[idx[pure]] = value(cand, idx[pure])
     t = np.ones(idx.size)
-    accepted = pure.copy()
+    todo = np.arange(idx.size)
+    cells = None
     for _ in range(50):
-        todo = ~accepted
-        if not todo.any():
-            break
         cand = B[idx[todo]] + t[todo, None] * d[todo]
-        f_c = value(cand, idx[todo])
+        trial = _row_cells(X, targets, family, cand, idx[todo], out)
+        f_c = trial[0].sum(axis=0)
+        if price is not None:
+            f_c += price(cand, idx[todo])
         ok = f_c <= f[idx[todo]] - 1e-4 * t[todo] * dec[todo]
-        sel = np.flatnonzero(todo)[ok]
-        B_new[idx[sel]] = cand[ok]
-        f[idx[sel]] = f_c[ok]
-        accepted[sel] = True
-        t[np.flatnonzero(todo)[~ok]] *= 0.5
-    return B_new
+        if cells is None:
+            ok |= pure
+            cells = trial
+        else:
+            for c, c_trial in zip(cells, trial):
+                c[:, todo[ok]] = c_trial[:, ok]
+        B_new[idx[todo[ok]]] = cand[ok]
+        f[idx[todo[ok]]] = f_c[ok]
+        todo = todo[~ok]
+        if not todo.size:
+            return B_new, cells
+        t[todo] *= 0.5
+    for c, c_stay in zip(cells, _row_cells(X, targets, family, B[idx[todo]], idx[todo])):
+        c[:, todo] = c_stay
+    return B_new, cells
+
+
+def _row_cells(X, targets, family, rows, cols, out=None):
+    """Risk cells and both derivatives of the row problems ``cols``
+    (increasing) at the points ``rows``: one kernel call on ``X rows'``
+    against the targets' columns ``cols``.
+
+    ``out`` holds four ``(m, k)`` arrays, or transposes of ``(k, m)``
+    ones, for a call on all ``k`` columns: ``X rows'`` and the three
+    outputs are written there, in the arrays' own memory order.
+    """
+    if out is None or cols.size < targets.shape[1]:
+        y = targets if cols.size == targets.shape[1] else targets[:, cols]
+        return _risk_cells(family, X @ rows.T, y, 2)
+    theta = out[0]
+    if theta.flags.c_contiguous:
+        np.matmul(X, rows.T, out=theta)
+    else:
+        np.matmul(rows, X.T, out=theta.T)
+    return _risk_cells(family, theta, targets, 2, out[1:])
 
 
 ORACLE_TOL, ORACLE_MAX_ITER = 1e-10, 100
@@ -466,9 +523,10 @@ def _separable_fit(
     Damped Newton vectorized across columns; rows of the output ``name``
     are the per-column solutions. A column is active while its gradient
     norm exceeds ``ORACLE_TOL``, for at most ``ORACLE_MAX_ITER`` passes.
-    The first pass evaluates every column; each later pass evaluates only
-    the columns the previous step moved, and a settled column keeps its
-    last risk and gradient norm, since it does not move again. Columns
+    Every column is evaluated at the start; after that, each pass's step
+    evaluates only the active columns' trial points, whose risk, gradient
+    and curvature feed the next pass, and a settled column keeps its last
+    risk and gradient norm, since it does not move again. Columns
     whose problem has no finite minimizer (separable binary data) are
     detected by a gradient that will not vanish and raise
     :class:`OracleFitError`, which names ``name``.
@@ -480,14 +538,13 @@ def _separable_fit(
         raise DegenerateFitError("design matrix is rank deficient")
 
     B = np.zeros((k, r))
-    f = np.empty(k)  # the last pass's risks, and the line search's reference
+    idx = np.arange(k)  # the active columns: all, then those not yet settled
+    cells, d1, w = _row_cells(X, targets, family, B, idx)
+    f = cells.sum(axis=0)  # each column's last risk, the line search's reference
+    grad = d1.T @ X
     gnorm = np.empty(k)
-    idx = np.arange(k)  # the columns to evaluate: all, then those just moved
     for it in range(ORACLE_MAX_ITER + 1):
-        cells, d1, w = _risk_cells(family, X @ B[idx].T, targets[:, idx], 2)
-        f[idx] = cells.sum(axis=0)
-        grad = d1.T @ X
-        # the curvatures stay referenced until the next pass replaces them,
+        # the curvatures stay referenced until the next step replaces them,
         # while the other outputs are freed now: glibc then reuses the freed
         # memory below them instead of returning the heap top to the system
         # and faulting fresh pages in on every pass (under 3k instead of
@@ -498,11 +555,14 @@ def _separable_fit(
         idx = idx[active]
         if not idx.size or it == ORACLE_MAX_ITER:
             break
-        d, dec, _ = _newton_direction(X, w[:, active], grad[active])
+        d, dec, _ = _newton_direction(row_grams(X, w[:, active]), grad[active])
         # inside the quadratic basin the objective decrease falls below
         # float resolution; take pure Newton steps there instead of
         # stalling on the value-based line search
-        B = _newton_update(X, targets, family, B, f, idx, d, dec, gnorm[idx] < 1e-4)
+        B, (cells, d1, w) = _newton_update(
+            X, targets, family, B, f, idx, d, dec, gnorm[idx] < 1e-4
+        )
+        grad = d1.T @ X
 
     bad = np.union1d(idx, np.flatnonzero(np.linalg.norm(B, axis=1) > 1e6))
     if bad.size:

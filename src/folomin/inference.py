@@ -17,7 +17,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.special import ndtr, ndtri
 
-from .erm import ParamPair, row_grams
+from .erm import FitResult, ParamPair, row_grams
 from .exceptions import DegenerateVarianceError, IllConditionedCovarianceError
 from .model import ResponseMatrix
 from .model import _cells as _risk_cells
@@ -27,6 +27,8 @@ __all__ = [
     "InferenceReport",
     "plugin_covariances_A_all",
     "plugin_covariances_Z_all",
+    "rotated_covariances_A",
+    "rotated_covariances_Z",
     "row_variances",
     "wald_intervals",
     "two_sided_p",
@@ -66,13 +68,16 @@ def _sandwich_stack(
 
     ``X`` is the (m, r) design shared by all rows, ``d1``/``d2`` are
     (m, k) arrays of risk derivatives evaluated at the fit. Column ``k``
-    is row ``k`` of the matrix ``name`` (``A`` or ``Z``); if any bread is
-    ill-conditioned, the error names the row whose bread has the largest
-    condition number.
+    is row ``k`` of the matrix ``name`` (``A`` or ``Z``).
     """
     m = X.shape[0]
-    breads = row_grams(X, d2) / m
-    meats = row_grams(X, d1**2) / m
+    return _sandwich(row_grams(X, d2) / m, row_grams(X, d1**2) / m, scale, name)
+
+
+def _sandwich(breads: np.ndarray, meats: np.ndarray, scale: int, name: str) -> RowCovariance:
+    """Sandwich covariances from (k, r, r) stacks of breads and meats of
+    the rows of ``name``; if any bread is ill-conditioned, the error names
+    the row whose bread has the largest condition number."""
     conds = np.linalg.cond(breads)
     if np.any(conds > 1e10):
         k = int(np.argmax(conds))
@@ -86,16 +91,6 @@ def _sandwich_stack(
     return RowCovariance(breads, meats, sands, scale)
 
 
-def _sandwich_stacks(data: ResponseMatrix, params: ParamPair):
-    """Sandwich covariances of every row of ``A`` and of ``Z``, from one
-    pass of the risk kernel at ``Z A'``."""
-    _, d1, d2 = _risk_cells(data.family, params.theta(), data.values, 2)
-    return (
-        _sandwich_stack(params.Z, d1, d2, params.n, "A"),
-        _sandwich_stack(params.A, d1.T, d2.T, params.q, "Z"),
-    )
-
-
 def plugin_covariances_A_all(data: ResponseMatrix, params: ParamPair) -> RowCovariance:
     """Sandwich covariances for every row of the representation matrix."""
     _, d1, d2 = _risk_cells(data.family, params.theta(), data.values, 2)
@@ -106,6 +101,28 @@ def plugin_covariances_Z_all(data: ResponseMatrix, params: ParamPair) -> RowCova
     """Sandwich covariances for every row of the latent score matrix."""
     _, d1, d2 = _risk_cells(data.family, params.theta(), data.values, 2)
     return _sandwich_stack(params.A, d1.T, d2.T, params.q, "Z")
+
+
+def rotated_covariances_A(fit: FitResult, G: np.ndarray) -> RowCovariance:
+    """Sandwich covariances for every row of ``A`` at the rotation
+    ``fit.params.rotate(G) = (Z G', A G^{-1})`` of a fitted pair.
+
+    The rotation keeps ``Z A'``, so the risk's derivatives at every cell
+    are those of the fit, and each row's bread and meat are the fit's
+    under the congruence ``G B G'``; no kernel pass is needed.
+    """
+    G = np.asarray(G, dtype=float)
+    return _sandwich(G @ fit.bread_A @ G.T, G @ fit.meat_A @ G.T, fit.params.n, "A")
+
+
+def rotated_covariances_Z(fit: FitResult, G: np.ndarray) -> RowCovariance:
+    """Sandwich covariances for every row of ``Z`` at
+    ``fit.params.rotate(G)``: the fit's breads and meats under the
+    congruence ``G^{-T} B G^{-1}``, as in :func:`rotated_covariances_A`."""
+    G_inv = np.linalg.inv(np.asarray(G, dtype=float))
+    return _sandwich(
+        G_inv.T @ fit.bread_Z @ G_inv, G_inv.T @ fit.meat_Z @ G_inv, fit.params.q, "Z"
+    )
 
 
 def row_variances(covariances: RowCovariance) -> np.ndarray:
@@ -179,10 +196,12 @@ def adjust_p_values(p: np.ndarray, alpha: float, method: str, per_column: bool):
     With ``per_column`` each column is its own testing family (one per
     latent dimension); otherwise one family covers all entries. Returns
     the adjusted p-values and the rejections at ``alpha``, shaped like
-    ``p``.
+    ``p``. ``alpha`` must lie in (0, 1).
     """
     if method not in ("bh", "bonferroni"):
         raise ValueError(f"unknown adjustment {method!r}")
+    if not 0 < alpha < 1:
+        raise ValueError("alpha must lie in (0, 1)")
     adjuster = bh_adjust if method == "bh" else bonferroni_adjust
     if not per_column:
         adjusted, rejections = adjuster(p.ravel(), alpha)
@@ -226,12 +245,16 @@ def align(estimate: np.ndarray, truth: np.ndarray):
     return perm, signs, aligned
 
 
-def align_pair(params: ParamPair, truth_A: np.ndarray) -> ParamPair:
+def align_pair(params: ParamPair, truth_A: np.ndarray):
     """Apply the signed permutation aligning ``A`` to ``truth_A`` to both
-    blocks, preserving the fitted product."""
+    blocks, preserving the fitted product.
+
+    Returns the aligned pair and the signed permutation ``P`` that makes
+    it: the pair is ``params.rotate(P)``.
+    """
     perm, signs, A_aligned = align(params.A, truth_A)
-    Z_aligned = params.Z[:, perm] * signs
-    return ParamPair(Z_aligned, A_aligned)
+    P = (np.eye(params.r)[:, perm] * signs).T
+    return ParamPair(params.Z[:, perm] * signs, A_aligned), P
 
 
 @dataclass(frozen=True)

@@ -81,22 +81,22 @@ def similarity_matrix(params: ParamPair, delta: float) -> np.ndarray:
 
 
 def candidate_sets(
-    sims: np.ndarray, delta_prime: float, r: int, min_size: int, extra: int = 0
+    sims: np.ndarray, delta_prime: float, r: int, extra: int = 0
 ) -> list[frozenset[int]]:
     """Greedy pick of the largest pairwise-disjoint candidate sets.
 
     The candidate set of row ``j`` collects the rows whose similarity to
-    it exceeds ``1 - delta_prime``. Candidates of at least ``min_size``
-    rows are ordered by size descending with ties broken by the smallest
-    anchor index; a candidate is accepted iff disjoint from all
-    previously accepted sets. Up to ``r + extra`` sets are returned (the
-    surplus lets a caller consider alternative axis combinations); fewer
-    than ``r`` raises.
+    it exceeds ``1 - delta_prime``. Candidates of at least
+    ``MIN_SET_SIZE`` rows are ordered by size descending with ties broken
+    by the smallest anchor index; a candidate is accepted iff disjoint
+    from all previously accepted sets. Up to ``r + extra`` sets are
+    returned (the surplus lets a caller consider alternative axis
+    combinations); fewer than ``r`` raises.
     """
     candidate = sims > 1.0 - delta_prime
     sets = [set(np.flatnonzero(row).tolist()) for row in candidate]
     order = sorted(
-        (j for j, s in enumerate(sets) if len(s) >= min_size),
+        (j for j, s in enumerate(sets) if len(s) >= MIN_SET_SIZE),
         key=lambda j: (-len(sets[j]), j),
     )
     chosen: list[frozenset[int]] = []
@@ -160,5 +160,5 @@ def init_rotation(
     config = config or InitConfig()
     if sims is None:
         sims = similarity_matrix(params, config.delta)
-    selected = candidate_sets(sims, config.delta_prime, params.r, MIN_SET_SIZE)
+    selected = candidate_sets(sims, config.delta_prime, params.r)
     return axes_from_sets(params, selected)

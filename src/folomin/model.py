@@ -90,10 +90,13 @@ class ResponseFamily:
                 )
 
 
-def _cells(family: ResponseFamily, theta: np.ndarray, y: np.ndarray, order: int) -> tuple:
+def _cells(
+    family: ResponseFamily, theta: np.ndarray, y: np.ndarray, order: int, out=None
+) -> tuple:
     """Per-cell risk at ``theta`` and, for ``order`` 1 or 2, its first and
-    second derivatives: a tuple of ``order + 1`` fresh arrays of the
-    broadcast shape of ``theta`` and ``y``.
+    second derivatives: a tuple of ``order + 1`` arrays of the broadcast
+    shape of ``theta`` and ``y``, fresh unless ``out`` gives the three
+    arrays to write them into (order 2 only).
 
     Unchecked: ``theta`` and ``y`` must be float arrays, with ``y`` in the
     family's support. :class:`ResponseMatrix` validates its values once,
@@ -113,30 +116,37 @@ def _cells(family: ResponseFamily, theta: np.ndarray, y: np.ndarray, order: int)
     bernoulli's boolean sign mask of ``theta``.
     """
     shape = np.broadcast_shapes(theta.shape, y.shape)
+
+    def empty(k):
+        """The array that becomes output ``k``."""
+        return np.empty(shape) if out is None else out[k]
+
     if family.kind == "gaussian":
-        diff = np.subtract(theta, y, out=np.empty(shape))
-        out = [np.square(diff, out=np.empty(shape))]
+        diff = np.subtract(theta, y, out=empty(1))
+        cells = [np.square(diff, out=empty(0))]
         if order >= 1:
             diff *= 2.0
-            out.append(diff)
+            cells.append(diff)
         if order == 2:
-            out.append(np.full(shape, 2.0))
-        return tuple(out)
+            d2 = empty(2)
+            d2.fill(2.0)
+            cells.append(d2)
+        return tuple(cells)
     if family.kind == "poisson":
-        e = np.exp(theta, out=np.empty(shape))
-        f = np.multiply(y, theta, out=np.empty(shape))
-        out = [np.subtract(e, f, out=f)]
+        e = np.exp(theta, out=empty(2))
+        f = np.multiply(y, theta, out=empty(0))
+        cells = [np.subtract(e, f, out=f)]
         if order >= 1:
-            out.append(np.subtract(e, y, out=np.empty(shape)))
+            cells.append(np.subtract(e, y, out=empty(1)))
         if order == 2:
-            out.append(e)
-        return tuple(out)
-    e = np.abs(theta, out=np.empty(shape))
+            cells.append(e)
+        return tuple(cells)
+    e = np.abs(theta, out=empty(1))
     np.negative(e, out=e)
     np.exp(e, out=e)
-    f = np.maximum(theta, 0.0, out=np.empty(shape))
+    f = np.maximum(theta, 0.0, out=empty(0))
     # at order 0, e is not needed again and holds the scratch terms
-    scratch = np.log1p(e, out=e if order == 0 else np.empty(shape))
+    scratch = np.log1p(e, out=e if order == 0 else empty(2))
     f += scratch
     np.multiply(y, theta, out=scratch)
     f -= scratch

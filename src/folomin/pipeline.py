@@ -10,7 +10,7 @@ import numpy as np
 from .criteria import FoldedLoss, folded_criterion
 from .erm import FitConfig, FitResult, ParamPair, ResponseMatrix, erm_fit
 from .exceptions import CollinearAxesError, InsufficientSimpleStructureError
-from .inference import plugin_covariances_A_all, row_variances
+from .inference import RowCovariance, rotated_covariances_A, row_variances
 from .initialization import MIN_SET_SIZE, InitResult, similarity_matrix
 from .lqa import LqaConfig, LqaResult, lqa_run
 
@@ -31,8 +31,9 @@ def make_loss(kind: str, gamma: float) -> FoldedLoss:
     raise ValueError(f"unknown loss kind {kind!r}")
 
 
-def suggest_gamma(data: ResponseMatrix, params: ParamPair, a3: float) -> float:
-    """Data-driven scale for the folded loss.
+def suggest_gamma(A: np.ndarray, covariances: RowCovariance, a3: float) -> float:
+    """Data-driven scale for the folded loss at the loadings ``A``, from
+    the sandwich covariances of their rows.
 
     The smallest loading magnitude that clears three plug-in standard
     errors, divided by ``a3 + 1`` so the loss plateau stays below the
@@ -41,21 +42,20 @@ def suggest_gamma(data: ResponseMatrix, params: ParamPair, a3: float) -> float:
     the safety headroom. Falls back to three times the median standard
     error when nothing is significant.
     """
-    se = np.sqrt(row_variances(plugin_covariances_A_all(data, params)))
-    mags = np.abs(params.A)
+    se = np.sqrt(row_variances(covariances))
+    mags = np.abs(A)
     significant = mags > 3.0 * se
     lam_hat = float(mags[significant].min()) if significant.any() else 3.0 * float(np.median(se))
     return lam_hat / (a3 + 1.0)
 
 
 def auto_init(
-    data: ResponseMatrix,
-    params: ParamPair,
+    fit: FitResult,
     delta: float = 0.01,
     grid: tuple = AUTO_DELTA_PRIME_GRID,
 ) -> InitResult:
-    """Initial rotation with cluster slack and axis sets chosen by the
-    criterion.
+    """Initial rotation of a fitted pair, with cluster slack and axis sets
+    chosen by the criterion.
 
     No single cluster slack is safe in every sample: a loose one can
     merge a bundle of merely-similar dense rows into a fake axis, a
@@ -74,13 +74,14 @@ def auto_init(
 
     from .initialization import axes_from_sets, candidate_sets
 
+    params = fit.params
     r = params.r
     sims = similarity_matrix(params, delta)
     candidates: list[InitResult] = []
     found_max = 0
     for dp in grid:
         try:
-            top = candidate_sets(sims, dp, r, MIN_SET_SIZE, extra=EXTRA_SETS)
+            top = candidate_sets(sims, dp, r, extra=EXTRA_SETS)
         except InsufficientSimpleStructureError as exc:
             found_max = max(found_max, exc.found)
             continue
@@ -98,7 +99,7 @@ def auto_init(
             f">= {MIN_SET_SIZE}; best attempt found {found_max}",
         )
     ref = candidates[0]
-    gamma_cmp = suggest_gamma(data, ref.params, a3=3.0)
+    gamma_cmp = suggest_gamma(ref.params.A, rotated_covariances_A(fit, ref.rotation), a3=3.0)
     loss_cmp = FoldedLoss.mcp(gamma_cmp, 3.0)
     return min(candidates, key=lambda c: folded_criterion(c.params.A, loss_cmp))
 
@@ -134,15 +135,16 @@ def fit_pipeline(
     """
     losses = {"mcp": None} if losses is None else losses
     fit = erm_fit(data, r, config=fit_config)
-    init = auto_init(data, fit.params, delta=init_delta) if losses else None
+    init = auto_init(fit, delta=init_delta) if losses else None
 
     rotations: dict[str, LqaResult] = {}
     gammas: dict[str, float] = {}
+    cov_A = rotated_covariances_A(fit, init.rotation) if init else None
     for name, loss in losses.items():
         if loss is None:
             # the plateau multiple a3 does not depend on the scale
             a3 = make_loss(name, 1.0).a3
-            loss = make_loss(name, suggest_gamma(data, init.params, a3))
+            loss = make_loss(name, suggest_gamma(init.params.A, cov_A, a3))
         gammas[name] = loss.gamma
         cfg = LqaConfig(loss=loss, eta=eta, T=T, mode=mode)
         rotations[name] = lqa_run(init.params, cfg)

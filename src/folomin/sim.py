@@ -31,11 +31,12 @@ from .criteria import polar
 from .erm import FitConfig, ParamPair, oracle_fit_A, oracle_fit_Z
 from .exceptions import FolominError
 from .inference import (
-    _sandwich_stacks,
     align,
     align_pair,
     plugin_covariances_A_all,
     plugin_covariances_Z_all,
+    rotated_covariances_A,
+    rotated_covariances_Z,
     row_variances,
 )
 from .model import ResponseFamily, ResponseMatrix, sample_response
@@ -230,11 +231,15 @@ def _run_one_rep(design: SimDesign, methods, rep: int, seed_seq, level: float, v
         )
         gammas = dict(pipe.gammas)
 
+    # every rotated method is a rotation of the ERM fit, whose sandwich
+    # stacks give its covariances by congruence
     for m in folomin_methods:
-        kind = m.split("_", 1)[1]
-        params = align_pair(pipe.rotations[kind].params, A_star)
-        cov_A, cov_Z = _sandwich_stacks(data, params)
-        per_method[m] = _method_metrics(params.A, np.sqrt(row_variances(cov_A)), A_star, level)
+        rotation = pipe.rotations[m.split("_", 1)[1]]
+        params, P = align_pair(rotation.params, A_star)
+        G = P @ rotation.G_total @ pipe.init.rotation
+        se = np.sqrt(row_variances(rotated_covariances_A(pipe.fit, G)))
+        per_method[m] = _method_metrics(params.A, se, A_star, level)
+        cov_Z = rotated_covariances_Z(pipe.fit, G)
         per_method[m]["mean_cover_Z"] = _mean_cover_Z(params.Z, cov_Z, Z_star, level)
 
     if "oracle" in methods:
@@ -253,8 +258,8 @@ def _run_one_rep(design: SimDesign, methods, rep: int, seed_seq, level: float, v
         vres = varimax_rotate(fitted.A, vintage_config)
 
     if "varimax" in methods or "varimax_debiased" in methods:
-        params = align_pair(ParamPair(fitted.Z @ vres.G, vres.A_rot), A_star)
-        se = np.sqrt(row_variances(plugin_covariances_A_all(data, params)))
+        params, P = align_pair(ParamPair(fitted.Z @ vres.G, vres.A_rot), A_star)
+        se = np.sqrt(row_variances(rotated_covariances_A(pipe.fit, P @ vres.G.T)))
         if "varimax" in methods:
             per_method["varimax"] = _method_metrics(params.A, se, A_star, level)
         if "varimax_debiased" in methods:
@@ -265,8 +270,8 @@ def _run_one_rep(design: SimDesign, methods, rep: int, seed_seq, level: float, v
 
     if "promax" in methods:
         pres = promax_rotate(fitted.A, 4, config=vintage_config, varimax=vres)
-        params = align_pair(ParamPair(fitted.Z @ pres.G.T, pres.A_rot), A_star)
-        se = np.sqrt(row_variances(plugin_covariances_A_all(data, params)))
+        params, P = align_pair(ParamPair(fitted.Z @ pres.G.T, pres.A_rot), A_star)
+        se = np.sqrt(row_variances(rotated_covariances_A(pipe.fit, P @ pres.G)))
         per_method["promax"] = _method_metrics(params.A, se, A_star, level)
 
     return RepResult(rep=rep, A_star=A_star, per_method=per_method, gammas=gammas)

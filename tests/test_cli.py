@@ -68,6 +68,18 @@ def test_simulate_usage_errors(tmp_path, capsys):
     assert not (tmp_path / "level" / "summary.json").exists()
 
 
+@pytest.mark.parametrize(
+    "option", [["--level", "1.5"], ["--methods", "oracle,lasso"], ["--r", "1"]],
+    ids=["level", "methods", "design"],
+)
+def test_simulate_usage_error_leaves_no_output_directory(tmp_path, capsys, option):
+    out = tmp_path / "never"
+    base = ["simulate", "--n", "100", "--q", "80", "--r", "2", "--reps", "1"]
+    assert main(base + option + ["--out", str(out)]) == 2
+    assert "usage error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_determinism(tmp_path):
     args = [
         "simulate", "--n", "100", "--q", "80", "--r", "2", "--tau", "0.0",
@@ -358,6 +370,15 @@ def test_infer_ignores_a_bad_data_cache(tmp_path, monkeypatch, spoil):
     assert (tmp_path / "spoiled" / "inference.csv").read_bytes() == (
         tmp_path / "good" / "inference.csv"
     ).read_bytes()
+
+
+@pytest.mark.parametrize("alpha", ["1.5", "0", "1"])
+def test_infer_rejects_alpha_outside_the_unit_interval(tmp_path, capsys, alpha):
+    _, model, _ = _fit_model(tmp_path)
+    out = tmp_path / "alpha"
+    assert main(["infer", str(model), "--alpha", alpha, "--out", str(out)]) == 2
+    assert "usage error: alpha must lie in (0, 1)" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_infer_with_a_cache_still_needs_the_data_file(tmp_path, capsys):

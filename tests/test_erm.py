@@ -26,6 +26,7 @@ from folomin.erm import (
     _newton_direction,
     _newton_update,
     _separable_fit,
+    row_grams,
 )
 from folomin.model import _cells
 from folomin.sim import SimDesign, gen_dataset
@@ -266,9 +267,9 @@ def _full_pass_fit(X, targets, family, tol=1e-10, max_iter=100):
         active = np.flatnonzero(gnorm > tol)
         if not active.size:
             break
-        d, dec, _ = _newton_direction(X, d2[:, active], grad[active])
+        d, dec, _ = _newton_direction(row_grams(X, d2[:, active]), grad[active])
         pure = gnorm[active] < 1e-4
-        B = _newton_update(X, targets, family, B, cells.sum(axis=0), active, d, dec, pure)
+        B, _ = _newton_update(X, targets, family, B, cells.sum(axis=0), active, d, dec, pure)
     return B
 
 
@@ -306,60 +307,85 @@ def test_active_set_solver_matches_full_passes(kind, m, k, r, seed):
     np.testing.assert_allclose(B, _full_pass_fit(X, Y, family), rtol=0, atol=1e-12)
 
 
-def test_oracle_passes_evaluate_only_the_moved_columns(monkeypatch):
+def test_separable_fit_evaluates_each_trial_point_once(monkeypatch):
     rng = np.random.default_rng(6)
     design = SimDesign(n=150, q=60, r=2, lambda_signal=0.3, tau=0.0, seed=1)
     Z_star, A_star, data = gen_dataset(design, rng)
-    calls, moves = [], []
-    kernel, update = erm._risk_cells, erm._newton_update
+    orders, points, outside, widths = [], [], [], []
+    kernel, row_cells, update = erm._risk_cells, erm._row_cells, erm._newton_update
+    depth = [0]
 
-    def counted_kernel(family, theta, y, order):
-        calls.append((order, theta.shape[1], y.copy()))
-        return kernel(family, theta, y, order)
+    def counted_kernel(family, theta, y, order, *args):
+        orders.append(order)
+        return kernel(family, theta, y, order, *args)
 
-    def counted_update(X, targets, family, B, f, idx, *args, **kwargs):
-        moves.append(idx.copy())
-        return update(X, targets, family, B, f, idx, *args, **kwargs)
+    def counted_row_cells(X, targets, family, rows, cols, *args):
+        outside.append(depth[0] == 0)
+        widths.append(cols.size)
+        points.extend((int(c), tuple(b)) for c, b in zip(cols, rows))
+        return row_cells(X, targets, family, rows, cols, *args)
+
+    def counted_update(*args, **kwargs):
+        depth[0] += 1
+        try:
+            return update(*args, **kwargs)
+        finally:
+            depth[0] -= 1
 
     monkeypatch.setattr(erm, "_risk_cells", counted_kernel)
+    monkeypatch.setattr(erm, "_row_cells", counted_row_cells)
     monkeypatch.setattr(erm, "_newton_update", counted_update)
     oracle_fit_A(data, Z_star)
-    passes = [(cols, y) for order, cols, y in calls if order == 2]
-    assert passes[0][0] == data.q and len(moves) >= 2
-    # one pass after each step, on exactly the columns that step moved
-    assert len(passes) == len(moves) + 1
-    for (cols, y), idx in zip(passes[1:], moves):
-        assert cols == idx.size
-        assert np.array_equal(y, data.values[:, idx])
-    assert moves[-1].size < data.q
+    # one order-2 call on every column at the start, then only the steps'
+    # trial points, none of them twice
+    assert orders == [2] * len(outside) and len(outside) >= 3
+    assert outside == [True] + [False] * (len(outside) - 1)
+    assert points[: data.q] == [(c, (0.0, 0.0)) for c in range(data.q)]
+    assert len(set(points)) == len(points)
+    # settled columns leave the active set and are not evaluated again
+    assert widths[0] == data.q and widths[-1] < data.q
 
 
-def test_erm_z_step_does_not_evaluate_full_step_rows(monkeypatch):
-    rng = np.random.default_rng(42)
-    design = SimDesign(n=200, q=200, r=2, lambda_signal=0.2, tau=0.0, seed=3)
-    _, _, data = gen_dataset(design, rng)
-    z_steps = []  # per Z step: rows left to the line search, widths of its kernel calls
-    kernel, update = erm._risk_cells, erm._newton_update
+@pytest.mark.parametrize(
+    "family, n, q, tau, seed, path",
+    [
+        pytest.param(ResponseFamily.bernoulli(), 120, 80, 0.5, 2, "plain", id="plain"),
+        pytest.param(ResponseFamily.bernoulli(), 120, 80, 0.5, 0, "retaken", id="retaken"),
+        pytest.param(ResponseFamily.poisson(), 40, 30, 0.0, 1, "halved", id="halved"),
+    ],
+)
+def test_erm_fit_evaluates_each_trial_point_once(family, n, q, tau, seed, path, monkeypatch):
+    # n != q tells the Z step's kernel calls, (q, n) and (q, k < n), from
+    # the A step's, (n, q) and (n, k < q)
+    design = SimDesign(n=n, q=q, r=2, lambda_signal=0.3, tau=tau, family=family, seed=seed)
+    _, _, data = gen_dataset(design, np.random.default_rng(seed))
+    shapes, attempts = [], [0]
+    kernel, normalize = erm._risk_cells, erm._normalize
 
-    def counted_kernel(family, theta, y, order):
-        if z_steps and z_steps[-1][2]:
-            z_steps[-1][1].append(theta.shape[1])
-        return kernel(family, theta, y, order)
+    def counted_kernel(family, theta, y, order, *args):
+        assert order == 2
+        shapes.append(theta.shape)
+        return kernel(family, theta, y, order, *args)
 
-    def counted_update(X, targets, family, B, f, idx, d, dec, pure, price=None, **kwargs):
-        if price is None:  # the A step
-            return update(X, targets, family, B, f, idx, d, dec, pure, **kwargs)
-        z_steps.append([int((~pure).sum()), [], True])
-        B_new = update(X, targets, family, B, f, idx, d, dec, pure, price, **kwargs)
-        z_steps[-1][2] = False
-        return B_new
+    def counted_normalize(Z, A):
+        attempts[0] += 1
+        return normalize(Z, A)
 
     monkeypatch.setattr(erm, "_risk_cells", counted_kernel)
-    monkeypatch.setattr(erm, "_newton_update", counted_update)
-    assert erm_fit(data, 2).trace.status == "converged"
-    assert any(searched < data.n for searched, _, _ in z_steps)
-    for searched, widths, _ in z_steps:
-        assert all(width <= searched for width in widths)
+    monkeypatch.setattr(erm, "_normalize", counted_normalize)
+    res = erm_fit(data, 2)
+    assert res.trace.status == "converged"
+    sweeps = res.trace.n_iters
+    # every A step follows a normalization, and so does the start
+    retakes = attempts[0] - 1 - sweeps
+    full = [shape for shape in shapes if shape in ((n, q), (q, n))]
+    halvings = [shape for shape in shapes if shape not in full]
+    # one call at the start, then for each sweep (and each retake) one
+    # evaluation of the Z step's trial points and one of the A step's;
+    # every other call evaluates the rows that a halving left to try again
+    assert len(full) == 2 * sweeps + 1 + 2 * retakes
+    assert all((m == n and k < q) or (m == q and k < n) for m, k in halvings)
+    assert (retakes > 0, len(halvings) > 0) == (path == "retaken", path == "halved")
 
 
 def test_oracle_fit_poisson_closed_form():

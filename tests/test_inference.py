@@ -1,4 +1,6 @@
+import functools
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -12,18 +14,23 @@ from folomin import (
     ResponseFamily,
     ResponseMatrix,
     align,
+    align_pair,
     bh_adjust,
     bonferroni_adjust,
     build_report,
+    erm_fit,
     oracle_fit_A,
     plugin_covariances_A_all,
     plugin_covariances_Z_all,
     risk_d2,
+    rotated_covariances_A,
+    rotated_covariances_Z,
     sample_response,
     wald_intervals,
 )
-from folomin.erm import row_grams
-from folomin.inference import row_variances, two_sided_p
+from folomin.erm import FitConfig, row_grams
+from folomin.inference import adjust_p_values, row_variances, two_sided_p
+from folomin.sim import SimDesign, gen_dataset
 
 
 def _orthonormal_scores(rng, n, r):
@@ -164,6 +171,18 @@ def test_align_examples():
     np.testing.assert_array_equal(signs, [1.0, 1.0, 1.0])
 
 
+def test_align_pair_returns_the_signed_permutation_it_applies():
+    rng = np.random.default_rng(8)
+    truth = rng.standard_normal((7, 3))
+    params = ParamPair(rng.standard_normal((9, 3)), truth[:, [2, 0, 1]] * [-1.0, 1.0, -1.0])
+    aligned, P = align_pair(params, truth)
+    np.testing.assert_allclose(aligned.A, truth, atol=1e-12)
+    np.testing.assert_array_equal(np.abs(P) @ np.abs(P).T, np.eye(3))
+    rotated = params.rotate(P)
+    np.testing.assert_array_equal(aligned.Z, rotated.Z)
+    np.testing.assert_array_equal(aligned.A, rotated.A)
+
+
 def test_align_matches_enumeration_oracle():
     rng = np.random.default_rng(9)
     truth = rng.standard_normal((5, 2))
@@ -287,3 +306,71 @@ def test_ill_conditioned_bread_names_the_requested_row():
         worst = int(np.argmax(np.linalg.cond(row_grams(X, d2) / X.shape[0])))
         with pytest.raises(IllConditionedCovarianceError, match=rf"row {worst} of {name} "):
             covariances(data, params)
+
+
+@functools.cache
+def _fitted(kind):
+    """A small r = 3 fit of each family, with its data."""
+    design = SimDesign(n=80, q=50, r=3, lambda_signal=0.3, tau=0.3, family=ResponseFamily(kind))
+    _, _, data = gen_dataset(design, np.random.default_rng(17))
+    with warnings.catch_warnings():
+        # the stacks belong to the returned pair whether or not it converged
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return data, erm_fit(data, 3, FitConfig(max_iters=50))
+
+
+def _rotation(seed, tiny):
+    """A random 3 x 3 matrix with singular values 1, 1.5 and ``tiny``."""
+    rng = np.random.default_rng(seed)
+    U, _, Vt = np.linalg.svd(rng.standard_normal((3, 3)))
+    return U @ np.diag([1.5, 1.0, tiny]) @ Vt
+
+
+def _close(derived, plugin):
+    # row by row, relative to the size of each matrix
+    gap = np.linalg.norm(derived - plugin, axis=(1, 2))
+    return np.all(gap <= 1e-9 * np.linalg.norm(plugin, axis=(1, 2)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    kind=st.sampled_from(["gaussian", "bernoulli", "poisson"]),
+    seed=st.integers(0, 2**32 - 1),
+    tiny=st.sampled_from([0.5, 1e-5]),
+)
+def test_rotated_covariances_match_a_fresh_sandwich(kind, seed, tiny):
+    # the stacks of any rotation (Z G', A G^{-1}) follow from the fit's by
+    # congruence; an ill-conditioned G makes every rotated bread
+    # ill-conditioned, and both ways must then fail on the same row
+    data, fit = _fitted(kind)
+    G = _rotation(seed, tiny)
+    params = fit.params.rotate(G)
+    d2 = risk_d2(data.family, params.theta())
+    for derive, plugin, X, w in (
+        (rotated_covariances_A, plugin_covariances_A_all, params.Z, d2),
+        (rotated_covariances_Z, plugin_covariances_Z_all, params.A, d2.T),
+    ):
+        try:
+            fresh = plugin(data, params)
+        except IllConditionedCovarianceError as exc:
+            with pytest.raises(IllConditionedCovarianceError) as info:
+                derive(fit, G)
+            assert tiny < 1e-3
+            # the row is well defined only when no other row comes close
+            conds = np.sort(np.linalg.cond(row_grams(X, w)))
+            if conds[-1] > 1.01 * conds[-2]:
+                assert str(info.value).split(" has ")[0] == str(exc).split(" has ")[0]
+            continue
+        assert tiny > 1e-3
+        derived = derive(fit, G)
+        assert derived.scale == fresh.scale
+        for name in ("bread", "meat", "sandwich"):
+            assert _close(getattr(derived, name), getattr(fresh, name)), name
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.1, float("nan")])
+def test_adjust_p_values_requires_alpha_inside_the_unit_interval(alpha):
+    p = np.full((4, 2), 0.01)
+    for method in ("bh", "bonferroni"):
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
+            adjust_p_values(p, alpha, method, per_column=True)

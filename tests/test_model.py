@@ -76,6 +76,13 @@ def test_risk_kernels_write_into_a_given_buffer(family):
         t00 = theta[0, 0]
         np.testing.assert_array_equal(kernel(family, t00, y), kernel(family, np.full_like(y, t00), y))
     assert kernel(family, 0.5, ys[0]) == kernel(family, np.array([0.5]), np.array([ys[0]]))[0]
+    # at order 2 the kernel writes into given arrays, here Fortran-ordered
+    # ones as in the ERM's Z step, with the values of fresh ones
+    out = tuple(np.full((4, 6), np.nan).T for _ in range(3))
+    written = _cells(family, np.asfortranarray(theta), np.asfortranarray(y), 2, out)
+    assert all(w is o for w, o in zip(written, out))
+    for w, fresh in zip(written, _cells(family, theta, y, 2)):
+        np.testing.assert_array_equal(w, fresh)
 
 
 @pytest.mark.parametrize("family", [GAUSS, BERN, POIS], ids=lambda f: f.kind)

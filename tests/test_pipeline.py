@@ -3,6 +3,7 @@ import pytest
 
 from folomin import InsufficientSimpleStructureError, align
 from folomin.erm import FitConfig
+from folomin.inference import rotated_covariances_A
 from folomin.pipeline import auto_init, fit_pipeline, make_loss, suggest_gamma
 from folomin.sim import SimDesign, gen_dataset
 
@@ -31,8 +32,8 @@ def test_suggested_scale_uses_each_losss_plateau(small_case, monkeypatch):
     design, Z_star, A_star, data = small_case
     seen = []
 
-    def recording(data, params, a3):
-        gamma = suggest_gamma(data, params, a3)
+    def recording(A, covariances, a3):
+        gamma = suggest_gamma(A, covariances, a3)
         seen.append((a3, gamma))
         return gamma
 
@@ -85,9 +86,10 @@ def test_pipeline_skips_init_without_losses(small_case):
 def test_suggest_gamma_scales_with_plateau(small_case):
     design, Z_star, A_star, data = small_case
     pipe = fit_pipeline(data, design.r, losses={})
-    init = auto_init(data, pipe.fit.params, delta=0.008)
-    g_mcp = suggest_gamma(data, init.params, a3=3.0)
-    g_tl1 = suggest_gamma(data, init.params, a3=1.0)
+    init = auto_init(pipe.fit, delta=0.008)
+    cov_A = rotated_covariances_A(pipe.fit, init.rotation)
+    g_mcp = suggest_gamma(init.params.A, cov_A, a3=3.0)
+    g_tl1 = suggest_gamma(init.params.A, cov_A, a3=1.0)
     assert g_tl1 == pytest.approx(2.0 * g_mcp)
 
 
@@ -103,7 +105,7 @@ def test_auto_init_beats_single_slack_on_hard_case():
     Z_star, A_star, data = gen_dataset(design, rng)
     M = 1.5 * max(np.linalg.norm(A_star, axis=1).max(), np.linalg.norm(Z_star, axis=1).max())
     fit = fm.erm_fit(data, 3, FitConfig(M=M))
-    init = auto_init(data, fit.params, delta=0.002)
+    init = auto_init(fit, delta=0.002)
     _, _, aligned = align(init.params.A, A_star)
     rms = np.sqrt(((aligned - A_star) ** 2).mean())
     assert rms < 0.3
@@ -111,11 +113,11 @@ def test_auto_init_beats_single_slack_on_hard_case():
 
 def test_auto_init_raises_without_structure():
     rng = np.random.default_rng(0)
-    from folomin import ParamPair, ResponseFamily, ResponseMatrix, sample_response
+    from folomin import ResponseFamily, ResponseMatrix, erm_fit, sample_response
 
     Z = np.sqrt(80) * np.linalg.qr(rng.standard_normal((80, 2)))[0]
     A = rng.standard_normal((40, 2))  # dense: no simple rows anywhere
     fam = ResponseFamily.gaussian(1.0)
     data = ResponseMatrix(sample_response(fam, Z @ A.T, rng), fam)
     with pytest.raises(InsufficientSimpleStructureError):
-        auto_init(data, ParamPair(Z, A), delta=0.01, grid=(1e-6,))
+        auto_init(erm_fit(data, 2), delta=0.01, grid=(1e-6,))
