@@ -288,7 +288,6 @@ def cmd_fit(args) -> int:
     t0 = time.time()
     data_path = Path(args.data)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
 
     header, values = _read_numeric_csv(data_path)
     data_sha256 = _sha256(data_path)
@@ -310,6 +309,8 @@ def cmd_fit(args) -> int:
     rotation = pipe.rotations[args.loss]
     params = rotation.params
 
+    # made only now, so that a data or fit error leaves no directory behind
+    out.mkdir(parents=True, exist_ok=True)
     a_csv, z_csv = out / "A.csv", out / "Z.csv"
     _write_csv(a_csv, [f"dim{l + 1}" for l in range(args.r)], params.A.T)
     _write_csv(z_csv, [f"dim{l + 1}" for l in range(args.r)], params.Z.T)

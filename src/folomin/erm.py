@@ -113,8 +113,11 @@ class FitConfig:
     """Optimizer settings for :func:`erm_fit`.
 
     ``M`` caps all row norms; when None it defaults to twice the spectral
-    warm start's largest row norm, which keeps the cap inactive at any
-    reasonable solution. ``tol`` bounds every row's Newton decrement
+    warm start's largest row norm. That default can bind: on
+    ``SimDesign(n=120, q=80, r=2, lambda_signal=0.3, tau=0.5)`` drawn
+    with ``np.random.default_rng(0)``, the fit ends with a row of each
+    block on the cap (``FitTrace.max_row_norm`` reaches ``M``) and retakes
+    most of its sweeps. ``tol`` bounds every row's Newton decrement
     ``g'H^{-1}g`` relative to that row's risk ``f``: the fit has converged
     when ``g'H^{-1}g <= tol * (1 + |f|)`` for every row of both blocks.
     ``max_iters`` caps the number of sweeps. A given ``M`` must be

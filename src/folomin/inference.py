@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 from scipy.special import ndtr, ndtri
 
 from .erm import FitResult, ParamPair, row_grams
@@ -213,6 +212,44 @@ def adjust_p_values(p: np.ndarray, alpha: float, method: str, per_column: bool):
     return adjusted, rejections
 
 
+def _min_cost_assignment(cost: np.ndarray) -> np.ndarray:
+    """Row matched to each column by a minimum-cost perfect matching of
+    the finite square matrix ``cost``.
+
+    Hungarian algorithm with potentials, O(r^3): rows join the matching
+    one at a time, each along a shortest augmenting path in the reduced
+    costs ``cost[i, j] - u[i] - v[j]``, which the potentials keep
+    nonnegative, and zero on matched pairs, so the final matching is
+    optimal. Each path search starts from the sentinel column ``r``.
+    """
+    r = cost.shape[0]
+    u, v = np.zeros(r), np.zeros(r + 1)
+    row_of = np.full(r + 1, -1)
+    for i in range(r):
+        row_of[r] = i
+        j0 = r
+        dist = np.full(r, np.inf)  # shortest path length to each column
+        prev = np.zeros(r, dtype=int)  # each column's predecessor on it
+        used = np.zeros(r + 1, dtype=bool)
+        while row_of[j0] >= 0:
+            used[j0] = True
+            i0 = row_of[j0]
+            reduced = cost[i0] - u[i0] - v[:r]
+            closer = ~used[:r] & (reduced < dist)
+            dist[closer] = reduced[closer]
+            prev[closer] = j0
+            j1 = int(np.where(used[:r], np.inf, dist).argmin())
+            delta = dist[j1]
+            u[row_of[used]] += delta
+            v[used] -= delta
+            dist[~used[:r]] -= delta
+            j0 = j1
+        while j0 != r:  # flip the matching along the path back to the root
+            row_of[j0] = row_of[prev[j0]]
+            j0 = prev[j0]
+    return row_of[:r]
+
+
 def align(estimate: np.ndarray, truth: np.ndarray):
     """Best signed column permutation matching ``estimate`` to ``truth``.
 
@@ -234,13 +271,11 @@ def align(estimate: np.ndarray, truth: np.ndarray):
     cross = E.T @ T  # cross[k, l] = e_k . t_l
     # cost of assigning estimate column k to truth column l at the best sign
     cost = e2[:, None] + t2[None, :] - 2.0 * np.abs(cross)
-    rows, cols = linear_sum_assignment(cost)
-    perm = np.empty(r, dtype=int)
-    signs = np.empty(r)
-    for k, l in zip(rows, cols):
-        perm[l] = k
-        s = np.sign(cross[k, l])
-        signs[l] = s if s != 0 else 1.0
+    if not np.isfinite(cost).all():
+        raise ValueError("estimate and truth must be finite")
+    perm = _min_cost_assignment(cost)
+    signs = np.sign(cross[perm, np.arange(r)])
+    signs[signs == 0] = 1.0
     aligned = E[:, perm] * signs
     return perm, signs, aligned
 

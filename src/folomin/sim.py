@@ -13,7 +13,16 @@ Each replication regenerates parameters and data from its own derived
 random stream (counter-based Philox keyed by a spawned seed sequence),
 fits all requested methods, aligns estimates to the truth, and records
 per-entry squared errors and interval coverage. Failures are recorded
-and excluded from the aggregates, never silently dropped.
+with the stage that raised them (``generate``, ``pipeline``, ``oracle``
+or ``vintage``) and excluded from the aggregates, never silently
+dropped.
+
+A replication's oracle fits read only its generated data. When the
+replications run in the calling process and it may use more than one
+CPU, they run on one side thread, opened for that call, while the
+calling thread runs the pipeline and the vintage rotations; numpy and a
+single-threaded BLAS give the same bits on either thread. Worker
+processes never start one: the process pool already fills the cores.
 """
 
 from __future__ import annotations
@@ -21,7 +30,8 @@ from __future__ import annotations
 import ctypes
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -209,80 +219,134 @@ def _mean_cover_Z(Z, cov_Z, Z_star, level) -> float:
     return float((np.abs(Z - Z_star) <= mult * se).mean())
 
 
-def _run_one_rep(design: SimDesign, methods, rep: int, seed_seq, level: float, vintage_seed: int):
-    rng = np.random.Generator(np.random.Philox(seed_seq))
-    Z_star, A_star, data = gen_dataset(design, rng)
-    M = 1.5 * max(
-        np.linalg.norm(A_star, axis=1).max(), np.linalg.norm(Z_star, axis=1).max()
-    )
-    per_method = {}
-    gammas = {}
+class _StageFailure(Exception):
+    """A replication's failure, tagged with the stage that raised it."""
 
-    folomin_methods = [m for m in methods if m.startswith("folomin_")]
-    vintage_methods = [m for m in methods if m in ("varimax", "varimax_debiased", "promax")]
 
-    if folomin_methods or vintage_methods:
-        pipe = fit_pipeline(
-            data,
-            design.r,
-            losses={m.split("_", 1)[1]: None for m in folomin_methods},
-            fit_config=FitConfig(M=M),
-            init_delta=0.05 * design.lambda_signal * design.lambda_signal,
-        )
-        gammas = dict(pipe.gammas)
+@contextmanager
+def _stage(name: str):
+    try:
+        yield
+    except (FolominError, np.linalg.LinAlgError) as exc:
+        raise _StageFailure(name, f"{type(exc).__name__}: {exc}") from exc
 
+
+def _folomin_records(pipe, methods, Z_star, A_star, level) -> dict:
     # every rotated method is a rotation of the ERM fit, whose sandwich
     # stacks give its covariances by congruence
-    for m in folomin_methods:
+    records = {}
+    for m in methods:
         rotation = pipe.rotations[m.split("_", 1)[1]]
         params, P = align_pair(rotation.params, A_star)
         G = P @ rotation.G_total @ pipe.init.rotation
         se = np.sqrt(row_variances(rotated_covariances_A(pipe.fit, G)))
-        per_method[m] = _method_metrics(params.A, se, A_star, level)
+        records[m] = _method_metrics(params.A, se, A_star, level)
         cov_Z = rotated_covariances_Z(pipe.fit, G)
-        per_method[m]["mean_cover_Z"] = _mean_cover_Z(params.Z, cov_Z, Z_star, level)
+        records[m]["mean_cover_Z"] = _mean_cover_Z(params.Z, cov_Z, Z_star, level)
+    return records
 
-    if "oracle" in methods:
-        A_or = oracle_fit_A(data, Z_star)
-        params = ParamPair(Z_star, A_or)
-        se = np.sqrt(row_variances(plugin_covariances_A_all(data, params)))
-        per_method["oracle"] = _method_metrics(A_or, se, A_star, level)
-        Z_or = oracle_fit_Z(data, A_star)
-        cov_Z = plugin_covariances_Z_all(data, ParamPair(Z_or, A_star))
-        per_method["oracle"]["mean_cover_Z"] = _mean_cover_Z(Z_or, cov_Z, Z_star, level)
 
-    if vintage_methods:
-        # one varimax per replication, shared by varimax and promax
-        fitted = pipe.fit.params
-        vintage_config = VintageConfig(seed=vintage_seed)
-        vres = varimax_rotate(fitted.A, vintage_config)
+def _oracle_record(data, Z_star, A_star, level) -> dict:
+    """The oracle's metrics: each block fitted with the other held at the truth.
+
+    Reads the generated data and nothing of the pipeline's, so it can run
+    on another thread while the pipeline runs.
+    """
+    A_or = oracle_fit_A(data, Z_star)
+    se = np.sqrt(row_variances(plugin_covariances_A_all(data, ParamPair(Z_star, A_or))))
+    record = _method_metrics(A_or, se, A_star, level)
+    Z_or = oracle_fit_Z(data, A_star)
+    cov_Z = plugin_covariances_Z_all(data, ParamPair(Z_or, A_star))
+    record["mean_cover_Z"] = _mean_cover_Z(Z_or, cov_Z, Z_star, level)
+    return record
+
+
+def _vintage_records(fit, methods, A_star, level, vintage_seed) -> dict:
+    # one varimax per replication, shared by varimax and promax
+    records = {}
+    fitted = fit.params
+    vintage_config = VintageConfig(seed=vintage_seed)
+    vres = varimax_rotate(fitted.A, vintage_config)
 
     if "varimax" in methods or "varimax_debiased" in methods:
         params, P = align_pair(ParamPair(fitted.Z @ vres.G, vres.A_rot), A_star)
-        se = np.sqrt(row_variances(rotated_covariances_A(pipe.fit, P @ vres.G.T)))
+        se = np.sqrt(row_variances(rotated_covariances_A(fit, P @ vres.G.T)))
         if "varimax" in methods:
-            per_method["varimax"] = _method_metrics(params.A, se, A_star, level)
+            records["varimax"] = _method_metrics(params.A, se, A_star, level)
         if "varimax_debiased" in methods:
             debiased = infeasible_debias_varimax(A_star, params.A, seed=vintage_config.seed)
-            per_method["varimax_debiased"] = _method_metrics(
+            records["varimax_debiased"] = _method_metrics(
                 params.A, se, A_star, level, centers=debiased
             )
 
     if "promax" in methods:
         pres = promax_rotate(fitted.A, 4, config=vintage_config, varimax=vres)
         params, P = align_pair(ParamPair(fitted.Z @ pres.G.T, pres.A_rot), A_star)
-        se = np.sqrt(row_variances(rotated_covariances_A(pipe.fit, P @ pres.G)))
-        per_method["promax"] = _method_metrics(params.A, se, A_star, level)
+        se = np.sqrt(row_variances(rotated_covariances_A(fit, P @ pres.G)))
+        records["promax"] = _method_metrics(params.A, se, A_star, level)
+    return records
 
+
+def _run_one_rep(
+    design: SimDesign, methods, rep: int, seed_seq, level: float, vintage_seed: int, side=None
+):
+    """One replication's :class:`RepResult`.
+
+    With an executor ``side``, the oracle branch runs on it while this
+    thread runs the pipeline and the vintage rotations; otherwise it runs
+    last, on this thread. A failure raises :class:`_StageFailure`; when
+    the pipeline or the vintage rotations fail, theirs is the failure
+    reported, whatever the oracle did.
+    """
+    rng = np.random.Generator(np.random.Philox(seed_seq))
+    with _stage("generate"):
+        Z_star, A_star, data = gen_dataset(design, rng)
+    M = 1.5 * max(
+        np.linalg.norm(A_star, axis=1).max(), np.linalg.norm(Z_star, axis=1).max()
+    )
+    folomin_methods = [m for m in methods if m.startswith("folomin_")]
+    vintage_methods = [m for m in methods if m in ("varimax", "varimax_debiased", "promax")]
+    rotated, vintage, gammas = {}, {}, {}
+
+    pending = None
+    if "oracle" in methods and side is not None:
+        pending = side.submit(_oracle_record, data, Z_star, A_star, level)
+    try:
+        if folomin_methods or vintage_methods:
+            with _stage("pipeline"):
+                pipe = fit_pipeline(
+                    data,
+                    design.r,
+                    losses={m.split("_", 1)[1]: None for m in folomin_methods},
+                    fit_config=FitConfig(M=M),
+                    init_delta=0.05 * design.lambda_signal * design.lambda_signal,
+                )
+                gammas = dict(pipe.gammas)
+                rotated = _folomin_records(pipe, folomin_methods, Z_star, A_star, level)
+        if vintage_methods:
+            with _stage("vintage"):
+                vintage = _vintage_records(pipe.fit, vintage_methods, A_star, level, vintage_seed)
+    finally:
+        if pending is not None:
+            pending.exception()  # joined, and its outcome read, even when this thread failed
+    per_method = rotated
+    if "oracle" in methods:
+        with _stage("oracle"):
+            per_method["oracle"] = (
+                pending.result() if pending else _oracle_record(data, Z_star, A_star, level)
+            )
+    per_method.update(vintage)
     return RepResult(rep=rep, A_star=A_star, per_method=per_method, gammas=gammas)
 
 
-def _rep_task(args):
-    """One replication's :class:`RepResult`, or its failure as ``{rep, error}``."""
+def _rep_task(task, side=None):
+    """One replication's :class:`RepResult`, or its failure as
+    ``{rep, stage, error}``."""
     try:
-        return _run_one_rep(*args)
-    except (FolominError, np.linalg.LinAlgError) as exc:
-        return {"rep": args[2], "error": f"{type(exc).__name__}: {exc}"}
+        return _run_one_rep(*task, side)
+    except _StageFailure as exc:
+        stage, error = exc.args
+        return {"rep": task[2], "stage": stage, "error": error}
 
 
 def _limit_worker_blas():
@@ -315,6 +379,12 @@ def _limit_worker_blas():
                 getattr(lib, name)(1)
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_replications(
     design: SimDesign,
     methods=("oracle", "folomin_mcp", "varimax", "varimax_debiased", "promax"),
@@ -328,11 +398,19 @@ def run_replications(
     All randomness derives from ``design.seed`` through one spawned
     stream per replication, so the data are independent of the worker
     count and of which methods run. ``vintage_seed`` seeds the varimax
-    restarts that varimax, varimax_debiased and promax share. Worker
-    processes run one BLAS thread; when the calling process runs more,
-    serial and parallel estimates can differ in the last bits. Failed
-    replications are excluded from the aggregates and listed in the
-    summary.
+    restarts that varimax, varimax_debiased and promax share.
+
+    With ``workers == 1`` the replications run one after another in this
+    process; when it may use more than one CPU, each replication's oracle
+    fits run on a side thread, opened for this call and joined before it
+    returns, while this thread runs the pipeline. With ``workers > 1``
+    a process pool runs the replications, each worker serially and with
+    no side thread. Worker processes run one BLAS thread; when the
+    calling process runs more, serial and parallel estimates can differ
+    in the last bits. Failed replications are excluded from the
+    aggregates and listed in the summary as ``{rep, stage, error}``;
+    when the pipeline and the oracle both fail, the pipeline's error is
+    the one listed.
     """
     if n_reps < 1:
         raise ValueError("n_reps must be at least 1")
@@ -348,11 +426,15 @@ def run_replications(
     seed_seqs = np.random.SeedSequence(design.seed).spawn(n_reps)
     tasks = [(design, tuple(methods), k, seed_seqs[k], level, vintage_seed) for k in range(n_reps)]
 
-    if workers == 1:
-        results = list(map(_rep_task, tasks))
-    else:
+    if workers > 1:
+        # each worker runs its replications serially: the pool fills the cores
         with ProcessPoolExecutor(max_workers=workers, initializer=_limit_worker_blas) as pool:
             results = list(pool.map(_rep_task, tasks))
+    elif _usable_cpus() > 1:
+        with ThreadPoolExecutor(max_workers=1) as side:
+            results = [_rep_task(task, side) for task in tasks]
+    else:
+        results = list(map(_rep_task, tasks))
     failures = [res for res in results if isinstance(res, dict)]
     kept = [res for res in results if isinstance(res, RepResult)]
 

@@ -1,7 +1,10 @@
 import ast
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -106,3 +109,19 @@ def test_public_parameters_are_read(name):
         used = {n.id for stmt in node.body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
         unread += [f"{qualname}({arg})" for arg in declared if arg not in used]
     assert not unread, f"folomin.{name} declares parameters its body never reads: {unread}"
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # align solves its assignment itself; importing scipy.optimize would
+    # add about 17 MB and 0.08 s to every process that imports folomin
+    src = Path(folomin.__file__).resolve().parents[1]
+    code = "import sys, folomin; print('scipy.optimize' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert done.stdout.strip() == "False"

@@ -80,6 +80,18 @@ def test_simulate_usage_error_leaves_no_output_directory(tmp_path, capsys, optio
     assert not out.exists()
 
 
+@pytest.mark.parametrize("content", [None, "a,b\n1.0,x\n"], ids=["missing", "non-numeric"])
+def test_fit_data_error_leaves_no_output_directory(tmp_path, capsys, content):
+    data_csv = tmp_path / "data.csv"
+    if content is not None:
+        data_csv.write_text(content)
+    out = tmp_path / "never"
+    args = ["fit", str(data_csv), "--family", "gaussian", "--r", "2", "--out", str(out)]
+    assert main(args) == 3
+    assert "data error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_determinism(tmp_path):
     args = [
         "simulate", "--n", "100", "--q", "80", "--r", "2", "--tau", "0.0",

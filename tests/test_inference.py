@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from folomin import (
     DegenerateVarianceError,
@@ -29,7 +30,7 @@ from folomin import (
     wald_intervals,
 )
 from folomin.erm import FitConfig, row_grams
-from folomin.inference import adjust_p_values, row_variances, two_sided_p
+from folomin.inference import _min_cost_assignment, adjust_p_values, row_variances, two_sided_p
 from folomin.sim import SimDesign, gen_dataset
 
 
@@ -195,6 +196,38 @@ def test_align_matches_enumeration_oracle():
             cand = estimate[:, list(p)] * np.array(s)
             best = min(best, np.linalg.norm(cand - truth))
     assert np.linalg.norm(aligned - truth) == pytest.approx(best, abs=1e-12)
+
+
+@functools.cache
+def _permutations(r):
+    return np.array(list(itertools.permutations(range(r))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(r=st.integers(1, 8), seed=st.integers(0, 2**32 - 1), levels=st.sampled_from([0, 2, 3]))
+@example(r=8, seed=0, levels=0)
+@example(r=8, seed=0, levels=2)
+def test_min_cost_assignment_matches_scipy(r, seed, levels):
+    rng = np.random.default_rng(seed)
+    # levels > 0 draws a few integer costs, so that optima tie
+    cost = rng.integers(0, levels, (r, r)) * 1.0 if levels else rng.uniform(-1.0, 1.0, (r, r))
+    row_of = _min_cost_assignment(cost)
+    rows, cols = linear_sum_assignment(cost)
+    assert sorted(row_of.tolist()) == list(range(r))
+    columns = np.arange(r)
+    assert abs(cost[row_of, columns].sum() - cost[rows, cols].sum()) <= 1e-12
+    # the same permutation wherever the optimum is unique by a clear margin
+    totals = np.sort(cost[_permutations(r), columns].sum(axis=1))
+    if r == 1 or totals[1] - totals[0] > 1e-9:
+        expected = np.empty(r, dtype=int)
+        expected[cols] = rows
+        np.testing.assert_array_equal(row_of, expected)
+
+
+def test_align_rejects_non_finite_input():
+    truth = np.eye(3)
+    with pytest.raises(ValueError, match="finite"):
+        align(np.where(truth == 1, np.nan, truth), truth)
 
 
 def test_two_sided_p():

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from scipy.special import ndtr
@@ -192,8 +194,27 @@ def test_failures_are_recorded_not_silent(monkeypatch):
     summary = run_replications(design, methods=("folomin_mcp",), n_reps=2, workers=1)
     assert summary.n_failed == 2
     assert len(summary.failures) == 2
-    assert all("rep" in f and "error" in f for f in summary.failures)
+    assert all(f.keys() == {"rep", "stage", "error"} for f in summary.failures)
+    assert {f["stage"] for f in summary.failures} == {"pipeline"}
     assert summary.mean_coverage_A == {}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_oracle_failure_names_its_stage(monkeypatch, workers):
+    from folomin import sim
+    from folomin.exceptions import OracleFitError
+
+    message = "oracle fit of A: rows [0] did not reach gradient tolerance"
+
+    def failing(*args, **kwargs):
+        raise OracleFitError(message)
+
+    monkeypatch.setattr(sim, "oracle_fit_A", failing)
+    summary = run_replications(
+        _tiny_design(), methods=("oracle", "folomin_mcp"), n_reps=2, workers=workers
+    )
+    error = f"OracleFitError: {message}"
+    assert summary.failures == [{"rep": k, "stage": "oracle", "error": error} for k in range(2)]
 
 
 def test_failures_match_between_serial_and_pooled_runs(monkeypatch):
@@ -216,11 +237,13 @@ def test_failures_match_between_serial_and_pooled_runs(monkeypatch):
         return fit_pipeline(data, *args, **kwargs)
 
     monkeypatch.setattr(sim, "fit_pipeline", failing_on_odd_reps)
-    serial, pooled = (
-        run_replications(design, methods=("folomin_mcp",), n_reps=4, workers=workers)
-        for workers in (1, 2)
-    )
+    threads = threading.active_count()
+    serial = run_replications(design, methods=("oracle", "folomin_mcp"), n_reps=4, workers=1)
+    # the oracle's side thread is joined before the call returns
+    assert threading.active_count() == threads
+    pooled = run_replications(design, methods=("oracle", "folomin_mcp"), n_reps=4, workers=2)
     assert [f["rep"] for f in serial.failures] == [1, 3]
+    assert {f["stage"] for f in serial.failures} == {"pipeline"}
     assert serial.failures == pooled.failures
     assert serial.n_failed == pooled.n_failed == 2
     assert [res.rep for res in serial.rep_results] == [0, 2]
@@ -233,6 +256,25 @@ def test_failures_match_between_serial_and_pooled_runs(monkeypatch):
             rtol=0,
             atol=1e-12,
         )
+
+
+def test_side_thread_and_worker_processes_give_identical_estimates():
+    # workers=1 runs each oracle branch on a side thread alongside the
+    # pipeline (on a machine with more than one CPU); workers=2 runs each
+    # replication serially inside a worker process
+    methods = ("oracle", "folomin_mcp", "promax")
+    threaded, pooled = (
+        run_replications(_tiny_design(), methods=methods, n_reps=2, workers=workers)
+        for workers in (1, 2)
+    )
+    assert threaded.n_failed == pooled.n_failed == 0
+    for a, b in zip(threaded.rep_results, pooled.rep_results, strict=True):
+        assert list(a.per_method) == list(b.per_method) == ["folomin_mcp", "oracle", "promax"]
+        for m, rec in a.per_method.items():
+            for key in ("aligned_A", "se_A", "cover_A", "mean_cover_Z"):
+                if key in rec:
+                    assert np.array_equal(rec[key], b.per_method[m][key]), (m, key)
+        assert a.gammas == b.gammas
 
 
 def test_promax_uses_the_vintage_seed(monkeypatch):
