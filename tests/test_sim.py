@@ -258,17 +258,29 @@ def test_failures_match_between_serial_and_pooled_runs(monkeypatch):
         )
 
 
-def test_side_thread_and_worker_processes_give_identical_estimates():
+def test_side_thread_gives_the_same_estimates_as_the_calling_thread(monkeypatch):
     # workers=1 runs each oracle branch on a side thread alongside the
-    # pipeline (on a machine with more than one CPU); workers=2 runs each
-    # replication serially inside a worker process
+    # pipeline when the process may use more than one CPU, and last, on
+    # the calling thread, when it may use one
+    from folomin import sim
+
     methods = ("oracle", "folomin_mcp", "promax")
-    threaded, pooled = (
-        run_replications(_tiny_design(), methods=methods, n_reps=2, workers=workers)
-        for workers in (1, 2)
-    )
-    assert threaded.n_failed == pooled.n_failed == 0
-    for a, b in zip(threaded.rep_results, pooled.rep_results, strict=True):
+    on_main_thread = []
+    oracle_record = sim._oracle_record
+
+    def recording(*args):
+        on_main_thread.append(threading.current_thread() is threading.main_thread())
+        return oracle_record(*args)
+
+    monkeypatch.setattr(sim, "_oracle_record", recording)
+    runs = {}
+    for cpus in (2, 1):
+        monkeypatch.setattr(sim, "_usable_cpus", lambda: cpus)
+        runs[cpus] = run_replications(_tiny_design(), methods=methods, n_reps=2, workers=1)
+    assert on_main_thread == [False, False, True, True]
+    threaded, inline = runs[2], runs[1]
+    assert threaded.n_failed == inline.n_failed == 0
+    for a, b in zip(threaded.rep_results, inline.rep_results, strict=True):
         assert list(a.per_method) == list(b.per_method) == ["folomin_mcp", "oracle", "promax"]
         for m, rec in a.per_method.items():
             for key in ("aligned_A", "se_A", "cover_A", "mean_cover_Z"):
