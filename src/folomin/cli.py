@@ -26,8 +26,12 @@ import hashlib
 import io
 import json
 import math
+import os
+import pickle
 import sys
+import threading
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -39,12 +43,13 @@ from .inference import adjust_p_values, build_report
 from .lqa import LqaConfig
 from .model import ResponseFamily, ResponseMatrix
 from .pipeline import fit_pipeline, make_loss
-from .sim import RNG_NAME, SimDesign, run_replications
+from .sim import RNG_NAME, SimDesign, _usable_cpus, run_replications
 
 __all__ = ["main"]
 
 USAGE_EXIT, DATA_EXIT, NUMERICAL_EXIT = 2, 3, 4
 DATA_CACHE = "data.npy"
+BLOCK_BYTES = 4 << 20  # the least data a forked parse worker is given
 
 
 def _sha256(path: Path) -> str:
@@ -118,32 +123,106 @@ def _write_manifest(
     _write_json(out_dir / "manifest.json", manifest)
 
 
-def _read_numeric_csv(path: Path) -> tuple[list[str], np.ndarray]:
-    """Read a rectangular numeric CSV with a header row.
+def _load_rows(fh) -> np.ndarray:
+    with warnings.catch_warnings():
+        # a header-only file is reported as "no data rows" by the caller
+        warnings.simplefilter("ignore", UserWarning)
+        return np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', ndmin=2)
 
-    The header is read with :mod:`csv`; the data rows are parsed by
-    ``np.loadtxt`` straight from the open file. Blank lines are skipped,
+
+def _parse_block(path: Path, start: int, stop: int | None) -> np.ndarray:
+    """The data rows in bytes ``start:stop`` of ``path`` (to its end if None)."""
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        raw = fh if stop is None else io.BytesIO(fh.read(stop - start))
+        with io.TextIOWrapper(raw, encoding="utf-8") as text:
+            return _load_rows(text)
+
+
+def _block_cuts(path: Path) -> list[int]:
+    """Offsets that split the data rows of ``path`` into blocks of whole
+    lines, from the end of the header record to the end of the file;
+    empty when the file is parsed in one piece."""
+    size = path.stat().st_size
+    k = min(_usable_cpus(), math.ceil(size / BLOCK_BYTES))
+    if k < 2 or threading.active_count() > 1 or not hasattr(os, "fork"):
+        return []
+    with open(path, "rb") as fh:
+        try:  # only where the header record ends matters here
+            next(csv.reader(line.decode("utf-8-sig", "replace") for line in fh))
+        except (StopIteration, csv.Error):
+            return []  # the serial parse reads or reports it
+        start = fh.tell()
+        cuts = {start, size}
+        for i in range(1, k):
+            fh.seek(max(start, size * i // k))
+            fh.readline()
+            cuts.add(fh.tell())
+    return sorted(cuts) if len(cuts) > 2 else []
+
+
+def _parse_blocks(path: Path, cuts: list[int]) -> np.ndarray | None:
+    """The blocks between consecutive ``cuts``, stacked in row order, or
+    None if any block fails. The last is parsed here, each other in a
+    forked child that pickles it into a pipe, or sends nothing if it fails
+    (``EOFError`` here; a child killed mid-write leaves a truncated pickle).
+    Every child is reaped before this returns or raises."""
+    children = []
+    try:
+        for start, stop in zip(cuts[:-2], cuts[1:-1]):
+            r, w = os.pipe()
+            if (pid := os.fork()) == 0:
+                try:  # with no read end left here, a write fails once the parent is gone
+                    os.close(r)
+                    for _, fh in children:
+                        fh.close()
+                    with open(w, "wb") as out:
+                        pickle.dump(_parse_block(path, start, stop), out, protocol=5)
+                finally:
+                    os._exit(0)
+            os.close(w)
+            children.append((pid, open(r, "rb")))
+        last = _parse_block(path, cuts[-2], None)
+        blocks = [pickle.load(fh) for _, fh in children] + [last]
+        return np.vstack([b for b in blocks if len(b)] or blocks[-1:])
+    except (ValueError, EOFError, pickle.UnpicklingError):
+        return None
+    finally:
+        for pid, fh in children:
+            fh.close()
+            os.waitpid(pid, 0)
+
+
+def _read_numeric_csv(path: Path) -> tuple[list[str], np.ndarray]:
+    """Read a rectangular numeric UTF-8 CSV with a header row.
+
+    The header is read with :mod:`csv`, less a leading byte-order mark;
+    the data rows are parsed by ``np.loadtxt``. Blank lines are skipped,
     cells may be quoted, and numbers follow C syntax (no ``_`` digit
     separators, no ``#`` comments). Errors carry 1-based row/column
     coordinates of the offending cell.
-    """
-    import warnings
 
+    When this process runs no other thread, a file over ``BLOCK_BYTES``
+    is parsed in blocks of whole lines, one per usable CPU and at most one
+    per ``BLOCK_BYTES``, all but the last in forked children. If any block
+    fails, for a fault or a cut inside a quoted line break, the whole file
+    is parsed again in one piece, so the array or the error is always the
+    serial parse's.
+    """
     _require_file(path)
-    with open(path) as fh:
+    cuts = _block_cuts(path)
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             header = next(csv.reader(fh))
+            values = _parse_blocks(path, cuts) if cuts else None
+            if values is None:
+                values = _load_rows(fh)
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
-        try:
-            with warnings.catch_warnings():
-                # a header-only file is reported as "no data rows" below
-                warnings.simplefilter("ignore", UserWarning)
-                values = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', ndmin=2)
-        except ValueError as exc:
-            raise _csv_error(path, len(header), str(exc)) from None
+        except ValueError as exc:  # UnicodeDecodeError is a ValueError
+            raise _csv_error(path, str(exc)) from None
     if values.shape[0] == 0 or values.shape[1] != len(header):
-        raise _csv_error(path, len(header), f"expected {len(header)} columns")
+        raise _csv_error(path, f"expected {len(header)} columns")
     return header, values
 
 
@@ -165,15 +244,14 @@ def _is_c_float(cell: str) -> bool:
     return True
 
 
-def _csv_error(path: Path, width: int, detail: str) -> DataError:
-    """Error for a CSV that ``np.loadtxt`` rejected, naming its first bad
-    row (ragged, or with a non-numeric cell) as 1-based coordinates.
+def _csv_error(path: Path, detail: str) -> DataError:
+    """Error for a CSV that the parse rejected, naming its first bad row
+    (ragged, or with a non-numeric or non-UTF-8 cell) as 1-based coordinates.
 
     ``detail`` is the message when no row is at fault."""
-    with open(path, newline="") as fh:
+    with open(path, encoding="utf-8-sig", errors="surrogateescape", newline="") as fh:
         reader = csv.reader(fh)
-        next(reader)
-        n_rows = 0
+        width, n_rows = len(next(reader)), 0
         for i, row in enumerate(reader, start=2):
             if not row:
                 continue
