@@ -63,8 +63,6 @@ from .model import (
     ResponseMatrix,
     risk,
     risk_d1,
-    risk_d2,
-    risk_d3,
     sample_response,
 )
 from .sim import RepResult, SimDesign, gen_A, gen_Z, infeasible_debias_varimax, run_replications

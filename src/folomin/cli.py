@@ -246,12 +246,17 @@ def _is_c_float(cell: str) -> bool:
 
 def _csv_error(path: Path, detail: str) -> DataError:
     """Error for a CSV that the parse rejected, naming its first bad row
-    (ragged, or with a non-numeric or non-UTF-8 cell) as 1-based coordinates.
+    (a header with a non-UTF-8 cell, or a data row that is ragged or has a
+    non-numeric or non-UTF-8 cell) as 1-based coordinates.
 
     ``detail`` is the message when no row is at fault."""
     with open(path, encoding="utf-8-sig", errors="surrogateescape", newline="") as fh:
         reader = csv.reader(fh)
-        width, n_rows = len(next(reader)), 0
+        header = next(reader)
+        for j, cell in enumerate(header, start=1):
+            if any("\udc80" <= ch <= "\udcff" for ch in cell):  # an escaped undecodable byte
+                return DataError(f"{path}: non-UTF-8 cell at row 1, column {j}: {cell!r}")
+        width, n_rows = len(header), 0
         for i, row in enumerate(reader, start=2):
             if not row:
                 continue

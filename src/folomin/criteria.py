@@ -125,20 +125,6 @@ class FoldedLoss:
             return np.where(t <= g, g, tail)
         return np.where(t < g, g, 0.0)
 
-    def shape_constants(self) -> dict:
-        """The (a0, a1, a2, a3) regularity constants of this instance.
-
-        a0: slope scale at zero; a1: multiple of gamma up to which the
-        derivative is Lipschitz; a2: Lipschitz constant of the derivative
-        on that interval divided by gamma; a3: plateau multiple.
-        """
-        g = self.gamma
-        if self.kind == "mcp":
-            return {"a0": 1.0, "a1": self.a, "a2": 1.0 / (self.a * g), "a3": self.a}
-        if self.kind == "scad":
-            return {"a0": 1.0, "a1": self.a, "a2": 1.0 / ((self.a - 1.0) * g), "a3": self.a}
-        return {"a0": 1.0, "a1": 1.0, "a2": 0.0, "a3": 1.0}
-
 
 def folded_criterion(A: np.ndarray, loss: FoldedLoss) -> float:
     """Sum of the folded loss over all entries of ``A``."""

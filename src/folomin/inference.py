@@ -73,10 +73,15 @@ def _sandwich_stack(
     return _sandwich(row_grams(X, d2) / m, row_grams(X, d1**2) / m, scale, name)
 
 
-def _sandwich(breads: np.ndarray, meats: np.ndarray, scale: int, name: str) -> RowCovariance:
+def _sandwich(
+    breads: np.ndarray, meats: np.ndarray, scale: int, name: str, C: np.ndarray | None = None
+) -> RowCovariance:
     """Sandwich covariances from (k, r, r) stacks of breads and meats of
-    the rows of ``name``; if any bread is ill-conditioned, the error names
-    the row whose bread has the largest condition number."""
+    the rows of ``name``, taken under the congruence ``C B C'`` when ``C``
+    is given; if any bread is ill-conditioned, the error names the row
+    whose bread has the largest condition number."""
+    if C is not None:
+        breads, meats = C @ breads @ C.T, C @ meats @ C.T
     conds = np.linalg.cond(breads)
     if np.any(conds > 1e10):
         k = int(np.argmax(conds))
@@ -111,7 +116,7 @@ def rotated_covariances_A(fit: FitResult, G: np.ndarray) -> RowCovariance:
     under the congruence ``G B G'``; no kernel pass is needed.
     """
     G = np.asarray(G, dtype=float)
-    return _sandwich(G @ fit.bread_A @ G.T, G @ fit.meat_A @ G.T, fit.params.n, "A")
+    return _sandwich(fit.bread_A, fit.meat_A, fit.params.n, "A", G)
 
 
 def rotated_covariances_Z(fit: FitResult, G: np.ndarray) -> RowCovariance:
@@ -119,9 +124,7 @@ def rotated_covariances_Z(fit: FitResult, G: np.ndarray) -> RowCovariance:
     ``fit.params.rotate(G)``: the fit's breads and meats under the
     congruence ``G^{-T} B G^{-1}``, as in :func:`rotated_covariances_A`."""
     G_inv = np.linalg.inv(np.asarray(G, dtype=float))
-    return _sandwich(
-        G_inv.T @ fit.bread_Z @ G_inv, G_inv.T @ fit.meat_Z @ G_inv, fit.params.q, "Z"
-    )
+    return _sandwich(fit.bread_Z, fit.meat_Z, fit.params.q, "Z", G_inv.T)
 
 
 def row_variances(covariances: RowCovariance) -> np.ndarray:

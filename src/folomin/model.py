@@ -2,7 +2,7 @@
 
 Each family pairs a sampling distribution indexed by a scalar natural
 parameter ``theta`` with a convex per-cell risk ``l(theta; y)`` and its
-first three derivatives in ``theta``:
+first two derivatives in ``theta``:
 
 * gaussian:  ``(theta - y)**2``  (squared risk; ``variance`` controls
   sampling noise only, not the risk),
@@ -16,7 +16,8 @@ All functions are pure and broadcast over numpy arrays; random draws
 take an explicit ``numpy.random.Generator``. Each family's risk and its
 first two derivatives are written once, in the private kernel
 ``_cells``, which computes them together from one transcendental per
-cell and checks nothing. Responses are validated where they enter:
+cell and checks nothing; the fitting and inference code reads the
+second derivative from it. Responses are validated where they enter:
 :class:`ResponseMatrix` on construction, and the public :func:`risk` /
 :func:`risk_d1` on every call, since they take raw arrays.
 """
@@ -35,8 +36,6 @@ __all__ = [
     "ResponseMatrix",
     "risk",
     "risk_d1",
-    "risk_d2",
-    "risk_d3",
     "sample_response",
 ]
 
@@ -180,24 +179,6 @@ def risk(family: ResponseFamily, theta, y):
 def risk_d1(family: ResponseFamily, theta, y):
     """First derivative of the risk in ``theta``, after the same validation."""
     return _checked(family, theta, y, 1)
-
-
-def risk_d2(family: ResponseFamily, theta):
-    """Second derivative; nonnegative everywhere, and strictly positive on
-    any bounded interval for the bernoulli and poisson families. It does
-    not depend on the responses."""
-    return _cells(family, np.asarray(theta, dtype=float), np.zeros(()), 2)[2][()]
-
-
-def risk_d3(family: ResponseFamily, theta):
-    """Third derivative; like the second, it does not depend on the responses."""
-    theta = np.asarray(theta, dtype=float)
-    if family.kind == "gaussian":
-        return np.zeros_like(theta)
-    if family.kind == "bernoulli":
-        p = expit(theta)
-        return p * (1.0 - p) * (1.0 - 2.0 * p)
-    return np.exp(theta)
 
 
 def sample_response(family: ResponseFamily, theta, rng: np.random.Generator):

@@ -215,8 +215,7 @@ def _method_metrics(aligned_A, se_A, A_star, level, centers=None):
 
 def _mean_cover_Z(Z, cov_Z, Z_star, level) -> float:
     se = np.sqrt(row_variances(cov_Z))
-    mult = float(ndtri((1.0 + level) / 2.0))
-    return float((np.abs(Z - Z_star) <= mult * se).mean())
+    return float(_method_metrics(Z, se, Z_star, level)["cover_A"].mean())
 
 
 class _StageFailure(Exception):
@@ -231,15 +230,21 @@ def _stage(name: str):
         raise _StageFailure(name, f"{type(exc).__name__}: {exc}") from exc
 
 
+def _aligned_rotation(fit, params, G, A_star):
+    """Align ``params = fit.params.rotate(G)`` to the truth; returns the
+    aligned pair, its rotation ``P G`` of the fit, and the standard errors
+    of its ``A`` from the fit's sandwich stacks."""
+    aligned, P = align_pair(params, A_star)
+    G = P @ G
+    return aligned, G, np.sqrt(row_variances(rotated_covariances_A(fit, G)))
+
+
 def _folomin_records(pipe, methods, Z_star, A_star, level) -> dict:
-    # every rotated method is a rotation of the ERM fit, whose sandwich
-    # stacks give its covariances by congruence
     records = {}
     for m in methods:
         rotation = pipe.rotations[m.split("_", 1)[1]]
-        params, P = align_pair(rotation.params, A_star)
-        G = P @ rotation.G_total @ pipe.init.rotation
-        se = np.sqrt(row_variances(rotated_covariances_A(pipe.fit, G)))
+        G = rotation.G_total @ pipe.init.rotation
+        params, G, se = _aligned_rotation(pipe.fit, rotation.params, G, A_star)
         records[m] = _method_metrics(params.A, se, A_star, level)
         cov_Z = rotated_covariances_Z(pipe.fit, G)
         records[m]["mean_cover_Z"] = _mean_cover_Z(params.Z, cov_Z, Z_star, level)
@@ -269,8 +274,8 @@ def _vintage_records(fit, methods, A_star, level, vintage_seed) -> dict:
     vres = varimax_rotate(fitted.A, vintage_config)
 
     if "varimax" in methods or "varimax_debiased" in methods:
-        params, P = align_pair(ParamPair(fitted.Z @ vres.G, vres.A_rot), A_star)
-        se = np.sqrt(row_variances(rotated_covariances_A(fit, P @ vres.G.T)))
+        rotated = ParamPair(fitted.Z @ vres.G, vres.A_rot)
+        params, _, se = _aligned_rotation(fit, rotated, vres.G.T, A_star)
         if "varimax" in methods:
             records["varimax"] = _method_metrics(params.A, se, A_star, level)
         if "varimax_debiased" in methods:
@@ -281,8 +286,8 @@ def _vintage_records(fit, methods, A_star, level, vintage_seed) -> dict:
 
     if "promax" in methods:
         pres = promax_rotate(fitted.A, 4, config=vintage_config, varimax=vres)
-        params, P = align_pair(ParamPair(fitted.Z @ pres.G.T, pres.A_rot), A_star)
-        se = np.sqrt(row_variances(rotated_covariances_A(fit, P @ pres.G)))
+        rotated = ParamPair(fitted.Z @ pres.G.T, pres.A_rot)
+        params, _, se = _aligned_rotation(fit, rotated, pres.G, A_star)
         records["promax"] = _method_metrics(params.A, se, A_star, level)
     return records
 

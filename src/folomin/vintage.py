@@ -1,12 +1,13 @@
 """Classical rotation baselines: varimax (orthogonal) and promax (oblique).
 
-Varimax ascends the variance-of-squared-loadings criterion over the
-orthogonal group from several random starts at once, as one stacked
-batch; each step takes the better of the classical fixed-point step and a
-Newton step. Promax follows the standard two-stage recipe: varimax first,
-then an oblique least-squares procrustes fit to an elementwise power of
-the (row-normalized) varimax loadings, rescaled so the implied latent
-variances are one.
+Varimax ascends the variance-of-squared-loadings criterion of the
+Kaiser-normalized (unit row norm) loadings over the orthogonal group from
+several random starts at once, as one stacked batch; each step takes the
+better of the classical fixed-point step and a Newton step. Promax
+follows the standard two-stage recipe: varimax first, then an oblique
+least-squares procrustes fit to an elementwise power of the
+(row-normalized) varimax loadings, rescaled so the implied latent
+variances are one. Both always normalize rows.
 
 The ascent holds rotated loadings in the transposed layout ``(k, r, q)``,
 with the ``q`` rows innermost, so every reduction over rows runs along
@@ -33,12 +34,11 @@ RESTARTS = 10
 
 @dataclass(frozen=True)
 class VintageConfig:
-    """Kaiser row normalization and the seed of the random varimax starts.
-    Each of the ``RESTARTS`` starts takes at most ``MAX_ITERS`` steps; the
-    result is converged when its stationarity residual, the norm of the
-    skew part of ``G' W' grad``, is at most ``TOL``."""
+    """The seed of the random varimax starts. Each of the ``RESTARTS``
+    starts takes at most ``MAX_ITERS`` steps; the result is converged when
+    its stationarity residual, the norm of the skew part of ``G' W' grad``,
+    is at most ``TOL``."""
 
-    kaiser_normalize: bool = True
     seed: int = 0
 
 
@@ -143,10 +143,10 @@ def varimax_rotate(A: np.ndarray, config: VintageConfig | None = None) -> Varima
     Returns the first start whose criterion is within
     ``1e-12 (1 + |f_max|)`` of the best; ``n_iters`` and ``trace`` (its
     criterion before and after each accepted step) are that start's.
-    ``G`` is orthogonal to machine precision and ``A_rot = A @ G``. With
-    ``kaiser_normalize`` (the default) the criterion of the row-normalized
-    loadings ``W`` is maximized; row norms are rotation-invariant, so this
-    only reweights rows in the objective.
+    ``G`` is orthogonal to machine precision and ``A_rot = A @ G``. The
+    criterion of the Kaiser-normalized loadings ``W`` (rows scaled to unit
+    norm) is maximized; row norms are rotation-invariant, so this only
+    reweights rows in the objective.
     """
     config = config or VintageConfig()
     A = np.asarray(A, dtype=float)
@@ -156,7 +156,7 @@ def varimax_rotate(A: np.ndarray, config: VintageConfig | None = None) -> Varima
     if r == 1:
         return VarimaxResult(np.eye(1), A.copy(), varimax_criterion(A), 0, True, ())
 
-    W = A / _row_norms(A) if config.kaiser_normalize else A
+    W = A / _row_norms(A)
     G, f, iters, history = _ascend(W, _starts(r, config), MAX_ITERS)
     best = int(np.argmax(f >= f.max() - 1e-12 * (1.0 + abs(f.max()))))
     G = polar(G[best])  # refresh orthogonality to machine precision
@@ -177,7 +177,7 @@ def promax_rotate(
 
     Varimax first (``varimax``, if given, is a result for ``A`` under the
     same config, so ``A @ varimax.G == varimax.A_rot``); the target raises
-    the (row-normalized, with Kaiser normalization) varimax loadings
+    the Kaiser-normalized (row-normalized) varimax loadings
     elementwise to ``power`` with signs retained; an oblique least-squares
     procrustes fit maps the varimax loadings onto the target; finally the
     transformation columns are rescaled so the implied latent variances
@@ -193,7 +193,7 @@ def promax_rotate(
     elif not np.array_equal(A @ varimax.G, varimax.A_rot):
         raise ValueError("varimax result was not computed from these loadings")
     R, B = varimax.G, varimax.A_rot
-    B_norm = B / _row_norms(A) if config.kaiser_normalize else B
+    B_norm = B / _row_norms(A)
     target = np.sign(B_norm) * np.abs(B_norm) ** power
 
     BtB = B.T @ B

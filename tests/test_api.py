@@ -83,6 +83,39 @@ def test_every_module_is_reachable_from_the_package_or_the_entry_point():
     assert set(MODULES) <= reached, f"modules nothing imports: {sorted(set(MODULES) - reached)}"
 
 
+def _referenced_names(path: Path, skip: str | None = None) -> set[str]:
+    """Names that the code of ``path`` reads, as a ``Name`` or an
+    ``Attribute``, outside the top-level ``def skip``."""
+    tree = ast.parse(path.read_text())
+    nodes = [n for n in tree.body if not (isinstance(n, ast.FunctionDef) and n.name == skip)]
+    found = set()
+    for node in (n for top in nodes for n in ast.walk(top)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+    return found
+
+
+def test_every_public_function_has_a_caller():
+    # a public function that only its own tests call is dead code; the
+    # callers are the package, the benchmark, the demos and the acceptance gate
+    root = Path(__file__).parents[1]
+    src = Path(folomin.__file__).parent
+    callers = [*(root / "perfbench").glob("*.py"), *(root / "demos").glob("*.py")]
+    callers.append(root / "tests" / "test_acceptance.py")
+    outside = set().union(*(_referenced_names(path) for path in callers))
+    uncalled = []
+    for name in MODULES:
+        module = importlib.import_module(f"folomin.{name}")
+        for attr in getattr(module, "__all__", ()):
+            if not inspect.isfunction(getattr(module, attr)) or attr in outside:
+                continue
+            if not any(attr in _referenced_names(path, skip=attr) for path in src.glob("*.py")):
+                uncalled.append(f"{name}.{attr}")
+    assert not uncalled, f"public functions that nothing outside the tests calls: {uncalled}"
+
+
 def _public_functions(name: str):
     """The ``def`` nodes of module ``name``'s ``__all__`` functions and of
     the methods of its ``__all__`` classes, with their qualified names."""

@@ -85,8 +85,7 @@ def test_condition_suite(make, gamma):
     h = 1e-9 * max(gamma, 1.0)
     assert loss.value(h) / h == pytest.approx(gamma, rel=1e-5)
     # derivative Lipschitz-bounded below the first kink
-    a1 = loss.shape_constants()["a1"]
-    s = np.linspace(1e-6, a1 * gamma * 0.999, 500)
+    s = np.linspace(1e-6, loss.a3 * gamma * 0.999, 500)
     fd = np.abs(np.diff(loss.deriv(s))) / np.diff(s)
     assert fd.max() <= 2.0 / gamma + 1.0
 

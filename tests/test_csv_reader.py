@@ -209,12 +209,16 @@ def test_split_parse_reports_a_bad_row_as_serial(tmp_path, blocks, bad, where):
 
 
 def test_non_utf8_byte_is_a_data_error(tmp_path, capsys):
-    path = tmp_path / "latin1.csv"
-    path.write_bytes(b"a,b\n1.0,2.0\n3.0,\xe9\n")
-    code = main(["fit", str(path), "--family", "gaussian", "--r", "1", "--out", str(tmp_path)])
-    assert code == 3
-    message = r"non-numeric cell at row 3, column 2: '\udce9'"
-    assert capsys.readouterr().err == f"data error: {path}: {message}\n"
+    cases = [
+        (b"a,b\n1.0,2.0\n3.0,\xe9\n", r"non-numeric cell at row 3, column 2: '\udce9'"),
+        (b"a,\xe9\n1,2\n", r"non-UTF-8 cell at row 1, column 2: '\udce9'"),
+    ]
+    for k, (content, message) in enumerate(cases):
+        path = tmp_path / f"latin1_{k}.csv"
+        path.write_bytes(content)
+        argv = ["fit", str(path), "--family", "gaussian", "--r", "1", "--out", str(tmp_path)]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == f"data error: {path}: {message}\n"
 
 
 def test_split_fit_writes_the_serial_outputs_and_leaves_no_child(tmp_path, blocks):

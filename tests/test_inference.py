@@ -23,7 +23,6 @@ from folomin import (
     oracle_fit_A,
     plugin_covariances_A_all,
     plugin_covariances_Z_all,
-    risk_d2,
     rotated_covariances_A,
     rotated_covariances_Z,
     sample_response,
@@ -31,6 +30,7 @@ from folomin import (
 )
 from folomin.erm import FitConfig, row_grams
 from folomin.inference import _min_cost_assignment, adjust_p_values, row_variances, two_sided_p
+from folomin.model import _cells
 from folomin.sim import SimDesign, gen_dataset
 
 
@@ -335,7 +335,8 @@ def test_ill_conditioned_bread_names_the_requested_row():
         params = ParamPair(X, other) if name == "A" else ParamPair(other, X)
         theta = params.theta()
         data = ResponseMatrix(sample_response(fam, theta, rng), fam)
-        d2 = risk_d2(fam, theta if name == "A" else theta.T)
+        d2 = _cells(fam, theta, data.values, 2)[2]
+        d2 = d2 if name == "A" else d2.T
         worst = int(np.argmax(np.linalg.cond(row_grams(X, d2) / X.shape[0])))
         with pytest.raises(IllConditionedCovarianceError, match=rf"row {worst} of {name} "):
             covariances(data, params)
@@ -378,7 +379,7 @@ def test_rotated_covariances_match_a_fresh_sandwich(kind, seed, tiny):
     data, fit = _fitted(kind)
     G = _rotation(seed, tiny)
     params = fit.params.rotate(G)
-    d2 = risk_d2(data.family, params.theta())
+    d2 = _cells(data.family, params.theta(), data.values, 2)[2]
     for derive, plugin, X, w in (
         (rotated_covariances_A, plugin_covariances_A_all, params.Z, d2),
         (rotated_covariances_Z, plugin_covariances_Z_all, params.A, d2.T),

@@ -1,23 +1,28 @@
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 from folomin import (
     InsufficientSimpleStructureError,
+    ParamPair,
+    ResponseFamily,
     SimDesign,
     VintageConfig,
     gen_A,
     gen_Z,
     infeasible_debias_varimax,
     is_sparse,
+    plugin_covariances_A_all,
+    plugin_covariances_Z_all,
     promax_rotate,
     run_replications,
     varimax_rotate,
 )
-from folomin.inference import align
-from folomin.sim import gen_dataset
+from folomin.inference import align, row_variances
+from folomin.sim import SIM_METHODS, gen_dataset
 
 
 def test_design_validation():
@@ -309,3 +314,43 @@ def test_promax_uses_the_vintage_seed(monkeypatch):
     pres = promax_rotate(fitted[0], config=VintageConfig(seed=3))
     _, _, expected = align(pres.A_rot, rep.A_star)
     np.testing.assert_array_equal(rep.per_method["promax"]["aligned_A"], expected)
+
+
+@pytest.mark.parametrize("kind", ["bernoulli", "gaussian"])
+def test_rotated_standard_errors_match_a_fresh_sandwich(monkeypatch, kind):
+    # the harness derives every rotated method's covariances from the fit's
+    # sandwich stacks, through a rotation G it composes itself; a fresh
+    # sandwich at the aligned pair, which reads no G, must agree
+    from folomin import sim
+
+    captured = {}
+
+    def recording(name, fn):
+        def wrapped(*args, **kwargs):
+            captured[name] = fn(*args, **kwargs)
+            return captured[name]
+
+        monkeypatch.setattr(sim, name, wrapped)
+
+    recording("gen_dataset", sim.gen_dataset)
+    recording("fit_pipeline", sim.fit_pipeline)
+    design = replace(_tiny_design(), r=3, family=ResponseFamily(kind))
+    methods = tuple(m for m in SIM_METHODS if m != "oracle")
+    summary = run_replications(design, methods=methods, n_reps=1, workers=1)
+    assert summary.n_failed == 0
+    Z_star, _, data = captured["gen_dataset"]
+    theta = captured["fit_pipeline"].fit.params.theta()
+    records = summary.rep_results[0].per_method
+    mult = ndtri(0.975)
+    for m in methods:
+        # the debiased estimate is recentred; its intervals are varimax's
+        A = records["varimax" if m == "varimax_debiased" else m]["aligned_A"]
+        # the latent scores of the rotation of the fit that has these loadings
+        Z = theta @ A @ np.linalg.inv(A.T @ A)
+        pair = ParamPair(Z, A)
+        se = np.sqrt(row_variances(plugin_covariances_A_all(data, pair)))
+        np.testing.assert_allclose(records[m]["se_A"], se, rtol=1e-8, atol=0, err_msg=m)
+        if m.startswith("folomin_"):
+            se_Z = np.sqrt(row_variances(plugin_covariances_Z_all(data, pair)))
+            cover_Z = float((np.abs(Z - Z_star) <= mult * se_Z).mean())
+            assert records[m]["mean_cover_Z"] == cover_Z, m

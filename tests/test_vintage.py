@@ -78,20 +78,6 @@ def test_local_maximality_of_returned_rotation():
     assert worst <= 1e-9
 
 
-def test_raw_criterion_mode_local_maximality():
-    config = VintageConfig(seed=1, kaiser_normalize=False)
-    res = varimax_rotate(A_BLOCK, config)
-    f0 = varimax_criterion(res.A_rot)
-    rng = np.random.default_rng(8)
-    worst = 0.0
-    for _ in range(1000):
-        S = rng.standard_normal((2, 2))
-        S = (S - S.T) / 2
-        S *= 1e-3 / np.linalg.norm(S, 2)
-        worst = max(worst, varimax_criterion(A_BLOCK @ res.G @ expm(S)) - f0)
-    assert worst <= 1e-9
-
-
 def test_varimax_requires_full_rank():
     with pytest.raises(ValueError):
         varimax_rotate(np.ones((5, 2)))
@@ -183,17 +169,16 @@ loadings = st.builds(
 
 
 @settings(max_examples=40, deadline=None)
-@given(loadings, st.booleans())
+@given(loadings)
 # the identity start's two candidates tie below rounding here; taking the
 # fixed-point step on such ties left it swinging across the maximum
-@example(_noisy_simple(60, 2, 6, 1.192092896e-07), True)
-def test_result_is_orthogonal_and_stationary(A, kaiser):
-    res = varimax_rotate(A, VintageConfig(kaiser_normalize=kaiser))
+@example(_noisy_simple(60, 2, 6, 1.192092896e-07))
+def test_result_is_orthogonal_and_stationary(A):
+    res = varimax_rotate(A)
     r = A.shape[1]
     assert np.abs(res.G.T @ res.G - np.eye(r)).max() <= 1e-12
     assert np.array_equal(res.A_rot, A @ res.G)
-    W = _row_normalized(A) if kaiser else A
-    assert _stationarity(W, res.G) <= 1e-10
+    assert _stationarity(_row_normalized(A), res.G) <= 1e-10
     assert res.converged
 
 
