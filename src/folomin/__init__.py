@@ -11,7 +11,6 @@ rotation baselines and a Monte Carlo replication harness.
 from .criteria import (
     FeasibleSet,
     FoldedLoss,
-    feasible_project,
     folded_criterion,
     sample_feasible,
     varimax_criterion,

@@ -7,8 +7,8 @@ digests of inputs and outputs; numeric outputs themselves carry no
 timestamps, so reruns with the same seed are byte-identical (``fit``
 and ``infer`` draw no random numbers at all). Floats are written with
 17 significant digits (CSV) or as their shortest ``repr`` (JSON); both
-read back as the same doubles. Worker parallelism for the simulation
-harness is capped by the ``FOLOMIN_THREADS`` environment variable.
+read back as the same doubles. ``simulate --workers N`` runs the
+replications in ``N`` worker processes (default one, in this process).
 
 ``fit`` also saves the parsed data matrix as ``data.npy`` in the model
 directory (exact float64, uncentered) and records its digest in
@@ -595,7 +595,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--level", type=float, default=0.95, help="interval confidence level")
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--methods", default=None, help="comma-separated subset of methods")
-    sim.add_argument("--workers", type=int, default=None, help="parallel workers (default FOLOMIN_THREADS)")
+    sim.add_argument("--workers", type=int, default=1, help="worker processes (1: this one)")
     sim.add_argument("--out", default=".", help="output directory")
     sim.set_defaults(func=cmd_simulate)
 

@@ -23,7 +23,6 @@ __all__ = [
     "FeasibleSet",
     "folded_criterion",
     "varimax_criterion",
-    "feasible_project",
     "sample_feasible",
     "polar",
 ]
@@ -195,7 +194,12 @@ def polar(X: np.ndarray) -> np.ndarray:
 
 
 def _feasible_project(G: np.ndarray, gram: np.ndarray, mode: str) -> np.ndarray:
-    """:func:`feasible_project` of a float ``G`` against ``gram`` in ``mode``."""
+    """Map a float ``G`` onto the constraint surface of ``gram`` in ``mode``.
+
+    Oblique mode rescales the rows of ``G`` so that
+    ``diag(G gram G') = I``; orthogonal mode returns the nearest
+    orthogonal matrix (polar factor).
+    """
     if mode == "orthogonal":
         return polar(G)
     d = np.einsum("ij,jk,ik->i", G, gram, G)
@@ -203,16 +207,6 @@ def _feasible_project(G: np.ndarray, gram: np.ndarray, mode: str) -> np.ndarray:
         bad = int(np.argmin(d))
         raise DegenerateRotationError(f"row {bad} of the rotation is numerically zero")
     return G / np.sqrt(d)[:, None]
-
-
-def feasible_project(fset: FeasibleSet, G: np.ndarray) -> np.ndarray:
-    """Map ``G`` onto the constraint surface of the feasible set.
-
-    Oblique mode rescales the rows of ``G`` so that
-    ``diag(G gram G') = I``; orthogonal mode returns the nearest
-    orthogonal matrix (polar factor).
-    """
-    return _feasible_project(np.asarray(G, dtype=float), fset.gram, fset.mode)
 
 
 def sample_feasible(fset: FeasibleSet, rng: np.random.Generator) -> np.ndarray:
@@ -231,7 +225,7 @@ def sample_feasible(fset: FeasibleSet, rng: np.random.Generator) -> np.ndarray:
     E = rng.standard_normal(eye.shape)
     E *= (c * rng.random()) / max(np.linalg.norm(E, 2), 1e-300)
     for _ in range(200):
-        G = feasible_project(fset, eye + E)
+        G = _feasible_project(eye + E, fset.gram, fset.mode)
         if np.linalg.norm(G - eye, 2) <= 2 * c:
             return G
         E *= 0.5

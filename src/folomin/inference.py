@@ -159,7 +159,7 @@ def two_sided_p(z: np.ndarray) -> np.ndarray:
     return 2.0 * ndtr(-np.abs(np.asarray(z, dtype=float)))
 
 
-def bh_adjust(p_values, alpha: float = 0.05):
+def bh_adjust(p_values, alpha: float):
     """Step-up false-discovery-rate adjustment.
 
     Returns monotone adjusted p-values (in the input order) and the
@@ -182,7 +182,7 @@ def bh_adjust(p_values, alpha: float = 0.05):
     return adjusted, rejections
 
 
-def bonferroni_adjust(p_values, alpha: float = 0.05):
+def bonferroni_adjust(p_values, alpha: float):
     """Bonferroni adjustment: ``min(1, m * p)`` with rejections at alpha."""
     p = np.asarray(p_values, dtype=float)
     if np.any((p < 0) | (p > 1)) or not np.all(np.isfinite(p)):

@@ -142,9 +142,7 @@ def axes_from_sets(params: ParamPair, sets: list[frozenset[int]]) -> InitResult:
     return InitResult(params=params.rotate(G0), rotation=G0, selected_sets=list(sets))
 
 
-def init_rotation(
-    params: ParamPair, config: InitConfig | None = None, sims: np.ndarray | None = None
-) -> InitResult:
+def init_rotation(params: ParamPair, config: InitConfig | None = None) -> InitResult:
     """Construct the initial rotation from detected simple-row clusters.
 
     For each row ``j`` the candidate set collects rows with similarity
@@ -158,7 +156,6 @@ def init_rotation(
     ``diag(Z'Z / n) = I`` whenever the input does.
     """
     config = config or InitConfig()
-    if sims is None:
-        sims = similarity_matrix(params, config.delta)
+    sims = similarity_matrix(params, config.delta)
     selected = candidate_sets(sims, config.delta_prime, params.r)
     return axes_from_sets(params, selected)

@@ -49,11 +49,7 @@ def suggest_gamma(A: np.ndarray, covariances: RowCovariance, a3: float) -> float
     return lam_hat / (a3 + 1.0)
 
 
-def auto_init(
-    fit: FitResult,
-    delta: float = 0.01,
-    grid: tuple = AUTO_DELTA_PRIME_GRID,
-) -> InitResult:
+def auto_init(fit: FitResult, delta: float = 0.01) -> InitResult:
     """Initial rotation of a fitted pair, with cluster slack and axis sets
     chosen by the criterion.
 
@@ -72,6 +68,7 @@ def auto_init(
     """
     from itertools import combinations
 
+    # imported per call, so a wrapper set on the module (a tracer's) sees these calls
     from .initialization import axes_from_sets, candidate_sets
 
     params = fit.params
@@ -79,7 +76,7 @@ def auto_init(
     sims = similarity_matrix(params, delta)
     candidates: list[InitResult] = []
     found_max = 0
-    for dp in grid:
+    for dp in AUTO_DELTA_PRIME_GRID:
         try:
             top = candidate_sets(sims, dp, r, extra=EXTRA_SETS)
         except InsufficientSimpleStructureError as exc:
@@ -95,8 +92,8 @@ def auto_init(
         raise InsufficientSimpleStructureError(
             found=found_max,
             needed=r,
-            message=f"no slack in {grid} produced {r} disjoint clusters of size "
-            f">= {MIN_SET_SIZE}; best attempt found {found_max}",
+            message=f"no slack in {AUTO_DELTA_PRIME_GRID} produced {r} disjoint clusters "
+            f"of size >= {MIN_SET_SIZE}; best attempt found {found_max}",
         )
     ref = candidates[0]
     gamma_cmp = suggest_gamma(ref.params.A, rotated_covariances_A(fit, ref.rotation), a3=3.0)

@@ -152,17 +152,16 @@ def gen_dataset(design: SimDesign, rng: np.random.Generator):
     return Z_star, A_star, ResponseMatrix(Y, design.family)
 
 
-def infeasible_debias_varimax(
-    A_star: np.ndarray, estimate: np.ndarray, seed: int = 0
-) -> np.ndarray:
+def infeasible_debias_varimax(A_star: np.ndarray, estimate: np.ndarray) -> np.ndarray:
     """Remove the deterministic rotation offset using the known truth.
 
     The offset is the gap between the truth and its own best varimax
-    rotation (aligned back to the truth); subtracting it from an
-    estimate centers the estimate on the truth. Only available in
-    simulations, where the truth is known.
+    rotation (aligned back to the truth), from the varimax starts the
+    harness uses; subtracting it from an estimate centers the estimate
+    on the truth. Only available in simulations, where the truth is
+    known.
     """
-    vres = varimax_rotate(np.asarray(A_star, dtype=float), VintageConfig(seed=seed))
+    vres = varimax_rotate(np.asarray(A_star, dtype=float), VintageConfig())
     _, _, v_aligned = align(vres.A_rot, A_star)
     delta = v_aligned - A_star
     return np.asarray(estimate, dtype=float) - delta
@@ -266,12 +265,11 @@ def _oracle_record(data, Z_star, A_star, level) -> dict:
     return record
 
 
-def _vintage_records(fit, methods, A_star, level, vintage_seed) -> dict:
+def _vintage_records(fit, methods, A_star, level) -> dict:
     # one varimax per replication, shared by varimax and promax
     records = {}
     fitted = fit.params
-    vintage_config = VintageConfig(seed=vintage_seed)
-    vres = varimax_rotate(fitted.A, vintage_config)
+    vres = varimax_rotate(fitted.A, VintageConfig())
 
     if "varimax" in methods or "varimax_debiased" in methods:
         rotated = ParamPair(fitted.Z @ vres.G, vres.A_rot)
@@ -279,22 +277,20 @@ def _vintage_records(fit, methods, A_star, level, vintage_seed) -> dict:
         if "varimax" in methods:
             records["varimax"] = _method_metrics(params.A, se, A_star, level)
         if "varimax_debiased" in methods:
-            debiased = infeasible_debias_varimax(A_star, params.A, seed=vintage_config.seed)
+            debiased = infeasible_debias_varimax(A_star, params.A)
             records["varimax_debiased"] = _method_metrics(
                 params.A, se, A_star, level, centers=debiased
             )
 
     if "promax" in methods:
-        pres = promax_rotate(fitted.A, 4, config=vintage_config, varimax=vres)
+        pres = promax_rotate(fitted.A, vres)
         rotated = ParamPair(fitted.Z @ pres.G.T, pres.A_rot)
         params, _, se = _aligned_rotation(fit, rotated, pres.G, A_star)
         records["promax"] = _method_metrics(params.A, se, A_star, level)
     return records
 
 
-def _run_one_rep(
-    design: SimDesign, methods, rep: int, seed_seq, level: float, vintage_seed: int, side=None
-):
+def _run_one_rep(design: SimDesign, methods, rep: int, seed_seq, level: float, side=None):
     """One replication's :class:`RepResult`.
 
     With an executor ``side``, the oracle branch runs on it while this
@@ -330,7 +326,7 @@ def _run_one_rep(
                 rotated = _folomin_records(pipe, folomin_methods, Z_star, A_star, level)
         if vintage_methods:
             with _stage("vintage"):
-                vintage = _vintage_records(pipe.fit, vintage_methods, A_star, level, vintage_seed)
+                vintage = _vintage_records(pipe.fit, vintage_methods, A_star, level)
     finally:
         if pending is not None:
             pending.exception()  # joined, and its outcome read, even when this thread failed
@@ -395,27 +391,25 @@ def run_replications(
     methods=("oracle", "folomin_mcp", "varimax", "varimax_debiased", "promax"),
     n_reps: int = 100,
     level: float = 0.95,
-    workers: int | None = None,
-    vintage_seed: int = 0,
+    workers: int = 1,
 ) -> SimulationSummary:
     """Run the replication study and aggregate the metrics.
 
     All randomness derives from ``design.seed`` through one spawned
     stream per replication, so the data are independent of the worker
-    count and of which methods run. ``vintage_seed`` seeds the varimax
-    restarts that varimax, varimax_debiased and promax share.
+    count and of which methods run. Each method name may appear once.
 
     With ``workers == 1`` the replications run one after another in this
     process; when it may use more than one CPU, each replication's oracle
     fits run on a side thread, opened for this call and joined before it
     returns, while this thread runs the pipeline. With ``workers > 1``
-    a process pool runs the replications, each worker serially and with
-    no side thread. Worker processes run one BLAS thread; when the
-    calling process runs more, serial and parallel estimates can differ
-    in the last bits. Failed replications are excluded from the
-    aggregates and listed in the summary as ``{rep, stage, error}``;
-    when the pipeline and the oracle both fail, the pipeline's error is
-    the one listed.
+    a process pool of at most ``n_reps`` workers runs the replications,
+    each worker serially and with no side thread. Worker processes run
+    one BLAS thread; when the calling process runs more, serial and
+    parallel estimates can differ in the last bits. Failed replications
+    are excluded from the aggregates and listed in the summary as
+    ``{rep, stage, error}``; when the pipeline and the oracle both fail,
+    the pipeline's error is the one listed.
     """
     if n_reps < 1:
         raise ValueError("n_reps must be at least 1")
@@ -424,15 +418,18 @@ def run_replications(
     unknown = [m for m in methods if m not in SIM_METHODS]
     if unknown:
         raise ValueError(f"unknown methods {unknown}; expected subset of {SIM_METHODS}")
-    if workers is None:
-        workers = int(os.environ.get("FOLOMIN_THREADS", "1"))
-    workers = max(1, workers)
+    if len(set(methods)) < len(methods):
+        raise ValueError(f"methods {list(methods)} name a method more than once")
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
 
     seed_seqs = np.random.SeedSequence(design.seed).spawn(n_reps)
-    tasks = [(design, tuple(methods), k, seed_seqs[k], level, vintage_seed) for k in range(n_reps)]
+    tasks = [(design, tuple(methods), k, seed_seqs[k], level) for k in range(n_reps)]
 
     if workers > 1:
-        # each worker runs its replications serially: the pool fills the cores
+        # each worker runs its replications serially: the pool fills the
+        # cores; a forking pool starts every worker at the first submit
+        workers = min(workers, n_reps)
         with ProcessPoolExecutor(max_workers=workers, initializer=_limit_worker_blas) as pool:
             results = list(pool.map(_rep_task, tasks))
     elif _usable_cpus() > 1:

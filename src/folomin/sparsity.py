@@ -24,6 +24,9 @@ __all__ = [
     "is_sparse",
 ]
 
+# entries at most this large in magnitude count as zero in :func:`is_sparse`
+ZERO_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class SparsityProfile:
@@ -136,13 +139,7 @@ def detect_simple_rows(A: np.ndarray, zero_tol: float = 1e-10) -> SparsityProfil
     )
 
 
-def is_sparse(
-    A: np.ndarray,
-    lam: float,
-    epsilon: float,
-    M: float,
-    zero_tol: float = 1e-10,
-) -> SparsityWitness:
+def is_sparse(A: np.ndarray, lam: float, epsilon: float, M: float) -> SparsityWitness:
     """Check the three sparsity clauses; report the first violation.
 
     Clause order: minimum nonzero magnitude at least ``lam``
@@ -153,11 +150,11 @@ def is_sparse(
     if not (lam > 0 and epsilon > 0 and M > 0):
         raise ValueError("lam, epsilon and M must be strictly positive")
     A = np.asarray(A, dtype=float)
-    profile = detect_simple_rows(A, zero_tol=zero_tol)
+    profile = detect_simple_rows(A, zero_tol=ZERO_TOL)
 
     if not math.isnan(profile.lambda_min) and profile.lambda_min < lam:
         mags = np.abs(A)
-        mask = mags > zero_tol
+        mask = mags > ZERO_TOL
         masked = np.where(mask, mags, np.inf)
         idx = np.unravel_index(int(np.argmin(masked)), A.shape)
         return SparsityWitness(
@@ -167,7 +164,7 @@ def is_sparse(
 
     min_simple = min((len(s) for s in profile.simple_sets), default=0)
     for j in sorted(set(range(A.shape[0])) - profile.simple_rows):
-        size = len(cone_neighborhood(A, j, epsilon, zero_tol=zero_tol))
+        size = len(cone_neighborhood(A, j, epsilon, zero_tol=ZERO_TOL))
         if size >= min_simple:
             return SparsityWitness(
                 False, "angular-separation", (j,),

@@ -30,6 +30,7 @@ __all__ = ["VintageConfig", "varimax_rotate", "promax_rotate", "VarimaxResult", 
 MAX_ITERS = 1000
 TOL = 1e-10
 RESTARTS = 10
+PROMAX_POWER = 4
 
 
 @dataclass(frozen=True)
@@ -167,34 +168,24 @@ def varimax_rotate(A: np.ndarray, config: VintageConfig | None = None) -> Varima
     return VarimaxResult(G, A_rot, varimax_criterion(A_rot), int(iters[best]), converged, trace)
 
 
-def promax_rotate(
-    A: np.ndarray,
-    power: int = 4,
-    config: VintageConfig | None = None,
-    varimax: VarimaxResult | None = None,
-) -> PromaxResult:
+def promax_rotate(A: np.ndarray, varimax: VarimaxResult) -> PromaxResult:
     """Oblique promax rotation.
 
-    Varimax first (``varimax``, if given, is a result for ``A`` under the
-    same config, so ``A @ varimax.G == varimax.A_rot``); the target raises
-    the Kaiser-normalized (row-normalized) varimax loadings
-    elementwise to ``power`` with signs retained; an oblique least-squares
+    Varimax first: ``varimax`` is :func:`varimax_rotate`'s result for
+    ``A``, so ``A @ varimax.G == varimax.A_rot``; the target raises the
+    Kaiser-normalized (row-normalized) varimax loadings elementwise to
+    ``PROMAX_POWER`` with signs retained; an oblique least-squares
     procrustes fit maps the varimax loadings onto the target; finally the
     transformation columns are rescaled so the implied latent variances
     are one. Returned ``G`` follows the pairing ``A_rot = A @ G^{-1}``,
     and ``factor_correlation = G G'`` has unit diagonal.
     """
-    if power < 2:
-        raise ValueError("promax power must be at least 2")
-    config = config or VintageConfig()
     A = np.asarray(A, dtype=float)
-    if varimax is None:
-        varimax = varimax_rotate(A, config)
-    elif not np.array_equal(A @ varimax.G, varimax.A_rot):
+    if not np.array_equal(A @ varimax.G, varimax.A_rot):
         raise ValueError("varimax result was not computed from these loadings")
     R, B = varimax.G, varimax.A_rot
     B_norm = B / _row_norms(A)
-    target = np.sign(B_norm) * np.abs(B_norm) ** power
+    target = np.sign(B_norm) * np.abs(B_norm) ** PROMAX_POWER
 
     BtB = B.T @ B
     if np.linalg.cond(BtB) > 1e12:

@@ -116,6 +116,52 @@ def test_every_public_function_has_a_caller():
     assert not uncalled, f"public functions that nothing outside the tests calls: {uncalled}"
 
 
+def _passed_parameters(paths, name: str, params) -> set[str]:
+    """Parameters, of those in ``params``, that some call of function
+    ``name`` in ``paths`` passes by keyword or by position; a ``*`` or
+    ``**`` argument counts as passing every parameter it could fill."""
+    positional = [p.name for p in params if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)]
+    passed = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if name != (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)):
+                continue
+            for k, arg in enumerate(node.args):
+                stop = None if isinstance(arg, ast.Starred) else k + 1
+                passed.update(positional[k:stop])
+            for kw in node.keywords:
+                passed.update([p.name for p in params] if kw.arg is None else [kw.arg])
+    return passed
+
+
+def test_every_defaulted_parameter_is_passed_by_a_caller():
+    # a default that no caller overrides is a setting with one value in
+    # use, a constant; the callers are those of the test above, and the
+    # package itself
+    root = Path(__file__).parents[1]
+    callers = [*Path(folomin.__file__).parent.glob("*.py")]
+    callers += [*(root / "perfbench").glob("*.py"), *(root / "demos").glob("*.py")]
+    callers.append(root / "tests" / "test_acceptance.py")
+    unset = []
+    for name in MODULES:
+        module = importlib.import_module(f"folomin.{name}")
+        for attr in getattr(module, "__all__", ()):
+            fn = getattr(module, attr)
+            if not inspect.isfunction(fn):
+                continue
+            params = list(inspect.signature(fn).parameters.values())
+            passed = _passed_parameters(callers, attr, params)
+            unset += [
+                f"{name}.{attr}({p.name})"
+                for p in params
+                if p.default is not p.empty and p.name not in passed
+            ]
+    assert not unset, f"defaulted public parameters that no caller passes: {unset}"
+
+
 def _public_functions(name: str):
     """The ``def`` nodes of module ``name``'s ``__all__`` functions and of
     the methods of its ``__all__`` classes, with their qualified names."""

@@ -69,8 +69,16 @@ def test_simulate_usage_errors(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "option", [["--level", "1.5"], ["--methods", "oracle,lasso"], ["--r", "1"]],
-    ids=["level", "methods", "design"],
+    "option",
+    [
+        ["--level", "1.5"],
+        ["--methods", "oracle,lasso"],
+        ["--methods", "oracle,oracle"],
+        ["--r", "1"],
+        ["--workers", "0"],
+        ["--workers", "-3"],
+    ],
+    ids=["level", "methods", "repeated-method", "design", "no-workers", "negative-workers"],
 )
 def test_simulate_usage_error_leaves_no_output_directory(tmp_path, capsys, option):
     out = tmp_path / "never"

@@ -7,12 +7,11 @@ from scipy.linalg import expm
 from folomin import (
     FeasibleSet,
     FoldedLoss,
-    feasible_project,
     folded_criterion,
     sample_feasible,
     varimax_criterion,
 )
-from folomin.criteria import polar
+from folomin.criteria import _feasible_project, polar
 from folomin.exceptions import DegenerateRotationError
 from folomin.sim import SimDesign, gen_A, gen_Z
 
@@ -106,25 +105,24 @@ def test_varimax_criterion_examples():
 
 
 def test_feasible_project_examples():
-    fset = FeasibleSet(radius=0.5, gram=np.eye(2))
-    np.testing.assert_allclose(feasible_project(fset, np.eye(2)), np.eye(2))
-    np.testing.assert_allclose(feasible_project(fset, 2 * np.eye(2)), np.eye(2))
+    gram = np.eye(2)
+    np.testing.assert_allclose(_feasible_project(np.eye(2), gram, "oblique"), np.eye(2))
+    np.testing.assert_allclose(_feasible_project(2 * np.eye(2), gram, "oblique"), np.eye(2))
     G = np.array([[1.0, 1.0], [0.0, 1.0]])
     expected = np.array([[1 / np.sqrt(2), 1 / np.sqrt(2)], [0.0, 1.0]])
-    np.testing.assert_allclose(feasible_project(fset, G), expected, atol=1e-15)
+    np.testing.assert_allclose(_feasible_project(G, gram, "oblique"), expected, atol=1e-15)
 
 
 def test_feasible_project_degenerate_row():
-    fset = FeasibleSet(radius=0.5, gram=np.eye(2))
     with pytest.raises(DegenerateRotationError):
-        feasible_project(fset, np.array([[0.0, 0.0], [0.0, 1.0]]))
+        _feasible_project(np.array([[0.0, 0.0], [0.0, 1.0]]), np.eye(2), "oblique")
 
 
 def test_feasible_project_orthogonal_mode():
     fset = FeasibleSet(radius=0.5, gram=np.eye(3), mode="orthogonal")
     rng = np.random.default_rng(3)
     G = np.eye(3) + 0.2 * rng.standard_normal((3, 3))
-    P = feasible_project(fset, G)
+    P = _feasible_project(G, fset.gram, fset.mode)
     np.testing.assert_allclose(P @ P.T, np.eye(3), atol=1e-12)
 
 

@@ -131,7 +131,7 @@ def test_bh_edge_cases():
     adjusted, rejected = bh_adjust(np.array([0.04]), alpha=0.05)
     assert rejected[0] and adjusted[0] == pytest.approx(0.04)
     with pytest.raises(ValueError):
-        bh_adjust(np.array([0.5, 1.2]))
+        bh_adjust(np.array([0.5, 1.2]), alpha=0.05)
 
 
 def test_bonferroni():

@@ -111,13 +111,14 @@ def test_auto_init_beats_single_slack_on_hard_case():
     assert rms < 0.3
 
 
-def test_auto_init_raises_without_structure():
+def test_auto_init_raises_without_structure(monkeypatch):
     rng = np.random.default_rng(0)
-    from folomin import ResponseFamily, ResponseMatrix, erm_fit, sample_response
+    from folomin import ResponseFamily, ResponseMatrix, erm_fit, pipeline, sample_response
 
     Z = np.sqrt(80) * np.linalg.qr(rng.standard_normal((80, 2)))[0]
     A = rng.standard_normal((40, 2))  # dense: no simple rows anywhere
     fam = ResponseFamily.gaussian(1.0)
     data = ResponseMatrix(sample_response(fam, Z @ A.T, rng), fam)
-    with pytest.raises(InsufficientSimpleStructureError):
-        auto_init(erm_fit(data, 2), delta=0.01, grid=(1e-6,))
+    monkeypatch.setattr(pipeline, "AUTO_DELTA_PRIME_GRID", (1e-6,))
+    with pytest.raises(InsufficientSimpleStructureError, match=r"no slack in \(1e-06,\)"):
+        auto_init(erm_fit(data, 2), delta=0.01)

@@ -175,9 +175,43 @@ def test_run_replications_validation():
         run_replications(design, n_reps=0)
     with pytest.raises(ValueError):
         run_replications(design, methods=("oracle", "mystery"), n_reps=1)
+    # a repeated name would count its replications twice in every table
+    with pytest.raises(ValueError, match="more than once"):
+        run_replications(design, methods=("oracle", "oracle"), n_reps=1)
+    for workers in (0, -3):
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            run_replications(design, methods=("oracle",), n_reps=1, workers=workers)
     for level in (0.0, 1.0, 1.5):
         with pytest.raises(ValueError, match=r"level must lie in \(0, 1\)"):
             run_replications(design, methods=("oracle",), n_reps=1, level=level)
+
+
+@pytest.mark.parametrize("workers, n_reps, opened", [(64, 2, 2), (2, 3, 2)])
+def test_pool_opens_no_more_workers_than_replications(monkeypatch, workers, n_reps, opened):
+    # a forking pool starts all max_workers children at the first submit,
+    # so a pool wider than the study forks processes that never get work
+    from folomin import sim
+
+    sizes = []
+
+    class RecordingPool:
+        # runs the tasks in this process and starts none
+        def __init__(self, max_workers, initializer):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(sim, "ProcessPoolExecutor", RecordingPool)
+    summary = run_replications(_tiny_design(), methods=("oracle",), n_reps=n_reps, workers=workers)
+    assert sizes == [opened]
+    assert summary.n_failed == 0 and len(summary.rep_results) == n_reps
 
 
 def test_run_replications_rejects_unknown_options():
@@ -302,16 +336,16 @@ def test_promax_uses_the_vintage_seed(monkeypatch):
     fitted = []
 
     def recording(A, config=None):
-        fitted.append(A)
+        fitted.append((A, config))
         return varimax_rotate(A, config)
 
     monkeypatch.setattr(sim, "varimax_rotate", recording)
-    summary = run_replications(
-        _tiny_design(), methods=("varimax", "promax"), n_reps=1, workers=1, vintage_seed=3
-    )
+    summary = run_replications(_tiny_design(), methods=("varimax", "promax"), n_reps=1, workers=1)
     assert summary.n_failed == 0 and len(fitted) == 1
+    A, config = fitted[0]
+    assert config == VintageConfig()
     rep = summary.rep_results[0]
-    pres = promax_rotate(fitted[0], config=VintageConfig(seed=3))
+    pres = promax_rotate(A, varimax_rotate(A, VintageConfig()))
     _, _, expected = align(pres.A_rot, rep.A_star)
     np.testing.assert_array_equal(rep.per_method["promax"]["aligned_A"], expected)
 
