@@ -24,14 +24,16 @@ print(f"constrained fit: {pipe.fit.trace.n_iters} iterations, status {pipe.fit.t
 print(f"initial rotation: selected cluster sizes {[len(s) for s in pipe.init.selected_sets]}")
 print(f"chosen loss scale: gamma = {pipe.gammas['mcp']:.4f}")
 
-params, _ = align_pair(pipe.params("mcp"), A_star)
+params, P = align_pair(pipe.params("mcp"), A_star)
 A_or = oracle_fit_A(data, Z_star)
 
 rms = np.sqrt(((params.A - A_star) ** 2).mean())
 rms_or = np.sqrt(((A_or - A_star) ** 2).mean())
 print(f"\nper-entry RMS error:  rotated fit {rms:.4f}   oracle {rms_or:.4f}")
 
-report = build_report(data, params, level=0.95)
+# the signed permutation P reorders the columns of A, and so of their standard errors
+se = pipe.std_errors("mcp") @ np.abs(P.T)
+report = build_report(params.A, se, level=0.95)
 covered = (report.lower_A <= A_star) & (A_star <= report.upper_A)
 print(f"95% interval coverage of the truth: {covered.mean():.3f}")
 n_sig = int(report.rejections_A.sum())

@@ -10,12 +10,10 @@ and ``infer`` draw no random numbers at all). Floats are written with
 read back as the same doubles. ``simulate --workers N`` runs the
 replications in ``N`` worker processes (default one, in this process).
 
-``fit`` also saves the parsed data matrix as ``data.npy`` in the model
-directory (exact float64, uncentered) and records its digest in
-``rotation.json``. ``infer`` loads it in place of parsing the CSV again,
-but only when the data file's digest equals the one ``fit`` recorded,
-the cache's digest equals its recorded one and its shape matches the
-model; otherwise it parses the CSV. Deleting ``data.npy`` is safe.
+``fit`` writes the standard errors of the rotated representation,
+``se_A.csv``, next to ``A.csv``: the fit's own sandwiches under the
+rotation. ``infer`` reads those two files and ``rotation.json`` and
+never the data, so it works after the data file has moved or changed.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .erm import FitConfig, ParamPair
+from .erm import FitConfig
 from .exceptions import DataError, FolominError, NumericalError
 from .inference import adjust_p_values, build_report
 from .lqa import LqaConfig
@@ -48,7 +46,7 @@ from .sim import RNG_NAME, SimDesign, _usable_cpus, run_replications
 __all__ = ["main"]
 
 USAGE_EXIT, DATA_EXIT, NUMERICAL_EXIT = 2, 3, 4
-DATA_CACHE = "data.npy"
+MODEL_FILES = ("A.csv", "se_A.csv", "rotation.json")
 BLOCK_BYTES = 4 << 20  # the least data a forked parse worker is given
 
 
@@ -105,11 +103,8 @@ def _write_manifest(
     inputs: dict[str, str],
     outputs: list[Path],
     t0: float,
-    digests: dict[Path, str] | None = None,
 ):
-    """``inputs`` maps each input file's path to its SHA-256 digest;
-    ``digests`` holds those of outputs that were already hashed."""
-    digests = digests or {}
+    """``inputs`` maps each input file's path to its SHA-256 digest."""
     config = {k: v for k, v in config.items() if not callable(v)}
     manifest = {
         "command": command,
@@ -118,7 +113,7 @@ def _write_manifest(
         "rng": RNG_NAME,
         "duration_seconds": time.time() - t0,
         "inputs": inputs,
-        "outputs": {p.name: digests.get(p) or _sha256(p) for p in outputs},
+        "outputs": {p.name: _sha256(p) for p in outputs},
     }
     _write_json(out_dir / "manifest.json", manifest)
 
@@ -391,15 +386,15 @@ def cmd_fit(args) -> int:
     )
     rotation = pipe.rotations[args.loss]
     params = rotation.params
+    se_A = pipe.std_errors(args.loss)
 
     # made only now, so that a data or fit error leaves no directory behind
     out.mkdir(parents=True, exist_ok=True)
-    a_csv, z_csv = out / "A.csv", out / "Z.csv"
-    _write_csv(a_csv, [f"dim{l + 1}" for l in range(args.r)], params.A.T)
-    _write_csv(z_csv, [f"dim{l + 1}" for l in range(args.r)], params.Z.T)
-    cache = out / DATA_CACHE
-    np.save(cache, values)
-    cache_sha256 = _sha256(cache)
+    dims = [f"dim{l + 1}" for l in range(args.r)]
+    a_csv, z_csv, se_csv = out / "A.csv", out / "Z.csv", out / "se_A.csv"
+    _write_csv(a_csv, dims, params.A.T)
+    _write_csv(z_csv, dims, params.Z.T)
+    _write_csv(se_csv, dims, se_A.T)
     rotation_payload = {
         "family": args.family,
         "variance": args.variance,
@@ -413,7 +408,6 @@ def cmd_fit(args) -> int:
         "column_means": column_means,
         "data": str(data_path),
         "data_sha256": data_sha256,
-        "data_cache_sha256": cache_sha256,
         "columns": header,
         "initial_rotation": pipe.init.rotation,
         "total_rotation": rotation.G_total,
@@ -425,13 +419,11 @@ def cmd_fit(args) -> int:
     rotation_json = out / "rotation.json"
     _write_json(rotation_json, rotation_payload)
 
-    outputs = [a_csv, z_csv, cache, rotation_json]
-    _write_manifest(
-        out, "fit", vars(args), {str(data_path): data_sha256}, outputs, t0, {cache: cache_sha256}
-    )
+    outputs = [a_csv, z_csv, se_csv, rotation_json]
+    _write_manifest(out, "fit", vars(args), {str(data_path): data_sha256}, outputs, t0)
     print(
-        f"fitted {params.q} x {args.r} representation; wrote A.csv, Z.csv, {DATA_CACHE}, "
-        f"rotation.json to {out}"
+        f"fitted {params.q} x {args.r} representation; wrote "
+        f"{', '.join(p.name for p in outputs)} to {out}"
     )
     return 0
 
@@ -442,68 +434,37 @@ def cmd_fit(args) -> int:
 
 
 def _load_model(model_dir: Path):
-    rotation_json = model_dir / "rotation.json"
-    for name in ("A.csv", "Z.csv", "rotation.json"):
+    """The fitted ``A``, its standard errors and ``rotation.json`` of
+    ``model_dir``; a standard error must be finite and positive."""
+    for name in MODEL_FILES:
         if not (model_dir / name).exists():
             raise DataError(f"missing model file {model_dir / name}; run `folomin fit` first")
-    meta = json.loads(rotation_json.read_text())
+    meta = json.loads((model_dir / "rotation.json").read_text())
     _, A = _read_numeric_csv(model_dir / "A.csv")
-    _, Z = _read_numeric_csv(model_dir / "Z.csv")
-    return meta, ParamPair(Z, A)
-
-
-def _load_data_cache(model_dir: Path, meta: dict, data_sha256: str, shape: tuple[int, int]):
-    """The data matrix ``fit`` saved in ``model_dir``, or None.
-
-    It is used only when the data file has the digest ``fit`` recorded,
-    the cache has the digest ``fit`` recorded for it, and it holds a
-    float64 array of ``shape``; a missing, stale or foreign cache means
-    the CSV is parsed again. The cache is read once: the digest is taken
-    of those bytes and the returned (read-only) array is a view of them.
-    """
-    cache = model_dir / DATA_CACHE
-    if data_sha256 != meta.get("data_sha256") or not cache.is_file():
-        return None
-    raw = cache.read_bytes()
-    if hashlib.sha256(raw).hexdigest() != meta.get("data_cache_sha256"):
-        return None
-    fh = io.BytesIO(raw)  # shares the buffer of ``raw``
-    try:
-        # np.save writes format 1.0 for any 2-d float array
-        if np.lib.format.read_magic(fh) != (1, 0):
-            return None
-        header = np.lib.format.read_array_header_1_0(fh)
-    except ValueError:
-        return None
-    if header != (shape, False, np.dtype(np.float64)):
-        return None
-    if len(raw) != fh.tell() + 8 * math.prod(shape):
-        return None
-    return np.frombuffer(raw, np.float64, offset=fh.tell()).reshape(shape)
+    se_csv = model_dir / "se_A.csv"
+    _, se_A = _read_numeric_csv(se_csv)
+    if se_A.shape != A.shape:
+        raise DataError(f"{se_csv}: shape {se_A.shape} does not match A.csv's {A.shape}")
+    bad = ~(np.isfinite(se_A) & (se_A > 0))
+    if bad.any():
+        j, l = np.argwhere(bad)[0]
+        raise DataError(
+            f"{se_csv}: standard error at row {j + 2}, column {l + 1} is not finite "
+            f"and positive: {float(se_A[j, l])}"
+        )
+    return meta, A, se_A
 
 
 def cmd_infer(args) -> int:
     t0 = time.time()
     model_dir = Path(args.model_dir)
     out = Path(args.out) if args.out else model_dir
-    meta, params = _load_model(model_dir)
-
-    data_path = Path(args.data) if args.data else Path(meta["data"])
-    _require_file(data_path)
-    data_sha256 = _sha256(data_path)
-    values = _load_data_cache(model_dir, meta, data_sha256, (params.n, params.q))
-    if values is None:
-        _, values = _read_numeric_csv(data_path)
-    if values.shape != (params.n, params.q):
-        raise DataError(
-            f"data shape {values.shape} does not match fitted model ({params.n}, {params.q})"
-        )
-    centered = values - np.asarray(meta["column_means"])
-    data = ResponseMatrix(centered, ResponseFamily(meta["family"], meta.get("variance", 1.0)))
+    meta, A, se_A = _load_model(model_dir)
+    q, r = A.shape
 
     report = build_report(
-        data,
-        params,
+        A,
+        se_A,
         level=args.level,
         alpha=args.alpha,
         adjust=args.adjust,
@@ -515,10 +476,10 @@ def cmd_infer(args) -> int:
     columns = meta.get("columns")
     items = [
         columns[j] if columns and j < len(columns) else f"col{j + 1}"
-        for j in range(params.q)
-        for _ in range(params.r)
+        for j in range(q)
+        for _ in range(r)
     ]
-    j, l = np.indices(params.A.shape).reshape(2, -1)
+    j, l = np.indices(A.shape).reshape(2, -1)
     inference_csv = out / "inference.csv"
     _write_csv(
         inference_csv,
@@ -540,7 +501,7 @@ def cmd_infer(args) -> int:
             j,
             l,
             items,
-            params.A.ravel(),
+            A.ravel(),
             report.se_A.ravel(),
             report.z_A.ravel(),
             report.p_A.ravel(),
@@ -552,7 +513,7 @@ def cmd_infer(args) -> int:
         ],
     )
     summary_payload = {
-        "entries_tested": int(params.q * params.r),
+        "entries_tested": int(q * r),
         "rejected": int(report.rejections_A.sum()),
         "level": args.level,
         "alpha": args.alpha,
@@ -564,7 +525,8 @@ def cmd_infer(args) -> int:
     inference_json = out / "inference_summary.json"
     _write_json(inference_json, summary_payload)
     outputs = [inference_csv, inference_json]
-    _write_manifest(out, "infer", vars(args), {str(data_path): data_sha256}, outputs, t0)
+    inputs = {str(model_dir / name): _sha256(model_dir / name) for name in MODEL_FILES}
+    _write_manifest(out, "infer", vars(args), inputs, outputs, t0)
     print(f"wrote {', '.join(p.name for p in outputs)} to {out}")
     return 0
 
@@ -624,8 +586,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit.set_defaults(func=cmd_fit)
 
     inf = sub.add_parser("infer", help="entrywise tests and intervals for a fitted model")
-    inf.add_argument("model_dir", help="directory containing A.csv, Z.csv, rotation.json")
-    inf.add_argument("--data", default=None, help="override the data path stored in the model")
+    inf.add_argument("model_dir", help="directory containing A.csv, se_A.csv, rotation.json")
     inf.add_argument("--level", type=float, default=0.95)
     inf.add_argument("--alpha", type=float, default=0.05)
     inf.add_argument("--adjust", choices=["bh", "bonferroni"], default="bh")

@@ -3,10 +3,12 @@
 Each row of the representation matrix (and of the latent scores) has an
 asymptotic sandwich covariance: the inverse curvature of its separable
 risk (bread) around the weighted score second moment (meat), both
-evaluated at the fitted parameters. Intervals and two-sided z-tests
-follow, with Benjamini-Hochberg or Bonferroni adjustment of the
-resulting p-values. Column alignment utilities resolve the signed
-permutation indeterminacy when comparing an estimate to a reference.
+evaluated at the fitted parameters. :func:`build_report` turns the
+standard errors of a representation matrix into Wald intervals and
+two-sided z-tests, with Benjamini-Hochberg or Bonferroni adjustment of
+the resulting p-values; it reads no data. Column alignment utilities
+resolve the signed permutation indeterminacy when comparing an estimate
+to a reference.
 """
 
 from __future__ import annotations
@@ -133,25 +135,24 @@ def row_variances(covariances: RowCovariance) -> np.ndarray:
     return covariances.sandwich.diagonal(axis1=1, axis2=2) / covariances.scale
 
 
-def wald_intervals(estimates: np.ndarray, covariances: RowCovariance, level: float):
-    """Entrywise Wald intervals and z-scores.
+def wald_intervals(estimates: np.ndarray, se: np.ndarray, level: float):
+    """Entrywise Wald intervals ``est +- z_level * se`` and z-scores
+    ``est / se``; returns ``(lower, upper, z)``.
 
-    Entry ``(j, l)`` gets ``est +- z_level * sqrt(sandwich_ll / scale)``;
-    z-scores standardize against the same standard error.
+    Every standard error must be finite and positive.
     """
     if not 0 < level < 1:
         raise ValueError("level must lie in (0, 1)")
     estimates = np.asarray(estimates, dtype=float)
-    variances = row_variances(covariances)
-    if np.any(variances <= 0):
-        j, l = np.argwhere(variances <= 0)[0]
-        raise DegenerateVarianceError(f"nonpositive variance for entry ({j}, {l})")
-    se = np.sqrt(variances)
+    se = np.asarray(se, dtype=float)
+    bad = ~(np.isfinite(se) & (se > 0))
+    if bad.any():
+        j, l = np.argwhere(bad)[0]
+        raise DegenerateVarianceError(
+            f"standard error {float(se[j, l])} for entry ({j}, {l}) is not finite and positive"
+        )
     mult = float(ndtri((1.0 + level) / 2.0))
-    lower = estimates - mult * se
-    upper = estimates + mult * se
-    z = estimates / se
-    return lower, upper, z, se
+    return estimates - mult * se, estimates + mult * se, estimates / se
 
 
 def two_sided_p(z: np.ndarray) -> np.ndarray:
@@ -313,21 +314,22 @@ class InferenceReport:
 
 
 def build_report(
-    data: ResponseMatrix,
-    params: ParamPair,
+    A: np.ndarray,
+    se_A: np.ndarray,
     level: float = 0.95,
     alpha: float = 0.05,
     adjust: str = "bh",
     per_column: bool = True,
 ) -> InferenceReport:
     """Wald intervals, z-tests and adjusted p-values for every entry of
-    the representation matrix ``A`` at the given parameters.
+    the representation matrix ``A``, whose standard errors are ``se_A``
+    (for a pipeline's rotation, ``PipelineResult.std_errors``).
 
     The latent scores are not covered. ``adjust`` and ``per_column`` are
     passed to :func:`adjust_p_values`.
     """
-    cov_A = plugin_covariances_A_all(data, params)
-    lower_A, upper_A, z_A, se_A = wald_intervals(params.A, cov_A, level)
+    se_A = np.asarray(se_A, dtype=float)
+    lower_A, upper_A, z_A = wald_intervals(A, se_A, level)
     p_A = two_sided_p(z_A)
     adjusted, rejections = adjust_p_values(p_A, alpha, adjust, per_column)
     return InferenceReport(lower_A, upper_A, z_A, se_A, p_A, adjusted, rejections)

@@ -111,6 +111,13 @@ class PipelineResult:
     def params(self, loss_name: str) -> ParamPair:
         return self.rotations[loss_name].params
 
+    def std_errors(self, loss_name: str) -> np.ndarray:
+        """The ``q x r`` standard errors of ``params(loss_name).A``: the
+        fit's sandwiches under the rotation ``G_total @ init.rotation``
+        that made the pair."""
+        G = self.rotations[loss_name].G_total @ self.init.rotation
+        return np.sqrt(row_variances(rotated_covariances_A(self.fit, G)))
+
 
 def fit_pipeline(
     data: ResponseMatrix,

@@ -1,16 +1,16 @@
-import builtins
 import csv
 import hashlib
-import io
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from folomin import ResponseFamily, ResponseMatrix, build_report
+from folomin import ResponseFamily, ResponseMatrix, build_report, plugin_covariances_A_all
 from folomin.cli import _write_csv, _write_json, main
 from folomin.erm import ParamPair
+from folomin.inference import row_variances
+from folomin.pipeline import fit_pipeline
 from folomin.sim import SimDesign, gen_dataset
 
 
@@ -116,6 +116,11 @@ def test_simulate_determinism(tmp_path):
     ).read_bytes()
 
 
+def _model_digests(model):
+    paths = [model / name for name in ("A.csv", "se_A.csv", "rotation.json")]
+    return {str(path): hashlib.sha256(path.read_bytes()).hexdigest() for path in paths}
+
+
 def test_fit_infer_roundtrip(tmp_path):
     data_csv = tmp_path / "data.csv"
     data = _write_dataset(data_csv, seed=1)
@@ -130,36 +135,47 @@ def test_fit_infer_roundtrip(tmp_path):
     assert code == 0
     A = np.loadtxt(model / "A.csv", delimiter=",", skiprows=1)
     Z = np.loadtxt(model / "Z.csv", delimiter=",", skiprows=1)
-    assert A.shape == (60, 2) and Z.shape == (120, 2)
+    se = np.loadtxt(model / "se_A.csv", delimiter=",", skiprows=1)
+    assert A.shape == se.shape == (60, 2) and Z.shape == (120, 2)
+    assert (model / "se_A.csv").read_text().splitlines()[0] == "dim1,dim2"
     meta = json.loads((model / "rotation.json").read_text())
     assert meta["loss"] == "mcp" and meta["r"] == 2
     # fit records the data file's digest in rotation.json and its manifest
     digest = hashlib.sha256(data_csv.read_bytes()).hexdigest()
     assert meta["data_sha256"] == digest
     assert json.loads((model / "manifest.json").read_text())["inputs"] == {str(data_csv): digest}
+    # the fit's own sandwich at the final pair is the plug-in one, to rounding
+    bernoulli = ResponseMatrix(data.values, ResponseFamily.bernoulli())
+    plugin = np.sqrt(row_variances(plugin_covariances_A_all(bernoulli, ParamPair(Z, A))))
+    np.testing.assert_allclose(se, plugin, rtol=1e-12, atol=0)
 
     code = main(["infer", str(model), "--level", "0.95", "--adjust", "bh", "--per-column"])
     assert code == 0
     inference = model / "inference.csv"
     assert inference.exists()
     assert (model / "inference_summary.json").exists()
-    assert json.loads((model / "manifest.json").read_text())["inputs"] == {str(data_csv): digest}
+    assert json.loads((model / "manifest.json").read_text())["inputs"] == _model_digests(model)
     with open(inference) as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 60 * 2
     assert {"estimate", "std_error", "z", "p", "p_bh", "p_bonferroni", "ci_lower", "ci_upper"} <= set(rows[0])
 
     # file round-trip reproduces the in-process pipeline exactly
-    report = build_report(
-        ResponseMatrix(data.values, ResponseFamily.bernoulli()),
-        ParamPair(Z, A),
-        level=0.95,
-        adjust="bh",
-        per_column=True,
-    )
-    got = np.array([[float(r["p"]), float(r["ci_lower"]), float(r["ci_upper"])] for r in rows])
+    pipe = fit_pipeline(bernoulli, 2, losses={"mcp": None})
+    assert np.array_equal(pipe.params("mcp").A, A)
+    report = build_report(A, pipe.std_errors("mcp"), level=0.95, adjust="bh", per_column=True)
+    columns = ["estimate", "std_error", "z", "p", "p_bh", "ci_lower", "ci_upper"]
+    got = np.array([[float(r[c]) for c in columns] for r in rows])
     expected = np.column_stack(
-        [report.p_A.ravel(), report.lower_A.ravel(), report.upper_A.ravel()]
+        [
+            A.ravel(),
+            report.se_A.ravel(),
+            report.z_A.ravel(),
+            report.p_A.ravel(),
+            report.adjusted_p_A.ravel(),
+            report.lower_A.ravel(),
+            report.upper_A.ravel(),
+        ]
     )
     np.testing.assert_array_equal(got, expected)
     # bonferroni column matches min(1, m p) per column
@@ -167,11 +183,6 @@ def test_fit_infer_roundtrip(tmp_path):
     bonf = np.minimum(1.0, p_raw * p_raw.shape[0])
     got_bonf = np.array([float(r["p_bonferroni"]) for r in rows]).reshape(p_raw.shape)
     np.testing.assert_allclose(got_bonf, bonf, atol=1e-15)
-
-    # an unknown family read from rotation.json is a usage error
-    meta["family"] = "weibull"
-    (model / "rotation.json").write_text(json.dumps(meta))
-    assert main(["infer", str(model), "--out", str(tmp_path / "bad")]) == 2
 
 
 def test_fit_determinism(tmp_path):
@@ -268,8 +279,9 @@ def test_center_flag_gaussian(tmp_path):
         ["simulate", "--n", "100", "--q", "80", "--r", "2", "--plots", "--out", "{out}"],
         ["infer", "{out}", "--heatmap"],
         ["fit", "data.csv", "--family", "gaussian", "--r", "2", "--seed", "5", "--out", "{out}"],
+        ["infer", "{out}", "--data", "x.csv"],
     ],
-    ids=["report", "simulate-plots", "infer-heatmap", "fit-seed"],
+    ids=["report", "simulate-plots", "infer-heatmap", "fit-seed", "infer-data"],
 )
 def test_removed_commands_and_flags_are_usage_errors(tmp_path, capsys, argv):
     out = tmp_path / "out"
@@ -304,48 +316,21 @@ def _spy_csv_reads(monkeypatch):
     return reads
 
 
-def _infer_without_cache(model, out):
-    (model / "data.npy").unlink(missing_ok=True)
-    assert main(["infer", str(model), "--out", str(out)]) == 0
-    return (out / "inference.csv").read_bytes()
-
-
-def test_infer_reuses_the_data_cache(tmp_path, monkeypatch):
-    data_csv, model, data = _fit_model(tmp_path)
-    cache = model / "data.npy"
-    np.testing.assert_array_equal(np.load(cache), data.values)
-    digest = hashlib.sha256(cache.read_bytes()).hexdigest()
-    assert json.loads((model / "rotation.json").read_text())["data_cache_sha256"] == digest
-    assert json.loads((model / "manifest.json").read_text())["outputs"]["data.npy"] == digest
-
+def test_infer_needs_no_data_file(tmp_path, monkeypatch):
+    data_csv, model, _ = _fit_model(tmp_path)
+    assert main(["infer", str(model), "--out", str(tmp_path / "before")]) == 0
+    data_csv.unlink()
     reads = _spy_csv_reads(monkeypatch)
-    assert main(["infer", str(model), "--out", str(tmp_path / "cached")]) == 0
-    assert reads == [model / "A.csv", model / "Z.csv"]
-    manifest = json.loads((tmp_path / "cached" / "manifest.json").read_text())
-    assert manifest["inputs"] == {str(data_csv): hashlib.sha256(data_csv.read_bytes()).hexdigest()}
-
-    parsed = _infer_without_cache(model, tmp_path / "parsed")
-    assert reads[-1] == data_csv
-    assert (tmp_path / "cached" / "inference.csv").read_bytes() == parsed
-
-
-def test_infer_opens_the_data_cache_once(tmp_path, monkeypatch):
-    _, model, _ = _fit_model(tmp_path)
-    cache = model / "data.npy"
-    opened = []
-    real_open = builtins.open
-
-    def spy(file, *args, **kwargs):
-        opened.append(Path(file) if isinstance(file, (str, Path)) else None)
-        return real_open(file, *args, **kwargs)
-
-    monkeypatch.setattr(builtins, "open", spy)
-    monkeypatch.setattr(io, "open", spy)
-    assert main(["infer", str(model), "--out", str(tmp_path / "cached")]) == 0
-    assert opened.count(cache) == 1
+    assert main(["infer", str(model), "--out", str(tmp_path / "after")]) == 0
+    assert reads == [model / "A.csv", model / "se_A.csv"]
+    manifest = json.loads((tmp_path / "after" / "manifest.json").read_text())
+    assert manifest["inputs"] == _model_digests(model)
+    assert (tmp_path / "after" / "inference.csv").read_bytes() == (
+        tmp_path / "before" / "inference.csv"
+    ).read_bytes()
 
 
-def test_infer_parses_an_edited_data_file(tmp_path, monkeypatch):
+def test_infer_ignores_an_edited_data_file(tmp_path):
     data_csv, model, data = _fit_model(tmp_path)
     assert main(["infer", str(model), "--out", str(tmp_path / "before")]) == 0
 
@@ -355,41 +340,45 @@ def test_infer_parses_an_edited_data_file(tmp_path, monkeypatch):
     lines[1] = ",".join(f"{v:.17g}" for v in values[0])
     data_csv.write_text("\n".join(lines) + "\n")
 
-    reads = _spy_csv_reads(monkeypatch)
     assert main(["infer", str(model), "--out", str(tmp_path / "edited")]) == 0
-    assert data_csv in reads
-    edited = (tmp_path / "edited" / "inference.csv").read_bytes()
-    assert edited != (tmp_path / "before" / "inference.csv").read_bytes()
-    assert edited == _infer_without_cache(model, tmp_path / "parsed")
-
-
-def _truncate(model):
-    cache = model / "data.npy"
-    cache.write_bytes(cache.read_bytes()[:200])
-
-
-def _foreign(model):
-    np.save(model / "data.npy", np.ones((5, 5)))
-
-
-def _foreign_with_recorded_digest(model):
-    _foreign(model)
-    meta = json.loads((model / "rotation.json").read_text())
-    meta["data_cache_sha256"] = hashlib.sha256((model / "data.npy").read_bytes()).hexdigest()
-    (model / "rotation.json").write_text(json.dumps(meta))
-
-
-@pytest.mark.parametrize("spoil", [_truncate, _foreign, _foreign_with_recorded_digest])
-def test_infer_ignores_a_bad_data_cache(tmp_path, monkeypatch, spoil):
-    data_csv, model, _ = _fit_model(tmp_path)
-    assert main(["infer", str(model), "--out", str(tmp_path / "good")]) == 0
-    spoil(model)
-    reads = _spy_csv_reads(monkeypatch)
-    assert main(["infer", str(model), "--out", str(tmp_path / "spoiled")]) == 0
-    assert data_csv in reads
-    assert (tmp_path / "spoiled" / "inference.csv").read_bytes() == (
-        tmp_path / "good" / "inference.csv"
+    assert (tmp_path / "edited" / "inference.csv").read_bytes() == (
+        tmp_path / "before" / "inference.csv"
     ).read_bytes()
+
+
+def _set_cell(se_csv, value):
+    rows = list(csv.reader(se_csv.read_text().splitlines()))
+    rows[2][1] = value
+    se_csv.write_text("\n".join(map(",".join, rows)) + "\n")
+
+
+@pytest.mark.parametrize(
+    "spoil, message",
+    [
+        (Path.unlink, "missing model file {se}; run `folomin fit` first"),
+        (
+            lambda se: se.write_text("\n".join(se.read_text().splitlines()[:-1]) + "\n"),
+            "{se}: shape (59, 2) does not match A.csv's (60, 2)",
+        ),
+        (
+            lambda se: _set_cell(se, "nan"),
+            "{se}: standard error at row 3, column 2 is not finite and positive: nan",
+        ),
+        (
+            lambda se: _set_cell(se, "0"),
+            "{se}: standard error at row 3, column 2 is not finite and positive: 0.0",
+        ),
+    ],
+    ids=["missing", "shape", "nan", "zero"],
+)
+def test_infer_rejects_a_bad_standard_error_file(tmp_path, capsys, spoil, message):
+    _, model, _ = _fit_model(tmp_path)
+    se_csv = model / "se_A.csv"
+    spoil(se_csv)
+    out = tmp_path / "out"
+    assert main(["infer", str(model), "--out", str(out)]) == 3
+    assert f"data error: {message.format(se=se_csv)}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("alpha", ["1.5", "0", "1"])
@@ -399,14 +388,6 @@ def test_infer_rejects_alpha_outside_the_unit_interval(tmp_path, capsys, alpha):
     assert main(["infer", str(model), "--alpha", alpha, "--out", str(out)]) == 2
     assert "usage error: alpha must lie in (0, 1)" in capsys.readouterr().err
     assert not out.exists()
-
-
-def test_infer_with_a_cache_still_needs_the_data_file(tmp_path, capsys):
-    data_csv, model, _ = _fit_model(tmp_path)
-    data_csv.unlink()
-    assert (model / "data.npy").exists()
-    assert main(["infer", str(model)]) == 3
-    assert f"data file not found: {data_csv}" in capsys.readouterr().err
 
 
 def _fmt(x) -> str:

@@ -232,7 +232,7 @@ def test_split_fit_writes_the_serial_outputs_and_leaves_no_child(tmp_path, block
         argv = ["fit", str(path), "--family", "gaussian", "--r", "2", "--out", str(out)]
         assert main(argv) == 0
         _no_child_left()
-        names = ("A.csv", "Z.csv", "data.npy", "rotation.json")
+        names = ("A.csv", "Z.csv", "se_A.csv", "rotation.json")
         outputs.append([(out / name).read_bytes() for name in names])
     assert outputs[0] == outputs[1]
 

@@ -100,7 +100,7 @@ def test_scalar_mean_inference():
     params = ParamPair(z, a_hat)
     covs = plugin_covariances_A_all(data, params)
     assert covs.sandwich[0, 0, 0] == pytest.approx(1.0, rel=0.1)
-    lower, upper, zscore, se = wald_intervals(params.A, covs, 0.95)
+    lower, upper, zscore = wald_intervals(params.A, np.sqrt(row_variances(covs)), 0.95)
     half = (upper - lower)[0, 0] / 2
     assert half == pytest.approx(1.959964 / np.sqrt(n), rel=0.1)
     assert lower[0, 0] <= params.A[0, 0] <= upper[0, 0]
@@ -112,10 +112,12 @@ def test_wald_rejects_zero_variance():
         ParamPair(np.ones((3, 1)), np.zeros((1, 1))),
     )
     # zero residuals give a zero meat matrix -> degenerate variance
-    with pytest.raises(DegenerateVarianceError):
-        wald_intervals(np.zeros((1, 1)), cov, 0.95)
+    se = np.sqrt(row_variances(cov))
+    for bad in (se, np.full((1, 1), np.nan), np.full((1, 1), np.inf)):
+        with pytest.raises(DegenerateVarianceError, match=r"for entry \(0, 0\) is not finite"):
+            wald_intervals(np.zeros((1, 1)), bad, 0.95)
     with pytest.raises(ValueError):
-        wald_intervals(np.zeros((1, 1)), cov, 1.5)
+        wald_intervals(np.zeros((1, 1)), se, 1.5)
 
 
 def test_bh_hand_example():
@@ -250,7 +252,7 @@ def test_interval_width_scales_with_root_n():
         data = ResponseMatrix(Y, fam)
         params = ParamPair(Z_star, oracle_fit_A(data, Z_star))
         covs = plugin_covariances_A_all(data, params)
-        lower, upper, _, _ = wald_intervals(params.A, covs, 0.95)
+        lower, upper, _ = wald_intervals(params.A, np.sqrt(row_variances(covs)), 0.95)
         widths[n] = float((upper - lower).mean())
     ratio = widths[500] / widths[2000]
     assert abs(ratio - 2.0) <= 0.15 * 2.0
@@ -267,7 +269,8 @@ def test_build_report_structure():
     Y = sample_response(fam, Z_star @ A_star.T, rng)
     data = ResponseMatrix(Y, fam)
     params = ParamPair(Z_star, oracle_fit_A(data, Z_star))
-    report = build_report(data, params, level=0.95, adjust="bh", per_column=True)
+    se = np.sqrt(row_variances(plugin_covariances_A_all(data, params)))
+    report = build_report(params.A, se, level=0.95, adjust="bh", per_column=True)
     assert report.lower_A.shape == (q, r)
     assert np.all(report.lower_A <= params.A) and np.all(params.A <= report.upper_A)
     assert np.all(report.adjusted_p_A >= report.p_A - 1e-15)
