@@ -188,7 +188,7 @@ def _parse_blocks(path: Path, cuts: list[int]) -> np.ndarray | None:
             os.waitpid(pid, 0)
 
 
-def _read_numeric_csv(path: Path) -> tuple[list[str], np.ndarray]:
+def _read_numeric_csv(path: Path, raw: bytes | None = None) -> tuple[list[str], np.ndarray]:
     """Read a rectangular numeric UTF-8 CSV with a header row.
 
     The header is read with :mod:`csv`, less a leading byte-order mark;
@@ -203,10 +203,18 @@ def _read_numeric_csv(path: Path) -> tuple[list[str], np.ndarray]:
     fails, for a fault or a cut inside a quoted line break, the whole file
     is parsed again in one piece, so the array or the error is always the
     serial parse's.
+
+    ``raw``, when given, is the file's content, already read: it is parsed
+    in one piece and ``path`` is opened only to name a bad cell.
     """
-    _require_file(path)
-    cuts = _block_cuts(path)
-    with open(path, encoding="utf-8-sig") as fh:
+    if raw is None:
+        _require_file(path)
+        cuts = _block_cuts(path)
+        fh = open(path, encoding="utf-8-sig")
+    else:
+        cuts = []
+        fh = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig")
+    with fh:
         try:
             header = next(csv.reader(fh))
             values = _parse_blocks(path, cuts) if cuts else None
@@ -434,15 +442,19 @@ def cmd_fit(args) -> int:
 
 
 def _load_model(model_dir: Path):
-    """The fitted ``A``, its standard errors and ``rotation.json`` of
-    ``model_dir``; a standard error must be finite and positive."""
+    """``rotation.json``, the fitted ``A`` and its standard errors of
+    ``model_dir``, and the digests of the bytes they were read from, each
+    file read once; a standard error must be finite and positive."""
+    raw = {}
     for name in MODEL_FILES:
         if not (model_dir / name).exists():
             raise DataError(f"missing model file {model_dir / name}; run `folomin fit` first")
-    meta = json.loads((model_dir / "rotation.json").read_text())
-    _, A = _read_numeric_csv(model_dir / "A.csv")
+        raw[name] = (model_dir / name).read_bytes()
+    digests = {str(model_dir / name): hashlib.sha256(raw[name]).hexdigest() for name in raw}
+    meta = json.loads(raw["rotation.json"])
+    _, A = _read_numeric_csv(model_dir / "A.csv", raw["A.csv"])
     se_csv = model_dir / "se_A.csv"
-    _, se_A = _read_numeric_csv(se_csv)
+    _, se_A = _read_numeric_csv(se_csv, raw["se_A.csv"])
     if se_A.shape != A.shape:
         raise DataError(f"{se_csv}: shape {se_A.shape} does not match A.csv's {A.shape}")
     bad = ~(np.isfinite(se_A) & (se_A > 0))
@@ -452,14 +464,14 @@ def _load_model(model_dir: Path):
             f"{se_csv}: standard error at row {j + 2}, column {l + 1} is not finite "
             f"and positive: {float(se_A[j, l])}"
         )
-    return meta, A, se_A
+    return meta, A, se_A, digests
 
 
 def cmd_infer(args) -> int:
     t0 = time.time()
     model_dir = Path(args.model_dir)
     out = Path(args.out) if args.out else model_dir
-    meta, A, se_A = _load_model(model_dir)
+    meta, A, se_A, inputs = _load_model(model_dir)
     q, r = A.shape
 
     report = build_report(
@@ -525,7 +537,6 @@ def cmd_infer(args) -> int:
     inference_json = out / "inference_summary.json"
     _write_json(inference_json, summary_payload)
     outputs = [inference_csv, inference_json]
-    inputs = {str(model_dir / name): _sha256(model_dir / name) for name in MODEL_FILES}
     _write_manifest(out, "infer", vars(args), inputs, outputs, t0)
     print(f"wrote {', '.join(p.name for p in outputs)} to {out}")
     return 0

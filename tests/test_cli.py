@@ -1,5 +1,7 @@
+import builtins
 import csv
 import hashlib
+import io
 import json
 from pathlib import Path
 
@@ -308,15 +310,16 @@ def _spy_csv_reads(monkeypatch):
     reads = []
     real = cli._read_numeric_csv
 
-    def spy(path):
+    def spy(path, *args):
         reads.append(Path(path))
-        return real(path)
+        return real(path, *args)
 
     monkeypatch.setattr(cli, "_read_numeric_csv", spy)
     return reads
 
 
-def test_infer_needs_no_data_file(tmp_path, monkeypatch):
+# se_A.csv is the fit's cached sandwich: infer reads it in place of the data.
+def test_infer_reuses_the_data_cache(tmp_path, monkeypatch):
     data_csv, model, _ = _fit_model(tmp_path)
     assert main(["infer", str(model), "--out", str(tmp_path / "before")]) == 0
     data_csv.unlink()
@@ -328,6 +331,23 @@ def test_infer_needs_no_data_file(tmp_path, monkeypatch):
     assert (tmp_path / "after" / "inference.csv").read_bytes() == (
         tmp_path / "before" / "inference.csv"
     ).read_bytes()
+
+
+def test_infer_opens_the_data_cache_once(tmp_path, monkeypatch):
+    data_csv, model, _ = _fit_model(tmp_path)
+    opened = []
+    real_open = builtins.open
+
+    def spy(file, *args, **kwargs):
+        opened.append(Path(file) if isinstance(file, (str, Path)) else None)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", spy)
+    monkeypatch.setattr(io, "open", spy)
+    assert main(["infer", str(model), "--out", str(tmp_path / "out")]) == 0
+    for name in ("A.csv", "se_A.csv", "rotation.json"):
+        assert opened.count(model / name) == 1
+    assert data_csv not in opened
 
 
 def test_infer_ignores_an_edited_data_file(tmp_path):
