@@ -451,7 +451,13 @@ def _load_model(model_dir: Path):
             raise DataError(f"missing model file {model_dir / name}; run `folomin fit` first")
         raw[name] = (model_dir / name).read_bytes()
     digests = {str(model_dir / name): hashlib.sha256(raw[name]).hexdigest() for name in raw}
-    meta = json.loads(raw["rotation.json"])
+    meta_path = model_dir / "rotation.json"
+    try:
+        meta = json.loads(raw["rotation.json"])
+    except ValueError as exc:  # a JSONDecodeError, or bytes that are not UTF-8
+        raise DataError(f"{meta_path}: not valid JSON: {exc}") from None
+    if not isinstance(meta, dict):
+        raise DataError(f"{meta_path}: expected a JSON object, got {type(meta).__name__}")
     _, A = _read_numeric_csv(model_dir / "A.csv", raw["A.csv"])
     se_csv = model_dir / "se_A.csv"
     _, se_A = _read_numeric_csv(se_csv, raw["se_A.csv"])

@@ -68,15 +68,18 @@ def similarity_matrix(params: ParamPair, delta: float) -> np.ndarray:
     """All pairwise similarities ``cos(Z a_j1, Z a_j2)`` with a norm floor.
 
     Entry ``(j1, j2)`` is zero whenever ``||Z a_j1|| ||Z a_j2|| / n`` is
-    at most ``delta``.
+    at most ``delta``. The row images enter only through their Gram
+    ``A (Z'Z) A'``, so the similarities are the normalized rows of
+    ``A L`` with ``L L' = Z'Z``: ``O(q^2 r)`` work and no ``n x q`` array.
     """
-    U = params.Z @ params.A.T  # n x q images of the rows
-    norms = np.linalg.norm(U, axis=0)
-    outer = np.outer(norms, norms)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        cos = (U.T @ U) / np.where(outer > 0, outer, 1.0)
-    cos = np.clip(cos, -1.0, 1.0)
-    cos[outer / params.n <= delta] = 0.0
+    w, Q = np.linalg.eigh(params.Z.T @ params.Z)
+    # eigenvalues at the rounding level of Z'Z belong to a rank-deficient Z
+    w[w <= w.max(initial=0.0) * max(params.Z.shape) * np.finfo(float).eps] = 0.0
+    B = params.A @ (Q * np.sqrt(w))  # rows: a_j' L
+    norms = np.linalg.norm(B, axis=1)
+    B /= np.where(norms > 0, norms, 1.0)[:, None]
+    cos = np.clip(B @ B.T, -1.0, 1.0)
+    cos[np.outer(norms, norms) / params.n <= delta] = 0.0
     return cos
 
 
@@ -94,22 +97,57 @@ def candidate_sets(
     combinations); fewer than ``r`` raises.
     """
     candidate = sims > 1.0 - delta_prime
-    sets = [set(np.flatnonzero(row).tolist()) for row in candidate]
-    order = sorted(
-        (j for j, s in enumerate(sets) if len(s) >= MIN_SET_SIZE),
-        key=lambda j: (-len(sets[j]), j),
-    )
+    sizes = np.count_nonzero(candidate, axis=1)
+    anchors = np.flatnonzero(sizes >= MIN_SET_SIZE)
+    # the anchors still disjoint from every accepted set, in greedy order
+    open_ = anchors[np.argsort(-sizes[anchors], kind="stable")]
     chosen: list[frozenset[int]] = []
-    used: set[int] = set()
-    for j in order:
-        if sets[j].isdisjoint(used):
-            chosen.append(frozenset(sets[j]))
-            used |= sets[j]
-            if len(chosen) == r + extra:
-                break
+    while open_.size and len(chosen) < r + extra:
+        row = candidate[open_[0]]
+        chosen.append(frozenset(np.flatnonzero(row).tolist()))
+        open_ = open_[~candidate[np.ix_(open_, row)].any(axis=1)]
     if len(chosen) < r:
         raise InsufficientSimpleStructureError(found=len(chosen), needed=r)
     return chosen
+
+
+MAX_AXIS_COND = 1e8
+
+
+def _rotations(
+    A0: np.ndarray,
+    choices: list[list[frozenset[int]]],
+    null_vectors: dict[frozenset[frozenset[int]], np.ndarray],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Initial rotations of the loadings ``A0`` for choices of ``r`` sets.
+
+    Returns ``(kept, G0, cond)``: the indices of the choices whose axis
+    matrix has condition number at most ``MAX_AXIS_COND``, their
+    rotations stacked in that order, and every choice's condition number.
+    ``null_vectors`` maps a union of "other" sets to its right singular
+    vector for the smallest singular value; a caller that keeps it across
+    calls takes one SVD per distinct union.
+    """
+    r = A0.shape[1]
+    V = np.empty((len(choices), r, r))
+    for c, sets in enumerate(choices):
+        if len(sets) != r:
+            raise ValueError(f"need exactly {r} sets, got {len(sets)}")
+        for k in range(r):
+            others = frozenset(sets[:k] + sets[k + 1 :])
+            if others not in null_vectors:
+                rows = sorted(frozenset().union(*others))
+                # a thin SVD of fewer than r rows has no null vector to return
+                Vt = np.linalg.svd(A0[rows], full_matrices=len(rows) < r)[2]
+                null_vectors[others] = Vt[-1]
+            V[c, :, k] = null_vectors[others]
+            if float((A0[sorted(sets[k])] @ V[c, :, k]).sum()) < 0:
+                V[c, :, k] = -V[c, :, k]
+    cond = np.linalg.cond(V)
+    kept = np.flatnonzero(~(cond > MAX_AXIS_COND))
+    V_inv = np.linalg.inv(V[kept])
+    scale = np.sqrt(np.diagonal(V_inv @ np.swapaxes(V_inv, 1, 2), axis1=1, axis2=2))
+    return kept, V_inv / scale[..., None], cond
 
 
 def axes_from_sets(params: ParamPair, sets: list[frozenset[int]]) -> InitResult:
@@ -120,26 +158,12 @@ def axes_from_sets(params: ParamPair, sets: list[frozenset[int]]) -> InitResult:
     sign-fixed toward nonnegative column sums on its own set; a diagonal
     rescale keeps the rotated latent columns at unit empirical variance.
     """
-    A0, r = params.A, params.r
-    if len(sets) != r:
-        raise ValueError(f"need exactly {r} sets, got {len(sets)}")
-    V = np.empty((r, r))
-    for k in range(r):
-        rows = sorted(set().union(*(sets[l] for l in range(r) if l != k)))
-        _, _, Vt = np.linalg.svd(A0[rows], full_matrices=True)
-        V[:, k] = Vt[-1]
-    for k in range(r):
-        if float((A0[sorted(sets[k])] @ V[:, k]).sum()) < 0:
-            V[:, k] = -V[:, k]
-
-    if np.linalg.cond(V) > 1e8:
+    kept, G0, cond = _rotations(params.A, [list(sets)], {})
+    if not kept.size:
         raise CollinearAxesError(
-            f"axis matrix condition number {np.linalg.cond(V):.3e} exceeds 1e8"
+            f"axis matrix condition number {cond[0]:.3e} exceeds 1e8"
         )
-    V_inv = np.linalg.inv(V)
-    scale = np.sqrt(np.diag(V_inv @ V_inv.T))
-    G0 = V_inv / scale[:, None]
-    return InitResult(params=params.rotate(G0), rotation=G0, selected_sets=list(sets))
+    return InitResult(params=params.rotate(G0[0]), rotation=G0[0], selected_sets=list(sets))
 
 
 def init_rotation(params: ParamPair, config: InitConfig | None = None) -> InitResult:

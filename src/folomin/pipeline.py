@@ -4,14 +4,21 @@ rotation. Shared by the Monte Carlo harness and the command line."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
 from .criteria import FoldedLoss, folded_criterion
 from .erm import FitConfig, FitResult, ParamPair, ResponseMatrix, erm_fit
-from .exceptions import CollinearAxesError, InsufficientSimpleStructureError
+from .exceptions import InsufficientSimpleStructureError
 from .inference import RowCovariance, rotated_covariances_A, row_variances
-from .initialization import MIN_SET_SIZE, InitResult, similarity_matrix
+from .initialization import (
+    MIN_SET_SIZE,
+    InitResult,
+    _rotations,
+    candidate_sets,
+    similarity_matrix,
+)
 from .lqa import LqaConfig, LqaResult, lqa_run
 
 __all__ = ["PipelineResult", "suggest_gamma", "fit_pipeline", "make_loss", "auto_init"]
@@ -66,15 +73,11 @@ def auto_init(fit: FitResult, delta: float = 0.01) -> InitResult:
     grid order breaking exact ties. A candidate whose axes are nearly
     collinear (two fragments of the same cluster) is discarded.
     """
-    from itertools import combinations
-
-    # imported per call, so a wrapper set on the module (a tracer's) sees these calls
-    from .initialization import axes_from_sets, candidate_sets
-
     params = fit.params
-    r = params.r
+    A0, r = params.A, params.r
     sims = similarity_matrix(params, delta)
-    candidates: list[InitResult] = []
+    null_vectors = {}  # shared by all slacks: the same unions recur
+    candidates = []  # (rotation, sets, rotated loadings), in grid order
     found_max = 0
     for dp in AUTO_DELTA_PRIME_GRID:
         try:
@@ -83,11 +86,10 @@ def auto_init(fit: FitResult, delta: float = 0.01) -> InitResult:
             found_max = max(found_max, exc.found)
             continue
         found_max = max(found_max, r)
-        for combo in combinations(range(len(top)), r):
-            try:
-                candidates.append(axes_from_sets(params, [top[i] for i in combo]))
-            except CollinearAxesError:
-                continue
+        choices = [[top[i] for i in combo] for combo in combinations(range(len(top)), r)]
+        kept, G0, _ = _rotations(A0, choices, null_vectors)
+        # the loadings of params.rotate(G0), by the same expression
+        candidates += zip(G0, [choices[i] for i in kept], A0 @ np.linalg.inv(G0))
     if not candidates:
         raise InsufficientSimpleStructureError(
             found=found_max,
@@ -95,10 +97,11 @@ def auto_init(fit: FitResult, delta: float = 0.01) -> InitResult:
             message=f"no slack in {AUTO_DELTA_PRIME_GRID} produced {r} disjoint clusters "
             f"of size >= {MIN_SET_SIZE}; best attempt found {found_max}",
         )
-    ref = candidates[0]
-    gamma_cmp = suggest_gamma(ref.params.A, rotated_covariances_A(fit, ref.rotation), a3=3.0)
+    G_ref, _, A_ref = candidates[0]
+    gamma_cmp = suggest_gamma(A_ref, rotated_covariances_A(fit, G_ref), a3=3.0)
     loss_cmp = FoldedLoss.mcp(gamma_cmp, 3.0)
-    return min(candidates, key=lambda c: folded_criterion(c.params.A, loss_cmp))
+    G0, sets, _ = min(candidates, key=lambda c: folded_criterion(c[2], loss_cmp))
+    return InitResult(params=params.rotate(G0), rotation=G0, selected_sets=sets)
 
 
 @dataclass(frozen=True)

@@ -65,9 +65,20 @@ def _row_norms(A: np.ndarray) -> np.ndarray:
     return np.where(norms > 0, norms, 1.0)[:, None]
 
 
-def _candidates(W: np.ndarray, G: np.ndarray, gq: np.ndarray) -> np.ndarray:
+def _skew_basis(r: int):
+    """The ``r (r - 1) / 2`` skew basis matrices ``E`` of the ``r x r``
+    rotations' tangent space, ``(p, r, r)``, and their pairwise products
+    ``E_i E_j``, ``(p, p, r, r)``."""
+    a, b = np.triu_indices(r, 1)
+    E = np.eye(r)[a, :, None] * np.eye(r)[b, None, :]
+    E = E - np.swapaxes(E, 1, 2)
+    return E, E[:, None] @ E[None]
+
+
+def _candidates(W: np.ndarray, G: np.ndarray, gq: np.ndarray, E: np.ndarray, EE: np.ndarray):
     """The fixed-point and the Newton step from each rotation of a stack;
-    ``gq`` is the stack's criterion gradient in the transposed layout.
+    ``gq`` is the stack's criterion gradient in the transposed layout, and
+    ``E, EE`` are :func:`_skew_basis` of its size.
 
     The fixed-point step is ``polar(N)``, ``N = W' grad``, a
     gradient-projection step of unit length. The Newton step maximizes the
@@ -76,9 +87,6 @@ def _candidates(W: np.ndarray, G: np.ndarray, gq: np.ndarray) -> np.ndarray:
     skew coordinates of ``K``, and retracts by the polar factor.
     """
     q, r = W.shape
-    a, b = np.triu_indices(r, 1)
-    E = np.eye(r)[a, :, None] * np.eye(r)[b, None, :]
-    E = E - np.swapaxes(E, 1, 2)
     Lt = (np.swapaxes(G, 1, 2) @ W.T)[:, None]
     N = np.swapaxes(gq @ W, 1, 2)
     Vt = np.swapaxes(E, 1, 2) @ Lt  # (L E)' for every direction E
@@ -88,7 +96,7 @@ def _candidates(W: np.ndarray, G: np.ndarray, gq: np.ndarray) -> np.ndarray:
     GN = np.swapaxes(G, 1, 2) @ N
     k, p = Vt.shape[:2]
     curvature = Vt.reshape(k, p, r * q) @ np.swapaxes(HVt.reshape(k, p, r * q), 1, 2)
-    curvature += np.einsum("krs,ijrs->kij", GN + np.swapaxes(GN, 1, 2), E[:, None] @ E[None]) / 2
+    curvature += np.einsum("krs,ijrs->kij", GN + np.swapaxes(GN, 1, 2), EE) / 2
     slope = np.einsum("krs,irs->ki", GN, E)
     # the curvature's absolute value keeps the step uphill near a saddle
     lam, Q = np.linalg.eigh(curvature)
@@ -108,12 +116,13 @@ def _ascend(W: np.ndarray, G: np.ndarray, max_iters: int):
     column per start).
     """
     G = G.copy()
+    E, EE = _skew_basis(W.shape[1])
     f, gq = _varimax_value_grad(np.swapaxes(G, 1, 2) @ W.T)
     iters = np.zeros(len(G), dtype=int)
     live = np.arange(len(G))
     history = [f.copy()]
     for _ in range(max_iters):
-        cand = _candidates(W, G[live], gq[live])
+        cand = _candidates(W, G[live], gq[live], E, EE)
         f_cand, gq_cand = _varimax_value_grad(np.swapaxes(cand, 2, 3) @ W.T)
         tie = np.abs(f_cand[0] - f_cand[1]) <= 8e-16 * (1.0 + np.abs(f[live]))
         pick = np.where(tie, 1, np.argmax(f_cand, axis=0)), np.arange(live.size)

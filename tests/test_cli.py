@@ -218,6 +218,22 @@ def test_fit_rejects_bad_data(tmp_path, capsys):
     assert code == 2
 
 
+def test_fit_one_factor(tmp_path):
+    # SimDesign needs r >= 2, so the one-factor data are drawn here
+    rng = np.random.default_rng(2)
+    A = rng.uniform(1, 2, (40, 1)) * np.repeat([1.0, -1.0], 20)[:, None]
+    Y = rng.standard_normal((120, 1)) @ A.T + rng.standard_normal((120, 40))
+    data_csv = tmp_path / "data.csv"
+    header = ",".join(f"item{j}" for j in range(40))
+    np.savetxt(data_csv, Y, fmt="%.17g", delimiter=",", header=header, comments="")
+    model = tmp_path / "model"
+    args = ["fit", str(data_csv), "--family", "gaussian", "--r", "1", "--out", str(model)]
+    assert main(args) == 0
+    meta = json.loads((model / "rotation.json").read_text())
+    assert meta["r"] == 1 and len(meta["selected_sets"]) == 1
+    assert main(["infer", str(model), "--out", str(tmp_path / "infer")]) == 0
+
+
 def test_fit_domain_violation(tmp_path):
     bad = tmp_path / "bad_domain.csv"
     bad.write_text("a,b,c\n0.0,1.0,2.0\n1.0,0.0,1.0\n0.5,1.0,0.0\n")
@@ -398,6 +414,24 @@ def test_infer_rejects_a_bad_standard_error_file(tmp_path, capsys, spoil, messag
     out = tmp_path / "out"
     assert main(["infer", str(model), "--out", str(out)]) == 3
     assert f"data error: {message.format(se=se_csv)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        ("{", "{meta}: not valid JSON: Expecting property name enclosed in double quotes"),
+        ("[]", "{meta}: expected a JSON object, got list"),
+    ],
+    ids=["malformed", "not_an_object"],
+)
+def test_infer_rejects_a_bad_rotation_file(tmp_path, capsys, content, message):
+    _, model, _ = _fit_model(tmp_path)
+    meta = model / "rotation.json"
+    meta.write_text(content + "\n")
+    out = tmp_path / "out"
+    assert main(["infer", str(model), "--out", str(out)]) == 3
+    assert f"data error: {message.format(meta=meta)}" in capsys.readouterr().err
     assert not out.exists()
 
 

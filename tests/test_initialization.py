@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from folomin import (
     InitConfig,
@@ -9,6 +11,8 @@ from folomin import (
     init_rotation,
     similarity_matrix,
 )
+from folomin.exceptions import CollinearAxesError
+from folomin.initialization import MIN_SET_SIZE, axes_from_sets, candidate_sets
 
 
 def _orthonormal_scores(rng, n, r):
@@ -105,8 +109,206 @@ def test_insufficient_structure_reports_count():
     assert info.value.found == 2
 
 
+def test_axes_from_sets_rejects_collinear_axes():
+    # two sets of antiparallel rows leave the same null vector to both axes
+    rng = np.random.default_rng(8)
+    A = np.array([[1.0, 0.0], [2.0, 0.0], [-1.0, 0.0], [-3.0, 0.0], [0.0, 1.0], [0.0, 2.0]])
+    params = ParamPair(_orthonormal_scores(rng, 40, 2), A)
+    with pytest.raises(CollinearAxesError, match="exceeds 1e8"):
+        axes_from_sets(params, [frozenset({0, 1}), frozenset({2, 3})])
+    with pytest.raises(ValueError, match="need exactly 2 sets, got 1"):
+        axes_from_sets(params, [frozenset({0, 1})])
+    res = axes_from_sets(params, [frozenset({0, 1}), frozenset({4, 5})])
+    np.testing.assert_allclose(res.params.A[[0, 1, 4, 5]], [[1, 0], [2, 0], [0, 1], [0, 2]], atol=1e-12)
+
+
 def test_init_config_validation():
     with pytest.raises(ValueError):
         InitConfig(delta=0.0)
     with pytest.raises(ValueError):
         InitConfig(delta_prime=1.0)
+
+
+# ------------------------------------------------------------------ #
+# the similarity from the r x r latent Gram, against its definition
+
+
+def _reference_similarity(params, delta):
+    """``cos(Z a_j1, Z a_j2)`` from the ``n x q`` images ``U = Z A'``, with
+    the norm floor; also returns the floored quantity ``||U_j1|| ||U_j2|| / n``."""
+    U = params.Z @ params.A.T
+    norms = np.linalg.norm(U, axis=0)
+    outer = np.outer(norms, norms)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        cos = (U.T @ U) / np.where(outer > 0, outer, 1.0)
+    cos = np.clip(cos, -1.0, 1.0)
+    cos[outer / params.n <= delta] = 0.0
+    return cos, outer / params.n
+
+
+@st.composite
+def _pairs(draw):
+    """A pair with clusters of parallel rows, zero rows, and optionally a
+    rank-deficient ``Z`` (a zero column or a column combining others) with
+    rows of ``A`` in its null space."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, q, r = draw(st.integers(2, 40)), draw(st.integers(1, 30)), draw(st.integers(1, 5))
+    Z = rng.standard_normal((n, r)) * draw(st.sampled_from([0.1, 1.0, 10.0]))
+    A = rng.standard_normal((q, r)) * draw(st.sampled_from([0.01, 1.0, 5.0]))
+    # rows proportional to an earlier row form clusters of similarity one
+    for j in range(1, q):
+        if rng.random() < 0.3:
+            A[j] = rng.uniform(-3.0, 3.0) * A[rng.integers(j)]
+    A[rng.random(q) < 0.1] = 0.0
+    deficiency = draw(st.sampled_from(["none", "zero", "combination"]))
+    if r >= 2 and deficiency != "none":
+        null = np.zeros(r)
+        if deficiency == "zero":
+            Z[:, -1] = 0.0
+            null[-1] = 1.0
+        else:
+            c = rng.standard_normal(r - 1)
+            Z[:, -1] = Z[:, :-1] @ c
+            null[:-1], null[-1] = c, -1.0
+        A[rng.random(q) < 0.2] = null
+    delta = draw(st.sampled_from([1e-3, 0.01, 0.5]))
+    return ParamPair(Z, A), delta
+
+
+def _off_the_floor(floored, delta):
+    # entries whose floored quantity sits at delta to rounding may fall
+    # either way under any other evaluation order
+    return np.abs(floored - delta) > 1e-9 * delta
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_pairs())
+def test_similarity_is_exactly_symmetric(case):
+    sims = similarity_matrix(*case)
+    assert np.array_equal(sims, sims.T)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_pairs())
+def test_similarity_matches_its_definition(case):
+    params, delta = case
+    sims = similarity_matrix(params, delta)
+    reference, floored = _reference_similarity(params, delta)
+    keep = _off_the_floor(floored, delta)
+    assert np.isfinite(sims).all()
+    np.testing.assert_array_equal(sims[keep] == 0.0, reference[keep] == 0.0)
+    assert np.abs(sims - reference)[keep].max(initial=0.0) <= 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_pairs(), seed=st.integers(0, 2**32 - 1))
+def test_similarity_is_rotation_invariant(case, seed):
+    params, delta = case
+    rng = np.random.default_rng(seed)
+    G = rng.standard_normal((params.r, params.r)) + 3.0 * np.eye(params.r)
+    sims = similarity_matrix(params, delta)
+    rotated = similarity_matrix(params.rotate(G), delta)
+    keep = _off_the_floor(_reference_similarity(params, delta)[1], delta)
+    assert np.abs(rotated - sims)[keep].max(initial=0.0) <= 1e-10
+
+
+def test_similarity_accepts_a_rank_deficient_z():
+    # Z'Z is singular, so it has no Cholesky factor
+    rng = np.random.default_rng(6)
+    Z = rng.standard_normal((50, 3))
+    Z[:, 2] = Z[:, 0] - Z[:, 1]
+    A = rng.standard_normal((12, 3))
+    A[4] = [1.0, -1.0, -1.0]  # Z a_4 = 0
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(Z.T @ Z)
+    params = ParamPair(Z, A)
+    sims = similarity_matrix(params, 0.01)
+    assert np.abs(sims - _reference_similarity(params, 0.01)[0]).max() <= 1e-12
+    assert not sims[4].any() and not sims[:, 4].any()
+
+
+def test_similarity_of_rows_near_the_null_space_of_a_rank_one_z():
+    # every image is a multiple of z, so every cosine is +-1; an eigenvalue
+    # of Z'Z left at rounding level would tilt the small images off that
+    # line (on some seeds, where its rounding comes out positive)
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        z = rng.standard_normal(50)
+        Z = np.column_stack([z, 0.7 * z])
+        A = np.array([[0.7, -1.0]]) + 1e-3 * rng.standard_normal((8, 2))
+        params = ParamPair(Z, A)
+        reference, floored = _reference_similarity(params, 1e-9)
+        keep = floored > 1e-9
+        sims = similarity_matrix(params, 1e-9)
+        assert np.abs(sims - reference)[keep].max() <= 1e-12, seed
+        assert not sims[~keep].any(), seed
+
+
+# ------------------------------------------------------------------ #
+# the greedy set pick, against the set-based reference
+
+
+def _reference_candidate_sets(sims, delta_prime, r, extra=0):
+    """One Python set per row, ordered by size then anchor, each accepted
+    iff disjoint from those accepted before; ``(sets, None)``, or
+    ``(None, found)`` when fewer than ``r`` are found."""
+    candidate = sims > 1.0 - delta_prime
+    sets = [set(np.flatnonzero(row).tolist()) for row in candidate]
+    order = sorted(
+        (j for j, s in enumerate(sets) if len(s) >= MIN_SET_SIZE),
+        key=lambda j: (-len(sets[j]), j),
+    )
+    chosen = []
+    used = set()
+    for j in order:
+        if sets[j].isdisjoint(used):
+            chosen.append(frozenset(sets[j]))
+            used |= sets[j]
+            if len(chosen) == r + extra:
+                break
+    if len(chosen) < r:
+        return None, len(chosen)
+    return chosen, None
+
+
+@st.composite
+def _similarities(draw):
+    """Small similarity matrices whose values sit on either side of the
+    thresholds, so candidate sets overlap and tie in size; some are not
+    symmetric."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q = draw(st.integers(0, 16))
+    sims = rng.choice([0.0, 0.5, 0.97, 0.995, 1.0], size=(q, q), p=[0.4, 0.1, 0.2, 0.1, 0.2])
+    if draw(st.booleans()):
+        sims = np.triu(sims) + np.triu(sims, 1).T
+    np.fill_diagonal(sims, 1.0)
+    return sims
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    sims=_similarities(),
+    delta_prime=st.sampled_from([0.001, 0.01, 0.1, 0.6]),
+    r=st.integers(1, 4),
+    extra=st.integers(0, 2),
+)
+def test_candidate_sets_match_the_set_based_greedy(sims, delta_prime, r, extra):
+    expected, found = _reference_candidate_sets(sims, delta_prime, r, extra)
+    if expected is None:
+        with pytest.raises(InsufficientSimpleStructureError) as info:
+            candidate_sets(sims, delta_prime, r, extra)
+        assert info.value.found == found
+    else:
+        assert candidate_sets(sims, delta_prime, r, extra) == expected
+
+
+def test_candidate_sets_break_size_ties_by_anchor():
+    # anchors 0, 2 and 4 tie at three rows and overlap pairwise, so the
+    # smallest anchor wins and the next disjoint set is anchor 3's pair
+    sims = np.eye(6)
+    for a, b in ((0, 1), (2, 3), (4, 0), (4, 2)):
+        sims[a, b] = sims[b, a] = 1.0
+    expected, _ = _reference_candidate_sets(sims, 0.01, 2, extra=1)
+    chosen = candidate_sets(sims, 0.01, 2, extra=1)
+    assert chosen == expected
+    assert chosen == [frozenset({0, 1, 4}), frozenset({2, 3})]

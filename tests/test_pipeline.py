@@ -1,10 +1,29 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
+from test_initialization import _reference_candidate_sets, _reference_similarity
 
-from folomin import InsufficientSimpleStructureError, align
+from folomin import (
+    CollinearAxesError,
+    InitResult,
+    InsufficientSimpleStructureError,
+    ParamPair,
+    align,
+    sample_response,
+)
+from folomin.criteria import FoldedLoss, folded_criterion
 from folomin.erm import FitConfig
 from folomin.inference import rotated_covariances_A
-from folomin.pipeline import auto_init, fit_pipeline, make_loss, suggest_gamma
+from folomin.initialization import axes_from_sets, similarity_matrix
+from folomin.pipeline import (
+    AUTO_DELTA_PRIME_GRID,
+    EXTRA_SETS,
+    auto_init,
+    fit_pipeline,
+    make_loss,
+    suggest_gamma,
+)
 from folomin.sim import SimDesign, gen_dataset
 
 
@@ -93,10 +112,10 @@ def test_suggest_gamma_scales_with_plateau(small_case):
     assert g_tl1 == pytest.approx(2.0 * g_mcp)
 
 
-def test_auto_init_beats_single_slack_on_hard_case():
+@pytest.fixture(scope="module")
+def hard_case():
     # replication where a dense near-parallel bundle displaces a true
-    # cluster at moderate slack levels; the criterion-ranked combination
-    # search recovers a sound rotation
+    # cluster at moderate slack levels
     import folomin as fm
 
     design = SimDesign(n=500, q=500, r=3, lambda_signal=0.2, tau=0.5, seed=202)
@@ -104,7 +123,12 @@ def test_auto_init_beats_single_slack_on_hard_case():
     rng = np.random.Generator(np.random.Philox(ss))
     Z_star, A_star, data = gen_dataset(design, rng)
     M = 1.5 * max(np.linalg.norm(A_star, axis=1).max(), np.linalg.norm(Z_star, axis=1).max())
-    fit = fm.erm_fit(data, 3, FitConfig(M=M))
+    return A_star, fm.erm_fit(data, 3, FitConfig(M=M))
+
+
+def test_auto_init_beats_single_slack_on_hard_case(hard_case):
+    # the criterion-ranked combination search recovers a sound rotation
+    A_star, fit = hard_case
     init = auto_init(fit, delta=0.002)
     _, _, aligned = align(init.params.A, A_star)
     rms = np.sqrt(((aligned - A_star) ** 2).mean())
@@ -122,3 +146,121 @@ def test_auto_init_raises_without_structure(monkeypatch):
     monkeypatch.setattr(pipeline, "AUTO_DELTA_PRIME_GRID", (1e-6,))
     with pytest.raises(InsufficientSimpleStructureError, match=r"no slack in \(1e-06,\)"):
         auto_init(erm_fit(data, 2), delta=0.01)
+
+
+def _reference_axes(params, sets):
+    """The rotation of ``sets``: ``r`` full SVDs, one per left-out set."""
+    A0, r = params.A, params.r
+    V = np.empty((r, r))
+    for k in range(r):
+        rows = sorted(set().union(*(sets[l] for l in range(r) if l != k)))
+        _, _, Vt = np.linalg.svd(A0[rows], full_matrices=True)
+        V[:, k] = Vt[-1]
+    for k in range(r):
+        if float((A0[sorted(sets[k])] @ V[:, k]).sum()) < 0:
+            V[:, k] = -V[:, k]
+    if np.linalg.cond(V) > 1e8:
+        raise CollinearAxesError("collinear")
+    V_inv = np.linalg.inv(V)
+    G0 = V_inv / np.sqrt(np.diag(V_inv @ V_inv.T))[:, None]
+    return InitResult(params=params.rotate(G0), rotation=G0, selected_sets=list(sets))
+
+
+def _reference_auto_init(fit, delta):
+    """The exhaustive candidate loop: every slack, every combination, a
+    full result per candidate, the first smallest criterion wins; also
+    returns the number of collinear candidates discarded."""
+    params, r = fit.params, fit.params.r
+    sims = _reference_similarity(params, delta)[0]
+    candidates, collinear = [], 0
+    for dp in AUTO_DELTA_PRIME_GRID:
+        top, _ = _reference_candidate_sets(sims, dp, r, extra=EXTRA_SETS)
+        for combo in combinations(range(len(top or ())), r):
+            try:
+                candidates.append(_reference_axes(params, [top[i] for i in combo]))
+            except CollinearAxesError:
+                collinear += 1
+    ref = candidates[0]
+    gamma = suggest_gamma(ref.params.A, rotated_covariances_A(fit, ref.rotation), a3=3.0)
+    loss = FoldedLoss.mcp(gamma, 3.0)
+    return min(candidates, key=lambda c: folded_criterion(c.params.A, loss)), collinear
+
+
+def _assert_same_init(init, expected):
+    assert np.array_equal(init.rotation, expected.rotation)
+    assert np.array_equal(init.params.A, expected.params.A)
+    assert np.array_equal(init.params.Z, expected.params.Z)
+    assert init.selected_sets == expected.selected_sets
+
+
+def test_auto_init_equals_the_exhaustive_loop_on_hard_case(hard_case):
+    _, fit = hard_case
+    expected, _ = _reference_auto_init(fit, 0.002)
+    _assert_same_init(auto_init(fit, delta=0.002), expected)
+
+
+def test_auto_init_equals_the_exhaustive_loop_past_collinear_axes():
+    # a planted block with loadings of both signs clusters into two
+    # disjoint sets of exactly antiparallel rows; a combination holding
+    # both has two equal axes and is discarded
+    from folomin import ResponseFamily, ResponseMatrix, erm_fit
+
+    rng = np.random.default_rng(0)
+    n, q, r = 200, 60, 3
+    Z = np.sqrt(n) * np.linalg.qr(rng.standard_normal((n, r)))[0]
+    A = np.zeros((q, r))
+    A[:20, 0] = rng.uniform(1, 2, 20) * np.repeat([1.0, -1.0], 10)
+    A[20:40, 1] = rng.uniform(1, 2, 20)
+    A[40:, 2] = rng.uniform(1, 2, 20)
+    fit = erm_fit(ResponseMatrix(Z @ A.T, ResponseFamily.gaussian(1.0)), r)
+    expected, collinear = _reference_auto_init(fit, 0.01)
+    assert collinear > 0
+    _assert_same_init(auto_init(fit, delta=0.01), expected)
+
+
+@pytest.mark.parametrize(
+    "sizes",
+    [(3,), (1, 1, 1), (1, 1, 3), (2, 2, 2, 2)],
+    ids=["one_factor", "singletons", "mixed", "two_per_axis"],
+)
+def test_axes_from_sets_equals_the_full_svds(sizes):
+    # a union of "other" sets with fewer than r rows (every union at
+    # r = 1, the empty one) has its null vector only in a full SVD
+    rng = np.random.default_rng(len(sizes) + sum(sizes))
+    r, q = len(sizes), sum(sizes) + 4
+    params = ParamPair(rng.standard_normal((50, r)), rng.standard_normal((q, r)))
+    bounds = np.cumsum((0,) + sizes)
+    sets = [frozenset(range(lo, hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    _assert_same_init(axes_from_sets(params, sets), _reference_axes(params, sets))
+
+
+def test_auto_init_equals_the_exhaustive_loop_at_one_factor():
+    from folomin import ResponseFamily, ResponseMatrix, erm_fit
+
+    rng = np.random.default_rng(3)
+    n, q = 120, 40
+    Z = rng.standard_normal((n, 1))
+    A = rng.uniform(1, 2, (q, 1)) * np.repeat([1.0, -1.0], q // 2)[:, None]
+    fam = ResponseFamily.gaussian(1.0)
+    fit = erm_fit(ResponseMatrix(sample_response(fam, Z @ A.T, rng), fam), 1)
+    expected, _ = _reference_auto_init(fit, 0.01)
+    init = auto_init(fit, delta=0.01)
+    _assert_same_init(init, expected)
+    assert init.rotation.shape == (1, 1)
+
+
+def test_similarity_does_not_form_the_row_images():
+    # Z A' would take n q doubles; the similarity needs O(q^2 + n r)
+    import tracemalloc
+
+    rng = np.random.default_rng(7)
+    n, q, r = 20000, 100, 3
+    params = ParamPair(rng.standard_normal((n, r)), rng.standard_normal((q, r)))
+    similarity_matrix(params, 0.01)  # numpy's first-call allocations
+    tracemalloc.start()
+    try:
+        similarity_matrix(params, 0.01)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * q * 8  # one n x q float array: 16 MB
