@@ -22,7 +22,6 @@ from .erm import (
     ParamPair,
     erm_fit,
     oracle_fit_A,
-    oracle_fit_Z,
     spectral_warm_start,
 )
 from .exceptions import (
@@ -49,9 +48,7 @@ from .inference import (
     bonferroni_adjust,
     build_report,
     plugin_covariances_A_all,
-    plugin_covariances_Z_all,
     rotated_covariances_A,
-    rotated_covariances_Z,
     two_sided_p,
     wald_intervals,
 )

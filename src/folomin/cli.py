@@ -351,7 +351,6 @@ def cmd_simulate(args) -> int:
         "failures": summary.failures,
         "mean_coverage_A": summary.mean_coverage_A,
         "mean_scaled_mse_A": summary.mean_scaled_mse_A,
-        "mean_coverage_Z": summary.mean_coverage_Z,
         "methods": list(summary.methods),
         "rng": RNG_NAME,
         "manifest": "manifest.json",
@@ -444,7 +443,8 @@ def cmd_fit(args) -> int:
 def _load_model(model_dir: Path):
     """``rotation.json``, the fitted ``A`` and its standard errors of
     ``model_dir``, and the digests of the bytes they were read from, each
-    file read once; a standard error must be finite and positive."""
+    file read once; a standard error must be finite and positive, and a
+    ``columns`` entry must name each row of ``A``."""
     raw = {}
     for name in MODEL_FILES:
         if not (model_dir / name).exists():
@@ -470,6 +470,15 @@ def _load_model(model_dir: Path):
             f"{se_csv}: standard error at row {j + 2}, column {l + 1} is not finite "
             f"and positive: {float(se_A[j, l])}"
         )
+    columns = meta.get("columns")
+    if "columns" in meta and not (
+        isinstance(columns, list)
+        and len(columns) == len(A)
+        and all(isinstance(c, str) for c in columns)
+    ):
+        raise DataError(
+            f"{meta_path}: columns must be a list of {len(A)} strings, one per row of A.csv"
+        )
     return meta, A, se_A, digests
 
 
@@ -491,12 +500,8 @@ def cmd_infer(args) -> int:
     p_bonf, _ = adjust_p_values(report.p_A, args.alpha, "bonferroni", args.per_column)
     out.mkdir(parents=True, exist_ok=True)
 
-    columns = meta.get("columns")
-    items = [
-        columns[j] if columns and j < len(columns) else f"col{j + 1}"
-        for j in range(q)
-        for _ in range(r)
-    ]
+    columns = meta.get("columns") or [f"col{j + 1}" for j in range(q)]
+    items = [column for column in columns for _ in range(r)]
     j, l = np.indices(A.shape).reshape(2, -1)
     inference_csv = out / "inference.csv"
     _write_csv(

@@ -20,9 +20,9 @@ The start, ``spectral_warm_start``, is the rank-``r`` truncated
 SVD of a transformed response matrix, computed from the top eigenpairs
 of its smaller Gram rather than a full SVD.
 
-``oracle_fit_A`` / ``oracle_fit_Z`` solve the row-separable convex
-problems obtained when the opposite block is known, by damped Newton
-vectorized across rows; they and the ERM sweeps share one Newton step.
+``oracle_fit_A`` solves the row-separable convex problems obtained when
+the latent scores are known, by damped Newton vectorized across rows; it
+and the ERM sweeps share one Newton step.
 That step evaluates each trial point once, at order 2, so the risk,
 gradient and curvature of an accepted row feed the next direction with
 no further kernel call: the ``Z`` step's cells serve the ``A`` step
@@ -31,9 +31,10 @@ next sweep's test and ``Z`` step (so does the diagonalization). Only a
 halved or retaken step is evaluated again. The oracle works on an
 active set: a settled row does not move again, so each step evaluates
 only the rows that are still active. An ERM fit also returns
-the bread and meat stacks of its plug-in sandwiches at the returned
-pair: the breads are the rows' risk Hessians that its last convergence
-test formed, and the meats come from the gradients it holds there.
+the bread and meat stacks of the plug-in sandwiches of its ``A`` rows at
+the returned pair: the breads are the rows' risk Hessians that its last
+convergence test formed, and the meats come from the gradients it holds
+there.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ __all__ = [
     "erm_fit",
     "spectral_warm_start",
     "oracle_fit_A",
-    "oracle_fit_Z",
     "row_grams",
 ]
 
@@ -155,21 +155,18 @@ class FitTrace:
 @dataclass(frozen=True)
 class FitResult:
     """A fitted pair, its trace, and the bread and meat stacks of the
-    sandwich covariances of every row at ``params``.
+    sandwich covariances of every row of ``A`` at ``params``.
 
     Row ``j`` of ``A`` has bread ``Z' diag(l''_j) Z / n`` and meat
     ``Z' diag(l'_j^2) Z / n``, with the risk's derivatives ``l'`` and
-    ``l''`` taken at column ``j`` of ``Z A'``; row ``i`` of ``Z`` has the
-    same with ``A``, row ``i`` of ``Z A'`` and ``q``. Each stack is
-    ``(k, r, r)``.
+    ``l''`` taken at column ``j`` of ``Z A'``. Each stack is
+    ``(q, r, r)``.
     """
 
     params: ParamPair
     trace: FitTrace
     bread_A: np.ndarray
     meat_A: np.ndarray
-    bread_Z: np.ndarray
-    meat_Z: np.ndarray
 
 
 def _normalize(Z: np.ndarray, A: np.ndarray):
@@ -297,8 +294,8 @@ def erm_fit(
     for sweep in range(config.max_iters + 1):
         f_A, f_Z = cells.sum(axis=0), cells.sum(axis=1)
         trace.objectives.append(float(f_A.sum()))
-        # the rows' risk Hessians, which at the returned pair are also the
-        # breads of its sandwiches
+        # the rows' risk Hessians; at the returned pair those of A are also
+        # the breads of its sandwiches
         grams_A, grams_Z = row_grams(Z, W), row_grams(A, W.T)
         _, dec_A, mu = _newton_direction(grams_A, d1.T @ Z, A, M)
         price = _CapPrice(Z, A, mu, nu)
@@ -350,12 +347,7 @@ def erm_fit(
     )
     meat = np.square(d1, out=d1)
     return FitResult(
-        ParamPair(Z, A),
-        trace,
-        bread_A=grams_A / n,
-        meat_A=row_grams(Z, meat) / n,
-        bread_Z=grams_Z / q,
-        meat_Z=row_grams(A, meat.T) / q,
+        ParamPair(Z, A), trace, bread_A=grams_A / n, meat_A=row_grams(Z, meat) / n
     )
 
 
@@ -589,9 +581,3 @@ def oracle_fit_A(data: ResponseMatrix, Z_star: np.ndarray) -> np.ndarray:
     """Fit every row of ``A`` with the latent scores held fixed at ``Z_star``,
     to a gradient norm of ``ORACLE_TOL`` per row."""
     return _separable_fit(np.asarray(Z_star, dtype=float), data.values, data.family, "A")
-
-
-def oracle_fit_Z(data: ResponseMatrix, A_star: np.ndarray) -> np.ndarray:
-    """Fit every row of ``Z`` with the representation held fixed at
-    ``A_star``, to a gradient norm of ``ORACLE_TOL`` per row."""
-    return _separable_fit(np.asarray(A_star, dtype=float), data.values.T, data.family, "Z")

@@ -1,14 +1,13 @@
 """Plug-in sandwich covariances, Wald intervals, and multiple testing.
 
-Each row of the representation matrix (and of the latent scores) has an
-asymptotic sandwich covariance: the inverse curvature of its separable
-risk (bread) around the weighted score second moment (meat), both
-evaluated at the fitted parameters. :func:`build_report` turns the
-standard errors of a representation matrix into Wald intervals and
-two-sided z-tests, with Benjamini-Hochberg or Bonferroni adjustment of
-the resulting p-values; it reads no data. Column alignment utilities
-resolve the signed permutation indeterminacy when comparing an estimate
-to a reference.
+Each row of the representation matrix has an asymptotic sandwich
+covariance: the inverse curvature of its separable risk (bread) around
+the weighted score second moment (meat), both evaluated at the fitted
+parameters. :func:`build_report` turns the standard errors of a
+representation matrix into Wald intervals and two-sided z-tests, with
+Benjamini-Hochberg or Bonferroni adjustment of the resulting p-values;
+it reads no data. Column alignment utilities resolve the signed
+permutation indeterminacy when comparing an estimate to a reference.
 """
 
 from __future__ import annotations
@@ -27,9 +26,7 @@ __all__ = [
     "RowCovariance",
     "InferenceReport",
     "plugin_covariances_A_all",
-    "plugin_covariances_Z_all",
     "rotated_covariances_A",
-    "rotated_covariances_Z",
     "row_variances",
     "wald_intervals",
     "two_sided_p",
@@ -44,16 +41,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RowCovariance:
-    """Sandwich covariances ``bread^{-1} meat bread^{-1}`` of a stack of rows.
+    """Sandwich covariances ``bread^{-1} meat bread^{-1}`` of a stack of
+    rows of ``A``.
 
-    ``bread``, ``meat`` and ``sandwich`` have shape ``(k, r, r)``, one
-    matrix per row of the stack. ``scale`` is the divisor turning a
-    sandwich into the row estimator's variance (``n`` for representation
-    rows, ``q`` for latent rows).
+    ``sandwich`` has shape ``(q, r, r)``, one matrix per row of the
+    stack. ``scale`` is the divisor turning a sandwich into the row
+    estimator's variance, the number ``n`` of rows of ``Z``.
     """
 
-    bread: np.ndarray
-    meat: np.ndarray
     sandwich: np.ndarray
     scale: int
 
@@ -62,51 +57,34 @@ class RowCovariance:
         return self.sandwich.shape[0]
 
 
-def _sandwich_stack(
-    X: np.ndarray, d1: np.ndarray, d2: np.ndarray, scale: int, name: str
-) -> RowCovariance:
-    """Sandwich covariances for all columns of ``d1``/``d2``.
-
-    ``X`` is the (m, r) design shared by all rows, ``d1``/``d2`` are
-    (m, k) arrays of risk derivatives evaluated at the fit. Column ``k``
-    is row ``k`` of the matrix ``name`` (``A`` or ``Z``).
-    """
-    m = X.shape[0]
-    return _sandwich(row_grams(X, d2) / m, row_grams(X, d1**2) / m, scale, name)
-
-
 def _sandwich(
-    breads: np.ndarray, meats: np.ndarray, scale: int, name: str, C: np.ndarray | None = None
+    breads: np.ndarray, meats: np.ndarray, scale: int, C: np.ndarray | None = None
 ) -> RowCovariance:
-    """Sandwich covariances from (k, r, r) stacks of breads and meats of
-    the rows of ``name``, taken under the congruence ``C B C'`` when ``C``
-    is given; if any bread is ill-conditioned, the error names the row
-    whose bread has the largest condition number."""
+    """Sandwich covariances from (q, r, r) stacks of breads and meats of
+    the rows of ``A``, taken under the congruence ``C B C'`` when ``C`` is
+    given; if any bread is ill-conditioned, the error names the row whose
+    bread has the largest condition number."""
     if C is not None:
         breads, meats = C @ breads @ C.T, C @ meats @ C.T
     conds = np.linalg.cond(breads)
     if np.any(conds > 1e10):
         k = int(np.argmax(conds))
         raise IllConditionedCovarianceError(
-            f"bread matrix for row {k} of {name} has condition number "
+            f"bread matrix for row {k} of A has condition number "
             f"{conds[k]:.3e} > 1e10"
         )
     inv = np.linalg.inv(breads)
     sands = inv @ meats @ inv
     sands = (sands + np.swapaxes(sands, 1, 2)) / 2.0
-    return RowCovariance(breads, meats, sands, scale)
+    return RowCovariance(sands, scale)
 
 
 def plugin_covariances_A_all(data: ResponseMatrix, params: ParamPair) -> RowCovariance:
-    """Sandwich covariances for every row of the representation matrix."""
+    """Sandwich covariances for every row of the representation matrix,
+    from one kernel pass at ``params``."""
     _, d1, d2 = _risk_cells(data.family, params.theta(), data.values, 2)
-    return _sandwich_stack(params.Z, d1, d2, params.n, "A")
-
-
-def plugin_covariances_Z_all(data: ResponseMatrix, params: ParamPair) -> RowCovariance:
-    """Sandwich covariances for every row of the latent score matrix."""
-    _, d1, d2 = _risk_cells(data.family, params.theta(), data.values, 2)
-    return _sandwich_stack(params.A, d1.T, d2.T, params.q, "Z")
+    n = params.n
+    return _sandwich(row_grams(params.Z, d2) / n, row_grams(params.Z, d1**2) / n, n)
 
 
 def rotated_covariances_A(fit: FitResult, G: np.ndarray) -> RowCovariance:
@@ -118,15 +96,7 @@ def rotated_covariances_A(fit: FitResult, G: np.ndarray) -> RowCovariance:
     under the congruence ``G B G'``; no kernel pass is needed.
     """
     G = np.asarray(G, dtype=float)
-    return _sandwich(fit.bread_A, fit.meat_A, fit.params.n, "A", G)
-
-
-def rotated_covariances_Z(fit: FitResult, G: np.ndarray) -> RowCovariance:
-    """Sandwich covariances for every row of ``Z`` at
-    ``fit.params.rotate(G)``: the fit's breads and meats under the
-    congruence ``G^{-T} B G^{-1}``, as in :func:`rotated_covariances_A`."""
-    G_inv = np.linalg.inv(np.asarray(G, dtype=float))
-    return _sandwich(fit.bread_Z, fit.meat_Z, fit.params.q, "Z", G_inv.T)
+    return _sandwich(fit.bread_A, fit.meat_A, fit.params.n, G)
 
 
 def row_variances(covariances: RowCovariance) -> np.ndarray:

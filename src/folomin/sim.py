@@ -17,12 +17,13 @@ with the stage that raised them (``generate``, ``pipeline``, ``oracle``
 or ``vintage``) and excluded from the aggregates, never silently
 dropped.
 
-A replication's oracle fits read only its generated data. When the
+A replication's oracle fit reads only its generated data. When the
 replications run in the calling process and it may use more than one
-CPU, they run on one side thread, opened for that call, while the
-calling thread runs the pipeline and the vintage rotations; numpy and a
-single-threaded BLAS give the same bits on either thread. Worker
-processes never start one: the process pool already fills the cores.
+CPU, the oracle fits run on one side thread, opened for that call,
+while the calling thread runs the pipeline and the vintage rotations;
+numpy and a single-threaded BLAS give the same bits on either thread.
+Worker processes never start one: the process pool already fills the
+cores.
 """
 
 from __future__ import annotations
@@ -38,15 +39,13 @@ import numpy as np
 from scipy.special import ndtri
 
 from .criteria import polar
-from .erm import FitConfig, ParamPair, oracle_fit_A, oracle_fit_Z
+from .erm import FitConfig, ParamPair, oracle_fit_A
 from .exceptions import FolominError
 from .inference import (
     align,
     align_pair,
     plugin_covariances_A_all,
-    plugin_covariances_Z_all,
     rotated_covariances_A,
-    rotated_covariances_Z,
     row_variances,
 )
 from .model import ResponseFamily, ResponseMatrix, sample_response
@@ -172,8 +171,7 @@ class RepResult:
     """Metrics for one replication, keyed by method name.
 
     Per method: aligned estimate of the representation matrix, per-entry
-    standard errors, squared errors, and coverage indicators, plus the
-    mean latent-score coverage where computed.
+    standard errors, squared errors, and coverage indicators.
     """
 
     rep: int
@@ -192,7 +190,6 @@ class SimulationSummary:
     failures: list
     mean_coverage_A: dict
     mean_scaled_mse_A: dict
-    mean_coverage_Z: dict
     entry_mean_sq_err: dict
     entry_coverage: dict
     entry_mean_bias: dict
@@ -212,11 +209,6 @@ def _method_metrics(aligned_A, se_A, A_star, level, centers=None):
     }
 
 
-def _mean_cover_Z(Z, cov_Z, Z_star, level) -> float:
-    se = np.sqrt(row_variances(cov_Z))
-    return float(_method_metrics(Z, se, Z_star, level)["cover_A"].mean())
-
-
 class _StageFailure(Exception):
     """A replication's failure, tagged with the stage that raised it."""
 
@@ -231,38 +223,32 @@ def _stage(name: str):
 
 def _aligned_rotation(fit, params, G, A_star):
     """Align ``params = fit.params.rotate(G)`` to the truth; returns the
-    aligned pair, its rotation ``P G`` of the fit, and the standard errors
-    of its ``A`` from the fit's sandwich stacks."""
+    aligned ``A`` and its standard errors from the fit's sandwich stacks
+    at its rotation ``P G`` of the fit."""
     aligned, P = align_pair(params, A_star)
-    G = P @ G
-    return aligned, G, np.sqrt(row_variances(rotated_covariances_A(fit, G)))
+    return aligned.A, np.sqrt(row_variances(rotated_covariances_A(fit, P @ G)))
 
 
-def _folomin_records(pipe, methods, Z_star, A_star, level) -> dict:
+def _folomin_records(pipe, methods, A_star, level) -> dict:
     records = {}
     for m in methods:
         rotation = pipe.rotations[m.split("_", 1)[1]]
         G = rotation.G_total @ pipe.init.rotation
-        params, G, se = _aligned_rotation(pipe.fit, rotation.params, G, A_star)
-        records[m] = _method_metrics(params.A, se, A_star, level)
-        cov_Z = rotated_covariances_Z(pipe.fit, G)
-        records[m]["mean_cover_Z"] = _mean_cover_Z(params.Z, cov_Z, Z_star, level)
+        A, se = _aligned_rotation(pipe.fit, rotation.params, G, A_star)
+        records[m] = _method_metrics(A, se, A_star, level)
     return records
 
 
 def _oracle_record(data, Z_star, A_star, level) -> dict:
-    """The oracle's metrics: each block fitted with the other held at the truth.
+    """The oracle's metrics: ``A`` fitted with the latent scores held at
+    the truth.
 
     Reads the generated data and nothing of the pipeline's, so it can run
     on another thread while the pipeline runs.
     """
     A_or = oracle_fit_A(data, Z_star)
     se = np.sqrt(row_variances(plugin_covariances_A_all(data, ParamPair(Z_star, A_or))))
-    record = _method_metrics(A_or, se, A_star, level)
-    Z_or = oracle_fit_Z(data, A_star)
-    cov_Z = plugin_covariances_Z_all(data, ParamPair(Z_or, A_star))
-    record["mean_cover_Z"] = _mean_cover_Z(Z_or, cov_Z, Z_star, level)
-    return record
+    return _method_metrics(A_or, se, A_star, level)
 
 
 def _vintage_records(fit, methods, A_star, level) -> dict:
@@ -273,20 +259,18 @@ def _vintage_records(fit, methods, A_star, level) -> dict:
 
     if "varimax" in methods or "varimax_debiased" in methods:
         rotated = ParamPair(fitted.Z @ vres.G, vres.A_rot)
-        params, _, se = _aligned_rotation(fit, rotated, vres.G.T, A_star)
+        A, se = _aligned_rotation(fit, rotated, vres.G.T, A_star)
         if "varimax" in methods:
-            records["varimax"] = _method_metrics(params.A, se, A_star, level)
+            records["varimax"] = _method_metrics(A, se, A_star, level)
         if "varimax_debiased" in methods:
-            debiased = infeasible_debias_varimax(A_star, params.A)
-            records["varimax_debiased"] = _method_metrics(
-                params.A, se, A_star, level, centers=debiased
-            )
+            debiased = infeasible_debias_varimax(A_star, A)
+            records["varimax_debiased"] = _method_metrics(A, se, A_star, level, centers=debiased)
 
     if "promax" in methods:
         pres = promax_rotate(fitted.A, vres)
         rotated = ParamPair(fitted.Z @ pres.G.T, pres.A_rot)
-        params, _, se = _aligned_rotation(fit, rotated, pres.G, A_star)
-        records["promax"] = _method_metrics(params.A, se, A_star, level)
+        A, se = _aligned_rotation(fit, rotated, pres.G, A_star)
+        records["promax"] = _method_metrics(A, se, A_star, level)
     return records
 
 
@@ -323,7 +307,7 @@ def _run_one_rep(design: SimDesign, methods, rep: int, seed_seq, level: float, s
                     init_delta=0.05 * design.lambda_signal * design.lambda_signal,
                 )
                 gammas = dict(pipe.gammas)
-                rotated = _folomin_records(pipe, folomin_methods, Z_star, A_star, level)
+                rotated = _folomin_records(pipe, folomin_methods, A_star, level)
         if vintage_methods:
             with _stage("vintage"):
                 vintage = _vintage_records(pipe.fit, vintage_methods, A_star, level)
@@ -401,7 +385,7 @@ def run_replications(
 
     With ``workers == 1`` the replications run one after another in this
     process; when it may use more than one CPU, each replication's oracle
-    fits run on a side thread, opened for this call and joined before it
+    fit runs on a side thread, opened for this call and joined before it
     returns, while this thread runs the pipeline. With ``workers > 1``
     a process pool of at most ``n_reps`` workers runs the replications,
     each worker serially and with no side thread. Worker processes run
@@ -457,11 +441,6 @@ def run_replications(
     }
     mean_coverage_A = {m: float(cover.mean()) for m, cover in entry_coverage.items()}
     mean_scaled_mse_A = {m: float(design.n * err.mean()) for m, err in entry_mean_sq_err.items()}
-    cover_Z = {
-        m: [rec["mean_cover_Z"] for rec, _ in found if "mean_cover_Z" in rec]
-        for m, found in recs.items()
-    }
-    mean_coverage_Z = {m: float(np.mean(cover)) for m, cover in cover_Z.items() if cover}
     return SimulationSummary(
         design=design,
         methods=tuple(methods),
@@ -471,7 +450,6 @@ def run_replications(
         failures=failures,
         mean_coverage_A=mean_coverage_A,
         mean_scaled_mse_A=mean_scaled_mse_A,
-        mean_coverage_Z=mean_coverage_Z,
         entry_mean_sq_err=entry_mean_sq_err,
         entry_coverage=entry_coverage,
         entry_mean_bias=entry_mean_bias,

@@ -45,6 +45,18 @@ def test_simulate_writes_outputs(tmp_path):
     assert (out / "summary.json").exists()
     assert (out / "manifest.json").exists()
     summary = json.loads((out / "summary.json").read_text())
+    assert set(summary) == {
+        "design",
+        "level",
+        "n_reps",
+        "n_failed",
+        "failures",
+        "mean_coverage_A",
+        "mean_scaled_mse_A",
+        "methods",
+        "rng",
+        "manifest",
+    }
     assert summary["n_reps"] == 2
     assert "folomin_mcp" in summary["mean_coverage_A"]
     manifest = json.loads((out / "manifest.json").read_text())
@@ -422,8 +434,17 @@ def test_infer_rejects_a_bad_standard_error_file(tmp_path, capsys, spoil, messag
     [
         ("{", "{meta}: not valid JSON: Expecting property name enclosed in double quotes"),
         ("[]", "{meta}: expected a JSON object, got list"),
+        ('{"columns": 5}', "{meta}: columns must be a list of 60 strings, one per row of A.csv"),
+        (
+            '{"columns": ["item0", "item1"]}',
+            "{meta}: columns must be a list of 60 strings, one per row of A.csv",
+        ),
+        (
+            '{"columns": %s}' % json.dumps(list(range(60))),
+            "{meta}: columns must be a list of 60 strings, one per row of A.csv",
+        ),
     ],
-    ids=["malformed", "not_an_object"],
+    ids=["malformed", "not_an_object", "columns_not_a_list", "columns_too_short", "numbers"],
 )
 def test_infer_rejects_a_bad_rotation_file(tmp_path, capsys, content, message):
     _, model, _ = _fit_model(tmp_path)
@@ -433,6 +454,19 @@ def test_infer_rejects_a_bad_rotation_file(tmp_path, capsys, content, message):
     assert main(["infer", str(model), "--out", str(out)]) == 3
     assert f"data error: {message.format(meta=meta)}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_infer_names_rows_by_position_without_columns(tmp_path):
+    _, model, _ = _fit_model(tmp_path)
+    meta = model / "rotation.json"
+    payload = json.loads(meta.read_text())
+    del payload["columns"]
+    meta.write_text(json.dumps(payload))
+    out = tmp_path / "out"
+    assert main(["infer", str(model), "--out", str(out)]) == 0
+    with open(out / "inference.csv", newline="") as fh:
+        items = [row["item"] for row in csv.DictReader(fh)]
+    assert items == [f"col{j + 1}" for j in range(60) for _ in range(2)]
 
 
 @pytest.mark.parametrize("alpha", ["1.5", "0", "1"])

@@ -22,9 +22,7 @@ from folomin import (
     erm_fit,
     oracle_fit_A,
     plugin_covariances_A_all,
-    plugin_covariances_Z_all,
     rotated_covariances_A,
-    rotated_covariances_Z,
     sample_response,
     wald_intervals,
 )
@@ -81,12 +79,12 @@ def test_bernoulli_sandwich_psd():
     params = ParamPair(Z_star, oracle_fit_A(data, Z_star))
     cov = plugin_covariances_A_all(data, params)
     assert cov.scale == n
-    assert np.linalg.eigvalsh(cov.bread)[:, 0].min() > 0
-    assert np.linalg.eigvalsh(cov.meat)[:, 0].min() >= -1e-12
     assert np.linalg.eigvalsh(cov.sandwich)[:, 0].min() >= -1e-12
-    cov_z = plugin_covariances_Z_all(data, params)
-    assert cov_z.scale == q
-    assert np.linalg.eigvalsh(cov_z.sandwich)[:, 0].min() >= -1e-12
+    # the stacks that every rotation of a fit reuses
+    fit = erm_fit(data, r)
+    assert fit.bread_A.shape == fit.meat_A.shape == (q, r, r)
+    assert np.linalg.eigvalsh(fit.bread_A)[:, 0].min() > 0
+    assert np.linalg.eigvalsh(fit.meat_A)[:, 0].min() >= -1e-12
 
 
 def test_scalar_mean_inference():
@@ -311,14 +309,11 @@ def test_row_variances_match_per_row_diagonals():
     fam = ResponseFamily.bernoulli()
     data = ResponseMatrix(sample_response(fam, Z_star @ A_star.T, rng), fam)
     params = ParamPair(Z_star, oracle_fit_A(data, Z_star))
-    for covs, rows in (
-        (plugin_covariances_A_all(data, params), q),
-        (plugin_covariances_Z_all(data, params), n),
-    ):
-        assert len(covs) == rows
-        assert covs.sandwich.shape == covs.bread.shape == covs.meat.shape == (rows, r, r)
-        per_row = np.stack([covs.sandwich[k].diagonal() / covs.scale for k in range(rows)])
-        assert np.array_equal(row_variances(covs), per_row)
+    covs = plugin_covariances_A_all(data, params)
+    assert len(covs) == q
+    assert covs.sandwich.shape == (q, r, r)
+    per_row = np.stack([covs.sandwich[k].diagonal() / covs.scale for k in range(q)])
+    assert np.array_equal(row_variances(covs), per_row)
 
 
 def _nearly_collinear(rng, m):
@@ -328,21 +323,17 @@ def _nearly_collinear(rng, m):
 
 def test_ill_conditioned_bread_names_the_requested_row():
     # two nearly collinear latent columns make every bread singular; the
-    # error must name the row of the stack with the worst bread, and which
-    # matrix it is in
+    # error must name the row of A with the worst bread
     rng = np.random.default_rng(11)
     fam = ResponseFamily.bernoulli()
-    for name, covariances in (("A", plugin_covariances_A_all), ("Z", plugin_covariances_Z_all)):
-        X = _nearly_collinear(rng, 400)
-        other = 0.5 * rng.standard_normal((6, 3))
-        params = ParamPair(X, other) if name == "A" else ParamPair(other, X)
-        theta = params.theta()
-        data = ResponseMatrix(sample_response(fam, theta, rng), fam)
-        d2 = _cells(fam, theta, data.values, 2)[2]
-        d2 = d2 if name == "A" else d2.T
-        worst = int(np.argmax(np.linalg.cond(row_grams(X, d2) / X.shape[0])))
-        with pytest.raises(IllConditionedCovarianceError, match=rf"row {worst} of {name} "):
-            covariances(data, params)
+    Z = _nearly_collinear(rng, 400)
+    params = ParamPair(Z, 0.5 * rng.standard_normal((6, 3)))
+    theta = params.theta()
+    data = ResponseMatrix(sample_response(fam, theta, rng), fam)
+    d2 = _cells(fam, theta, data.values, 2)[2]
+    worst = int(np.argmax(np.linalg.cond(row_grams(Z, d2) / Z.shape[0])))
+    with pytest.raises(IllConditionedCovarianceError, match=rf"row {worst} of A "):
+        plugin_covariances_A_all(data, params)
 
 
 @functools.cache
@@ -382,27 +373,25 @@ def test_rotated_covariances_match_a_fresh_sandwich(kind, seed, tiny):
     data, fit = _fitted(kind)
     G = _rotation(seed, tiny)
     params = fit.params.rotate(G)
-    d2 = _cells(data.family, params.theta(), data.values, 2)[2]
-    for derive, plugin, X, w in (
-        (rotated_covariances_A, plugin_covariances_A_all, params.Z, d2),
-        (rotated_covariances_Z, plugin_covariances_Z_all, params.A, d2.T),
-    ):
-        try:
-            fresh = plugin(data, params)
-        except IllConditionedCovarianceError as exc:
-            with pytest.raises(IllConditionedCovarianceError) as info:
-                derive(fit, G)
-            assert tiny < 1e-3
-            # the row is well defined only when no other row comes close
-            conds = np.sort(np.linalg.cond(row_grams(X, w)))
-            if conds[-1] > 1.01 * conds[-2]:
-                assert str(info.value).split(" has ")[0] == str(exc).split(" has ")[0]
-            continue
-        assert tiny > 1e-3
-        derived = derive(fit, G)
-        assert derived.scale == fresh.scale
-        for name in ("bread", "meat", "sandwich"):
-            assert _close(getattr(derived, name), getattr(fresh, name)), name
+    _, d1, d2 = _cells(data.family, params.theta(), data.values, 2)
+    breads = row_grams(params.Z, d2) / params.n
+    try:
+        fresh = plugin_covariances_A_all(data, params)
+    except IllConditionedCovarianceError as exc:
+        with pytest.raises(IllConditionedCovarianceError) as info:
+            rotated_covariances_A(fit, G)
+        assert tiny < 1e-3
+        # the row is well defined only when no other row comes close
+        conds = np.sort(np.linalg.cond(breads))
+        if conds[-1] > 1.01 * conds[-2]:
+            assert str(info.value).split(" has ")[0] == str(exc).split(" has ")[0]
+        return
+    assert tiny > 1e-3
+    assert _close(G @ fit.bread_A @ G.T, breads)
+    assert _close(G @ fit.meat_A @ G.T, row_grams(params.Z, d1**2) / params.n)
+    derived = rotated_covariances_A(fit, G)
+    assert derived.scale == fresh.scale
+    assert _close(derived.sandwich, fresh.sandwich)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.1, float("nan")])

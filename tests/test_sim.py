@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtr
 
 from folomin import (
     InsufficientSimpleStructureError,
@@ -16,7 +16,6 @@ from folomin import (
     infeasible_debias_varimax,
     is_sparse,
     plugin_covariances_A_all,
-    plugin_covariances_Z_all,
     promax_rotate,
     run_replications,
     varimax_rotate,
@@ -126,10 +125,9 @@ def test_aggregates_are_means_over_rep_results():
         np.testing.assert_array_equal(summary.entry_mean_bias[m], bias)
         assert summary.mean_coverage_A[m] == float(np.mean(cover))
         assert summary.mean_scaled_mse_A[m] == float(design.n * np.mean(sq_err))
-    # latent-score coverage exists only for the methods that estimate Z
-    assert set(summary.mean_coverage_Z) == {"oracle", "folomin_mcp"}
-    for m, value in summary.mean_coverage_Z.items():
-        assert value == float(np.mean([res.per_method[m]["mean_cover_Z"] for res in reps]))
+        # every method records the same per-entry metrics of A, and nothing else
+        for rec in recs:
+            assert set(rec) == {"aligned_A", "se_A", "sq_err_A", "cover_A"}, m
 
 
 def test_run_replications_determinism_and_structure():
@@ -322,9 +320,8 @@ def test_side_thread_gives_the_same_estimates_as_the_calling_thread(monkeypatch)
     for a, b in zip(threaded.rep_results, inline.rep_results, strict=True):
         assert list(a.per_method) == list(b.per_method) == ["folomin_mcp", "oracle", "promax"]
         for m, rec in a.per_method.items():
-            for key in ("aligned_A", "se_A", "cover_A", "mean_cover_Z"):
-                if key in rec:
-                    assert np.array_equal(rec[key], b.per_method[m][key]), (m, key)
+            for key in ("aligned_A", "se_A", "cover_A"):
+                assert np.array_equal(rec[key], b.per_method[m][key]), (m, key)
         assert a.gammas == b.gammas
 
 
@@ -372,19 +369,13 @@ def test_rotated_standard_errors_match_a_fresh_sandwich(monkeypatch, kind):
     methods = tuple(m for m in SIM_METHODS if m != "oracle")
     summary = run_replications(design, methods=methods, n_reps=1, workers=1)
     assert summary.n_failed == 0
-    Z_star, _, data = captured["gen_dataset"]
+    _, _, data = captured["gen_dataset"]
     theta = captured["fit_pipeline"].fit.params.theta()
     records = summary.rep_results[0].per_method
-    mult = ndtri(0.975)
     for m in methods:
         # the debiased estimate is recentred; its intervals are varimax's
         A = records["varimax" if m == "varimax_debiased" else m]["aligned_A"]
         # the latent scores of the rotation of the fit that has these loadings
         Z = theta @ A @ np.linalg.inv(A.T @ A)
-        pair = ParamPair(Z, A)
-        se = np.sqrt(row_variances(plugin_covariances_A_all(data, pair)))
+        se = np.sqrt(row_variances(plugin_covariances_A_all(data, ParamPair(Z, A))))
         np.testing.assert_allclose(records[m]["se_A"], se, rtol=1e-8, atol=0, err_msg=m)
-        if m.startswith("folomin_"):
-            se_Z = np.sqrt(row_variances(plugin_covariances_Z_all(data, pair)))
-            cover_Z = float((np.abs(Z - Z_star) <= mult * se_Z).mean())
-            assert records[m]["mean_cover_Z"] == cover_Z, m
