@@ -8,7 +8,7 @@ oracle fit (latent scores known) and prints interval coverage.
 
 import numpy as np
 
-from folomin import align_pair, build_report, oracle_fit_A
+from folomin import align, build_report, oracle_fit_A
 from folomin.erm import FitConfig
 from folomin.pipeline import fit_pipeline
 from folomin.sim import SimDesign, gen_dataset
@@ -24,16 +24,17 @@ print(f"constrained fit: {pipe.fit.trace.n_iters} iterations, status {pipe.fit.t
 print(f"initial rotation: selected cluster sizes {[len(s) for s in pipe.init.selected_sets]}")
 print(f"chosen loss scale: gamma = {pipe.gammas['mcp']:.4f}")
 
-params, P = align_pair(pipe.params("mcp"), A_star)
+perm, _, A_hat = align(pipe.params("mcp").A, A_star)
 A_or = oracle_fit_A(data, Z_star)
 
-rms = np.sqrt(((params.A - A_star) ** 2).mean())
+rms = np.sqrt(((A_hat - A_star) ** 2).mean())
 rms_or = np.sqrt(((A_or - A_star) ** 2).mean())
 print(f"\nper-entry RMS error:  rotated fit {rms:.4f}   oracle {rms_or:.4f}")
 
-# the signed permutation P reorders the columns of A, and so of their standard errors
-se = pipe.std_errors("mcp") @ np.abs(P.T)
-report = build_report(params.A, se, level=0.95)
+# alignment permutes and flips the columns of A; a sign flip leaves a
+# standard error as it is, so the standard errors are only permuted
+se = pipe.std_errors("mcp")[:, perm]
+report = build_report(A_hat, se, level=0.95)
 covered = (report.lower_A <= A_star) & (A_star <= report.upper_A)
 print(f"95% interval coverage of the truth: {covered.mean():.3f}")
 n_sig = int(report.rejections_A.sum())

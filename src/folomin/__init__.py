@@ -43,7 +43,6 @@ from .inference import (
     InferenceReport,
     RowCovariance,
     align,
-    align_pair,
     bh_adjust,
     bonferroni_adjust,
     build_report,

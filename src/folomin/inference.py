@@ -3,7 +3,9 @@
 Each row of the representation matrix has an asymptotic sandwich
 covariance: the inverse curvature of its separable risk (bread) around
 the weighted score second moment (meat), both evaluated at the fitted
-parameters. :func:`build_report` turns the standard errors of a
+parameters. An ERM fit inverts its breads once, at the pair it returns,
+and every rotation of that pair maps the fit's sandwiches by congruence.
+:func:`build_report` turns the standard errors of a
 representation matrix into Wald intervals and two-sided z-tests, with
 Benjamini-Hochberg or Bonferroni adjustment of the resulting p-values;
 it reads no data. Column alignment utilities resolve the signed
@@ -17,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .erm import FitResult, ParamPair, row_grams
-from .exceptions import DegenerateVarianceError, IllConditionedCovarianceError
+from .erm import FitResult, ParamPair, _sandwich, row_grams
+from .exceptions import DegenerateVarianceError
 from .model import ResponseMatrix
 from .model import _cells as _risk_cells
 
@@ -34,7 +36,6 @@ __all__ = [
     "bonferroni_adjust",
     "adjust_p_values",
     "align",
-    "align_pair",
     "build_report",
 ]
 
@@ -57,34 +58,12 @@ class RowCovariance:
         return self.sandwich.shape[0]
 
 
-def _sandwich(
-    breads: np.ndarray, meats: np.ndarray, scale: int, C: np.ndarray | None = None
-) -> RowCovariance:
-    """Sandwich covariances from (q, r, r) stacks of breads and meats of
-    the rows of ``A``, taken under the congruence ``C B C'`` when ``C`` is
-    given; if any bread is ill-conditioned, the error names the row whose
-    bread has the largest condition number."""
-    if C is not None:
-        breads, meats = C @ breads @ C.T, C @ meats @ C.T
-    conds = np.linalg.cond(breads)
-    if np.any(conds > 1e10):
-        k = int(np.argmax(conds))
-        raise IllConditionedCovarianceError(
-            f"bread matrix for row {k} of A has condition number "
-            f"{conds[k]:.3e} > 1e10"
-        )
-    inv = np.linalg.inv(breads)
-    sands = inv @ meats @ inv
-    sands = (sands + np.swapaxes(sands, 1, 2)) / 2.0
-    return RowCovariance(sands, scale)
-
-
 def plugin_covariances_A_all(data: ResponseMatrix, params: ParamPair) -> RowCovariance:
     """Sandwich covariances for every row of the representation matrix,
     from one kernel pass at ``params``."""
     _, d1, d2 = _risk_cells(data.family, params.theta(), data.values, 2)
-    n = params.n
-    return _sandwich(row_grams(params.Z, d2) / n, row_grams(params.Z, d1**2) / n, n)
+    n, Z = params.n, params.Z
+    return RowCovariance(_sandwich(row_grams(Z, d2) / n, row_grams(Z, d1**2) / n), n)
 
 
 def rotated_covariances_A(fit: FitResult, G: np.ndarray) -> RowCovariance:
@@ -92,11 +71,12 @@ def rotated_covariances_A(fit: FitResult, G: np.ndarray) -> RowCovariance:
     ``fit.params.rotate(G) = (Z G', A G^{-1})`` of a fitted pair.
 
     The rotation keeps ``Z A'``, so the risk's derivatives at every cell
-    are those of the fit, and each row's bread and meat are the fit's
-    under the congruence ``G B G'``; no kernel pass is needed.
+    are those of the fit; row ``j`` of ``A G^{-1}`` is ``G^{-T} a_j``,
+    and its sandwich is the fit's ``S_j`` under the congruence
+    ``G^{-T} S_j G^{-1}``. No kernel pass and no bread inversion is needed.
     """
-    G = np.asarray(G, dtype=float)
-    return _sandwich(fit.bread_A, fit.meat_A, fit.params.n, G)
+    G_inv = np.linalg.inv(np.asarray(G, dtype=float))
+    return RowCovariance(G_inv.T @ fit.sandwich_A @ G_inv, fit.params.n)
 
 
 def row_variances(covariances: RowCovariance) -> np.ndarray:
@@ -252,18 +232,6 @@ def align(estimate: np.ndarray, truth: np.ndarray):
     signs[signs == 0] = 1.0
     aligned = E[:, perm] * signs
     return perm, signs, aligned
-
-
-def align_pair(params: ParamPair, truth_A: np.ndarray):
-    """Apply the signed permutation aligning ``A`` to ``truth_A`` to both
-    blocks, preserving the fitted product.
-
-    Returns the aligned pair and the signed permutation ``P`` that makes
-    it: the pair is ``params.rotate(P)``.
-    """
-    perm, signs, A_aligned = align(params.A, truth_A)
-    P = (np.eye(params.r)[:, perm] * signs).T
-    return ParamPair(params.Z[:, perm] * signs, A_aligned), P
 
 
 @dataclass(frozen=True)

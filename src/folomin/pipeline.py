@@ -10,7 +10,7 @@ import numpy as np
 
 from .criteria import FoldedLoss, folded_criterion
 from .erm import FitConfig, FitResult, ParamPair, ResponseMatrix, erm_fit
-from .exceptions import InsufficientSimpleStructureError
+from .exceptions import CollinearAxesError, InsufficientSimpleStructureError
 from .inference import RowCovariance, rotated_covariances_A, row_variances
 from .initialization import (
     MIN_SET_SIZE,
@@ -71,14 +71,16 @@ def auto_init(fit: FitResult, delta: float = 0.01) -> InitResult:
     the folded criterion, the winner among candidates is picked the same
     way: smallest criterion value at a common conservative scale, with
     grid order breaking exact ties. A candidate whose axes are nearly
-    collinear (two fragments of the same cluster) is discarded.
+    collinear (two fragments of the same cluster) is discarded; when every
+    candidate is, :class:`CollinearAxesError` names the smallest condition
+    number among them.
     """
     params = fit.params
     A0, r = params.A, params.r
     sims = similarity_matrix(params, delta)
     null_vectors = {}  # shared by all slacks: the same unions recur
     candidates = []  # (rotation, sets, rotated loadings), in grid order
-    found_max = 0
+    found_max, best_cond = 0, np.inf
     for dp in AUTO_DELTA_PRIME_GRID:
         try:
             top = candidate_sets(sims, dp, r, extra=EXTRA_SETS)
@@ -87,9 +89,14 @@ def auto_init(fit: FitResult, delta: float = 0.01) -> InitResult:
             continue
         found_max = max(found_max, r)
         choices = [[top[i] for i in combo] for combo in combinations(range(len(top)), r)]
-        kept, G0, _ = _rotations(A0, choices, null_vectors)
+        kept, G0, cond = _rotations(A0, choices, null_vectors)
+        best_cond = min(best_cond, cond.min())
         # the loadings of params.rotate(G0), by the same expression
         candidates += zip(G0, [choices[i] for i in kept], A0 @ np.linalg.inv(G0))
+    if found_max == r and not candidates:
+        raise CollinearAxesError(
+            f"every choice of axes is collinear: the best has condition {best_cond:.3e} > 1e8"
+        )
     if not candidates:
         raise InsufficientSimpleStructureError(
             found=found_max,

@@ -41,13 +41,7 @@ from scipy.special import ndtri
 from .criteria import polar
 from .erm import FitConfig, ParamPair, oracle_fit_A
 from .exceptions import FolominError
-from .inference import (
-    align,
-    align_pair,
-    plugin_covariances_A_all,
-    rotated_covariances_A,
-    row_variances,
-)
+from .inference import align, plugin_covariances_A_all, rotated_covariances_A, row_variances
 from .model import ResponseFamily, ResponseMatrix, sample_response
 from .pipeline import fit_pipeline
 from .vintage import VintageConfig, promax_rotate, varimax_rotate
@@ -221,20 +215,19 @@ def _stage(name: str):
         raise _StageFailure(name, f"{type(exc).__name__}: {exc}") from exc
 
 
-def _aligned_rotation(fit, params, G, A_star):
-    """Align ``params = fit.params.rotate(G)`` to the truth; returns the
-    aligned ``A`` and its standard errors from the fit's sandwich stacks
-    at its rotation ``P G`` of the fit."""
-    aligned, P = align_pair(params, A_star)
-    return aligned.A, np.sqrt(row_variances(rotated_covariances_A(fit, P @ G)))
+def _aligned(A, se, A_star):
+    """``A`` aligned to the truth, and the standard errors ``se`` of ``A``
+    taken along: a column's sign flip leaves its standard errors as they
+    are, so alignment only permutes them."""
+    perm, _, aligned = align(A, A_star)
+    return aligned, se[:, perm]
 
 
 def _folomin_records(pipe, methods, A_star, level) -> dict:
     records = {}
     for m in methods:
-        rotation = pipe.rotations[m.split("_", 1)[1]]
-        G = rotation.G_total @ pipe.init.rotation
-        A, se = _aligned_rotation(pipe.fit, rotation.params, G, A_star)
+        name = m.split("_", 1)[1]
+        A, se = _aligned(pipe.params(name).A, pipe.std_errors(name), A_star)
         records[m] = _method_metrics(A, se, A_star, level)
     return records
 
@@ -254,12 +247,12 @@ def _oracle_record(data, Z_star, A_star, level) -> dict:
 def _vintage_records(fit, methods, A_star, level) -> dict:
     # one varimax per replication, shared by varimax and promax
     records = {}
-    fitted = fit.params
-    vres = varimax_rotate(fitted.A, VintageConfig())
+    vres = varimax_rotate(fit.params.A, VintageConfig())
 
     if "varimax" in methods or "varimax_debiased" in methods:
-        rotated = ParamPair(fitted.Z @ vres.G, vres.A_rot)
-        A, se = _aligned_rotation(fit, rotated, vres.G.T, A_star)
+        # A_rot = A G with G orthogonal: the rotation G' of the fit
+        se = np.sqrt(row_variances(rotated_covariances_A(fit, vres.G.T)))
+        A, se = _aligned(vres.A_rot, se, A_star)
         if "varimax" in methods:
             records["varimax"] = _method_metrics(A, se, A_star, level)
         if "varimax_debiased" in methods:
@@ -267,9 +260,9 @@ def _vintage_records(fit, methods, A_star, level) -> dict:
             records["varimax_debiased"] = _method_metrics(A, se, A_star, level, centers=debiased)
 
     if "promax" in methods:
-        pres = promax_rotate(fitted.A, vres)
-        rotated = ParamPair(fitted.Z @ pres.G.T, pres.A_rot)
-        A, se = _aligned_rotation(fit, rotated, pres.G, A_star)
+        pres = promax_rotate(fit.params.A, vres)
+        se = np.sqrt(row_variances(rotated_covariances_A(fit, pres.G)))
+        A, se = _aligned(pres.A_rot, se, A_star)
         records["promax"] = _method_metrics(A, se, A_star, level)
     return records
 

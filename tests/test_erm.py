@@ -217,6 +217,20 @@ def test_tolerance_below_reach_stops_at_max_iters():
     assert res.trace.stationarity > 0.0
 
 
+def test_a_fit_that_creeps_up_within_the_retake_slack_ends_stalled():
+    # this fit's objective rises in almost every sweep, each time by just
+    # under the retake slack; without the stall test it runs all 1000 sweeps
+    design = SimDesign(n=200, q=120, r=3, lambda_signal=0.3, tau=0.5, seed=1)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(1)))
+    _, _, data = gen_dataset(design, rng)
+    with pytest.warns(RuntimeWarning, match=r"^erm_fit stalled"):
+        res = erm_fit(data, 3)
+    assert res.trace.status == "stalled"
+    assert res.trace.n_iters <= 40
+    objs = res.trace.objectives
+    assert min(objs[-erm.STALL_SWEEPS :]) > min(objs[: -erm.STALL_SWEEPS])
+
+
 @settings(max_examples=60, deadline=None)
 @given(r=st.integers(1, 5), k=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
 def test_model_minimizer_on_ball_meets_kkt(r, k, seed):

@@ -13,7 +13,7 @@ from folomin import (
     sample_response,
 )
 from folomin.criteria import FoldedLoss, folded_criterion
-from folomin.erm import FitConfig
+from folomin.erm import FitConfig, FitResult, FitTrace
 from folomin.inference import rotated_covariances_A
 from folomin.initialization import axes_from_sets, similarity_matrix
 from folomin.pipeline import (
@@ -146,6 +146,17 @@ def test_auto_init_raises_without_structure(monkeypatch):
     monkeypatch.setattr(pipeline, "AUTO_DELTA_PRIME_GRID", (1e-6,))
     with pytest.raises(InsufficientSimpleStructureError, match=r"no slack in \(1e-06,\)"):
         auto_init(erm_fit(data, 2), delta=0.01)
+
+
+def test_auto_init_names_the_condition_number_when_every_axis_choice_is_collinear():
+    # three clusters in one plane: every axis is that plane's normal
+    rng = np.random.default_rng(3)
+    directions = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.5**0.5, 0.5**0.5, 0.0]])
+    A = np.repeat(directions, 6, axis=0) * rng.uniform(1.0, 2.0, (18, 1))
+    Z = np.sqrt(60) * np.linalg.qr(rng.standard_normal((60, 3)))[0]
+    fit = FitResult(ParamPair(Z, A), FitTrace(), np.broadcast_to(np.eye(3), (18, 3, 3)))
+    with pytest.raises(CollinearAxesError, match=r"collinear: the best has condition \S+ > 1e8"):
+        auto_init(fit, delta=0.01)
 
 
 def _reference_axes(params, sets):

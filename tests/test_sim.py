@@ -347,11 +347,9 @@ def test_promax_uses_the_vintage_seed(monkeypatch):
     np.testing.assert_array_equal(rep.per_method["promax"]["aligned_A"], expected)
 
 
-@pytest.mark.parametrize("kind", ["bernoulli", "gaussian"])
-def test_rotated_standard_errors_match_a_fresh_sandwich(monkeypatch, kind):
-    # the harness derives every rotated method's covariances from the fit's
-    # sandwich stacks, through a rotation G it composes itself; a fresh
-    # sandwich at the aligned pair, which reads no G, must agree
+def _recorded_run(monkeypatch, kind):
+    """One replication of every method but the oracle at r = 3, with the
+    generated data and the pipeline it ran."""
     from folomin import sim
 
     captured = {}
@@ -370,12 +368,32 @@ def test_rotated_standard_errors_match_a_fresh_sandwich(monkeypatch, kind):
     summary = run_replications(design, methods=methods, n_reps=1, workers=1)
     assert summary.n_failed == 0
     _, _, data = captured["gen_dataset"]
-    theta = captured["fit_pipeline"].fit.params.theta()
-    records = summary.rep_results[0].per_method
-    for m in methods:
+    return summary.rep_results[0], data, captured["fit_pipeline"]
+
+
+@pytest.mark.parametrize("kind", ["bernoulli", "gaussian"])
+def test_rotated_standard_errors_match_a_fresh_sandwich(monkeypatch, kind):
+    # the harness takes every rotated method's covariances from the fit's
+    # sandwich stack, through the rotation the pipeline composed (or the
+    # vintage one) and the column permutation of the alignment; a fresh
+    # sandwich at the aligned pair, which reads neither, must agree
+    rep, data, pipe = _recorded_run(monkeypatch, kind)
+    theta = pipe.fit.params.theta()
+    for m, record in rep.per_method.items():
         # the debiased estimate is recentred; its intervals are varimax's
-        A = records["varimax" if m == "varimax_debiased" else m]["aligned_A"]
+        A = rep.per_method["varimax" if m == "varimax_debiased" else m]["aligned_A"]
         # the latent scores of the rotation of the fit that has these loadings
         Z = theta @ A @ np.linalg.inv(A.T @ A)
         se = np.sqrt(row_variances(plugin_covariances_A_all(data, ParamPair(Z, A))))
-        np.testing.assert_allclose(records[m]["se_A"], se, rtol=1e-8, atol=0, err_msg=m)
+        np.testing.assert_allclose(record["se_A"], se, rtol=1e-8, atol=0, err_msg=m)
+
+
+def test_folomin_standard_errors_are_the_pipelines_permuted(monkeypatch):
+    # alignment flips signs and permutes columns; only the permutation
+    # reaches the standard errors, which are the pipeline's own
+    rep, _, pipe = _recorded_run(monkeypatch, "bernoulli")
+    for name in ("mcp", "scad", "tl1"):
+        perm, _, aligned = align(pipe.params(name).A, rep.A_star)
+        record = rep.per_method[f"folomin_{name}"]
+        assert np.array_equal(record["aligned_A"], aligned)
+        assert np.array_equal(record["se_A"], pipe.std_errors(name)[:, perm])
