@@ -4,8 +4,9 @@ Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical failure.
 Every run writes a ``manifest.json`` recording the resolved
 configuration, the package version, wall-clock timing, and SHA-256
 digests of inputs and outputs; numeric outputs themselves carry no
-timestamps, so reruns with the same seed are byte-identical (``fit``
-and ``infer`` draw no random numbers at all). Floats are written with
+timestamps, so reruns with the same seed are byte-identical (``infer``
+draws no random numbers, and ``fit`` only the spectral warm start's
+test matrix, from a fixed seed of its own). Floats are written with
 17 significant digits (CSV) or as their shortest ``repr`` (JSON); both
 read back as the same doubles. ``simulate --workers N`` runs the
 replications in ``N`` worker processes (default one, in this process).
@@ -535,6 +536,7 @@ def cmd_infer(args) -> int:
             report.upper_A.ravel(),
         ],
     )
+    fit_status = meta.get("fit_status")
     summary_payload = {
         "entries_tested": int(q * r),
         "rejected": int(report.rejections_A.sum()),
@@ -543,8 +545,15 @@ def cmd_infer(args) -> int:
         "adjust": args.adjust,
         "per_column": bool(args.per_column),
         "max_abs_z": float(np.abs(report.z_A).max()),
+        "fit_status": fit_status,
         "manifest": "manifest.json",
     }
+    if fit_status != "converged":
+        print(
+            f"warning: the model's fit_status is {fit_status!r}, not 'converged'; "
+            "its standard errors come from a pair that may not be stationary",
+            file=sys.stderr,
+        )
     inference_json = out / "inference_summary.json"
     _write_json(inference_json, summary_payload)
     outputs = [inference_csv, inference_json]

@@ -18,7 +18,12 @@ when every row's Newton decrement is negligible against its risk, so a
 converged fit is stationary, not merely slow to change.
 The start, ``spectral_warm_start``, is the rank-``r`` truncated
 SVD of a transformed response matrix, computed from the top eigenpairs
-of its smaller Gram rather than a full SVD.
+of its smaller Gram rather than a full SVD. Those come from block
+subspace iteration with a Rayleigh-Ritz step, started from a fixed-seed
+Gaussian test matrix and stopped once every top-``r`` Ritz residual is
+at most ``1e-14`` of the largest Ritz value; the full thin SVD is taken
+instead when the iteration has not converged within
+``WARM_START_MAX_STEPS`` steps or the ``r``-th eigengap is a near tie.
 
 ``oracle_fit_A`` solves the row-separable convex problems obtained when
 the latent scores are known, by damped Newton vectorized across rows; it
@@ -45,8 +50,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh
-from scipy.special import logit
 
 from .exceptions import DegenerateFitError, IllConditionedCovarianceError, OracleFitError
 from .model import ResponseFamily, ResponseMatrix
@@ -210,19 +213,62 @@ def _diagonalize(Z: np.ndarray, A: np.ndarray):
     return Z @ V, A @ V
 
 
+# the warm start's subspace iteration: its columns beyond the r + 1
+# eigenpairs it needs, its most steps before the full thin SVD is taken
+# instead, and its stop rule's bound on every top-r Ritz residual, relative
+# to the largest Ritz value
+WARM_START_OVERSAMPLE = 4
+WARM_START_MAX_STEPS = 60
+WARM_START_RTOL = 1e-14
+
+
+def _top_eigenpairs(gram: np.ndarray, r: int):
+    """Ritz values (descending) and vectors of ``gram`` from block subspace
+    iteration, or None when the top ``r`` have not converged in time.
+
+    The start is a fixed-seed Gaussian test matrix: a structured one can be
+    orthogonal to a top eigenvector, which the residual test cannot see.
+    Each step forms ``G = gram Q``, takes the Rayleigh-Ritz pairs of
+    ``Q' G``, and moves to the orthonormal basis of ``G``. When the block
+    would span the whole space, ``gram``'s full eigendecomposition is
+    returned instead.
+    """
+    k = gram.shape[0]
+    b = r + 1 + WARM_START_OVERSAMPLE
+    if b >= k:
+        w, V = np.linalg.eigh(gram)
+        return w[::-1], V[:, ::-1]
+    Q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((k, b)))
+    for _ in range(WARM_START_MAX_STEPS):
+        G = gram @ Q
+        w, S = np.linalg.eigh(Q.T @ G)
+        w, S = w[::-1], S[:, ::-1]
+        V = Q @ S
+        residual = np.linalg.norm(G @ S[:, :r] - V[:, :r] * w[:r], axis=0)
+        if residual.max() <= WARM_START_RTOL * w[0]:
+            return w, V
+        Q, _ = np.linalg.qr(G)
+    return None
+
+
 def spectral_warm_start(data: ResponseMatrix, r: int) -> ParamPair:
     """Rank-``r`` spectral initializer on a family-specific transform.
 
     The transform maps each cell to a rough natural-parameter scale
     (identity for gaussian, logit of clipped values for bernoulli, log of
     clipped values for poisson). Its rank-``r`` truncated SVD comes from
-    the top ``r + 1`` eigenpairs of the smaller Gram (``X'X`` or ``XX'``)
-    followed by one Rayleigh-Ritz step, a thin SVD of ``X`` projected on
-    the top ``r`` eigenvectors (Halko, Martinsson & Tropp 2011). When the
-    ``r``-th eigengap is at most ``1e-6`` of the largest eigenvalue, that
-    subspace is ill-determined and the full thin SVD of ``X`` is taken
-    instead. The pair already satisfies both Gram constraints; each
-    column pair is signed so that the largest-magnitude entry of its
+    the top ``r + 1`` eigenpairs of the smaller Gram (``X'X`` or ``XX'``),
+    found by block subspace iteration with a Rayleigh-Ritz step on
+    ``r + 5`` columns from a fixed-seed Gaussian start, and stopped once
+    every top-``r`` Ritz residual ``||gram v - w v||`` is at most
+    ``1e-14`` of the largest Ritz value. A final Rayleigh-Ritz step, a
+    thin SVD of ``X`` projected on the top ``r`` eigenvectors, gives the
+    factors (Halko, Martinsson & Tropp 2011). The full thin SVD of ``X``
+    is taken instead in two cases: when the iteration has not converged
+    within ``WARM_START_MAX_STEPS`` steps, and when the ``r``-th eigengap
+    is at most ``1e-6`` of the largest eigenvalue, where the subspace is
+    ill-determined. The pair already satisfies both Gram constraints;
+    each column pair is signed so that the largest-magnitude entry of its
     ``A`` column is positive (first index on ties).
     """
     Y = data.values
@@ -230,16 +276,17 @@ def spectral_warm_start(data: ResponseMatrix, r: int) -> ParamPair:
     if kind == "gaussian":
         X = Y
     elif kind == "bernoulli":
-        X = logit(np.clip(Y, 0.1, 0.9))
+        P = np.clip(Y, 0.1, 0.9)
+        X = np.log(P / (1.0 - P))
     else:
         X = np.log(np.clip(Y, 0.25, None))
     n, q = X.shape
     k = min(n, q)
     wide = q > n
-    gram = X @ X.T if wide else X.T @ X
-    w, V = eigh(gram, subset_by_index=[max(k - r - 1, 0), k - 1])
-    w, V = w[::-1], V[:, ::-1]
-    if r < k and w[r - 1] - w[r] <= 1e-6 * w[0]:
+    top = _top_eigenpairs(X @ X.T if wide else X.T @ X, r)
+    if top is not None:
+        w, V = top
+    if top is None or (r < k and w[r - 1] - w[r] <= 1e-6 * w[0]):
         U, s, Vt = np.linalg.svd(X, full_matrices=False)
         U, s, Vt = U[:, :r], s[:r], Vt[:r]
     elif wide:

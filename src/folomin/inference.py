@@ -14,10 +14,11 @@ permutation indeterminacy when comparing an estimate to a reference.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .erm import FitResult, ParamPair, _sandwich, row_grams
 from .exceptions import DegenerateVarianceError
@@ -101,13 +102,31 @@ def wald_intervals(estimates: np.ndarray, se: np.ndarray, level: float):
         raise DegenerateVarianceError(
             f"standard error {float(se[j, l])} for entry ({j}, {l}) is not finite and positive"
         )
-    mult = float(ndtri((1.0 + level) / 2.0))
+    mult = _wald_multiplier(level)
     return estimates - mult * se, estimates + mult * se, estimates / se
 
 
+def _wald_multiplier(level: float) -> float:
+    """The two-sided normal quantile ``Phi^{-1}((1 + level) / 2)``."""
+    return NormalDist().inv_cdf((1.0 + level) / 2.0)
+
+
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+# past this argument exp(-t^2) underflows, and Cephes's erfc returns 0
+_ERFC_ZERO_BEYOND = math.sqrt(math.log(np.finfo(float).max))
+
+
 def two_sided_p(z: np.ndarray) -> np.ndarray:
-    """Two-sided normal p-values for z-scores."""
-    return 2.0 * ndtr(-np.abs(np.asarray(z, dtype=float)))
+    """Two-sided normal p-values ``erfc(|z| / sqrt 2)`` for z-scores.
+
+    As in the Cephes ``erfc``, a p-value is 0 once ``exp(-z^2 / 2)``
+    underflows (``|z|`` above about 37.68); short of that it may be
+    subnormal. A scalar or 0-d input gives a float.
+    """
+    t = np.abs(np.asarray(z, dtype=float)) * math.sqrt(0.5)
+    p = np.asarray(_erfc(t), dtype=float)
+    p[t > _ERFC_ZERO_BEYOND] = 0.0
+    return p[()]
 
 
 def bh_adjust(p_values, alpha: float):

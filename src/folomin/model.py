@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .exceptions import DataError, DomainError
 
@@ -184,14 +183,15 @@ def risk_d1(family: ResponseFamily, theta, y):
 def sample_response(family: ResponseFamily, theta, rng: np.random.Generator):
     """Draw responses with natural parameter ``theta``.
 
-    bernoulli success probability is ``expit(theta)``, gaussian mean is
-    ``theta`` with the family's variance, poisson mean is ``exp(theta)``.
+    bernoulli success probability is ``1 / (1 + exp(-theta))``, gaussian
+    mean is ``theta`` with the family's variance, poisson mean is
+    ``exp(theta)``.
     """
     theta = np.asarray(theta, dtype=float)
     if family.kind == "gaussian":
         return theta + np.sqrt(family.variance) * rng.standard_normal(theta.shape)
     if family.kind == "bernoulli":
-        return (rng.random(theta.shape) < expit(theta)).astype(float)
+        return (rng.random(theta.shape) < 1.0 / (1.0 + np.exp(-theta))).astype(float)
     return rng.poisson(np.exp(theta)).astype(float)
 
 

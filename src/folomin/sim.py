@@ -36,12 +36,17 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtri
 
 from .criteria import polar
 from .erm import FitConfig, ParamPair, oracle_fit_A
 from .exceptions import FolominError
-from .inference import align, plugin_covariances_A_all, rotated_covariances_A, row_variances
+from .inference import (
+    _wald_multiplier,
+    align,
+    plugin_covariances_A_all,
+    rotated_covariances_A,
+    row_variances,
+)
 from .model import ResponseFamily, ResponseMatrix, sample_response
 from .pipeline import fit_pipeline
 from .vintage import VintageConfig, promax_rotate, varimax_rotate
@@ -191,7 +196,7 @@ class SimulationSummary:
 
 
 def _method_metrics(aligned_A, se_A, A_star, level, centers=None):
-    mult = float(ndtri((1.0 + level) / 2.0))
+    mult = _wald_multiplier(level)
     centers = aligned_A if centers is None else centers
     err = centers - A_star
     cover = np.abs(err) <= mult * se_A
@@ -335,9 +340,9 @@ def _limit_worker_blas():
     loaded library together with its thread count; left alone, the
     workers' BLAS threads contend for the cores. The variables are set
     for libraries the worker loads later, and every OpenBLAS the process
-    has mapped (plain, or under the numpy/scipy wheels' prefixed names)
-    is told directly. Without ``/proc/self/maps`` only the variables are
-    set.
+    has mapped is told directly, under its plain names or the
+    ``scipy_openblas`` prefix of the build numpy's wheels bundle. Without
+    ``/proc/self/maps`` only the variables are set.
     """
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"

@@ -8,7 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from folomin import ResponseFamily, ResponseMatrix, build_report, plugin_covariances_A_all
+from folomin import (
+    ResponseFamily,
+    ResponseMatrix,
+    build_report,
+    plugin_covariances_A_all,
+    sample_response,
+)
 from folomin.cli import _write_csv, _write_json, main
 from folomin.erm import ParamPair
 from folomin.inference import row_variances
@@ -330,6 +336,43 @@ def _fit_model(tmp_path):
     code = main(["fit", str(data_csv), "--family", "bernoulli", "--r", "2", "--out", str(model)])
     assert code == 0
     return data_csv, model, data
+
+
+def test_infer_reports_the_fit_status(tmp_path, capsys):
+    _, model, _ = _fit_model(tmp_path)
+    assert main(["infer", str(model)]) == 0
+    assert json.loads((model / "inference_summary.json").read_text())["fit_status"] == "converged"
+    assert capsys.readouterr().err == ""
+
+    # the design of test_inference::test_bernoulli_sandwich_psd, whose fit stalls
+    rng = np.random.default_rng(6)
+    n, q, r = 300, 40, 2
+    U, _, Vt = np.linalg.svd(rng.standard_normal((n, r)), full_matrices=False)
+    Z_star = np.sqrt(n) * U @ Vt
+    A_star = 0.8 * rng.standard_normal((q, r))
+    fam = ResponseFamily.bernoulli()
+    Y = sample_response(fam, Z_star @ A_star.T, rng)
+    data_csv = tmp_path / "stalls.csv"
+    _write_csv(data_csv, [f"item{j}" for j in range(q)], list(Y.T))
+    stalled = tmp_path / "stalled"
+    with pytest.warns(RuntimeWarning, match="erm_fit stalled"):
+        code = main(["fit", str(data_csv), "--family", "bernoulli", "--r", "2", "--out", str(stalled)])
+    assert code == 0
+    assert json.loads((stalled / "rotation.json").read_text())["fit_status"] == "stalled"
+    capsys.readouterr()
+    assert main(["infer", str(stalled)]) == 0
+    assert json.loads((stalled / "inference_summary.json").read_text())["fit_status"] == "stalled"
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "fit_status is 'stalled'" in err
+
+    # a model written before rotation.json recorded the status
+    meta = model / "rotation.json"
+    payload = json.loads(meta.read_text())
+    del payload["fit_status"]
+    meta.write_text(json.dumps(payload))
+    assert main(["infer", str(model)]) == 0
+    assert json.loads((model / "inference_summary.json").read_text())["fit_status"] is None
+    assert "fit_status is None" in capsys.readouterr().err
 
 
 def _spy_csv_reads(monkeypatch):

@@ -568,6 +568,43 @@ def test_warm_start_takes_the_full_svd_only_at_a_tie(n, q, monkeypatch):
     np.testing.assert_allclose(pair.theta(), (U[:, :3] * s[:3]) @ Vt[:3], rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("n, q", [(50, 30), (30, 50)])
+def test_warm_start_takes_the_full_svd_when_the_iteration_stalls(n, q, monkeypatch):
+    # eigenvalue ratio 0.999 at r = 3, well clear of a tie, but a cluster
+    # wider than the iterated block: the top-r residuals shrink by about
+    # 0.994 a step and cannot meet the stop rule within the step cap
+    rng = np.random.default_rng(3)
+    s = np.array([9.0, 5.0] + [4.0 * 0.999 ** (j / 2) for j in range(12)] + [1.0])
+    X = _with_spectrum(rng, n, q, s)
+    w = s**2
+    assert w[2] - w[3] > 1e-6 * w[0] and w[3] / w[2] == pytest.approx(0.999)
+    shapes = _svd_shapes(monkeypatch)
+    pair = _warm_start(X, 3)
+    assert (n, q) in shapes
+    U, sv, Vt = np.linalg.svd(X, full_matrices=False)
+    best = (U[:, :3] * sv[:3]) @ Vt[:3]
+    assert np.abs(pair.theta() - best).max() <= 1e-10 * np.abs(best).max()
+
+
+@pytest.mark.parametrize("n, q", [(300, 200), (200, 300)])
+def test_warm_start_is_deterministic(n, q, monkeypatch):
+    # the iteration starts from its own fixed-seed test matrix
+    rng = np.random.default_rng(11)
+    X = _with_spectrum(rng, n, q, [200.0, 150.0, 120.0, 100.0]) + rng.standard_normal((n, q))
+    shapes = _svd_shapes(monkeypatch)
+    saved = np.random.get_state()
+    try:
+        np.random.seed(0)
+        first = _warm_start(X, 4)
+        np.random.seed(1)
+        np.random.standard_normal(7)
+        second = _warm_start(X, 4)
+    finally:
+        np.random.set_state(saved)
+    assert (n, q) not in shapes
+    assert np.array_equal(first.Z, second.Z) and np.array_equal(first.A, second.A)
+
+
 @pytest.mark.parametrize("n, q, rank", [(20, 12, 0), (12, 20, 0), (20, 12, 2), (12, 20, 2), (8, 5, 3)])
 def test_warm_start_is_finite_on_rank_deficient_data(n, q, rank):
     rng = np.random.default_rng(7)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
+from scipy.special import ndtr, ndtri
 
 from folomin import (
     DegenerateVarianceError,
@@ -26,7 +27,13 @@ from folomin import (
     wald_intervals,
 )
 from folomin.erm import FitConfig, row_grams
-from folomin.inference import _min_cost_assignment, adjust_p_values, row_variances, two_sided_p
+from folomin.inference import (
+    _min_cost_assignment,
+    _wald_multiplier,
+    adjust_p_values,
+    row_variances,
+    two_sided_p,
+)
 from folomin.model import _cells
 from folomin.sim import SimDesign, gen_dataset
 
@@ -40,12 +47,16 @@ def test_normal_quantile_against_series_oracle():
     # cross-check the quantile primitive against high-precision erf inversion
     import mpmath
 
-    from scipy.special import ndtri
-
     for level in (0.9, 0.95, 0.99):
         expected = float(mpmath.sqrt(2) * mpmath.erfinv(level))
-        assert abs(ndtri((1 + level) / 2) - expected) <= 1e-7
-    assert ndtri((1 + 0.95) / 2) == pytest.approx(1.959964, abs=1e-5)
+        assert abs(_wald_multiplier(level) - expected) <= 1e-7
+    assert _wald_multiplier(0.95) == pytest.approx(1.959964, abs=1e-5)
+
+
+@pytest.mark.parametrize("level", [0.5, 0.8, 0.9, 0.95, 0.99, 0.999])
+def test_wald_multiplier_matches_scipy_ndtri(level):
+    expected = float(ndtri((1.0 + level) / 2.0))
+    assert abs(_wald_multiplier(level) - expected) <= 4 * np.spacing(expected)
 
 
 def test_gaussian_closed_form_sandwich():
@@ -219,6 +230,23 @@ def test_align_rejects_non_finite_input():
 def test_two_sided_p():
     assert two_sided_p(0.0) == pytest.approx(1.0)
     assert two_sided_p(1.959963984540054) == pytest.approx(0.05, abs=1e-9)
+
+
+def test_two_sided_p_matches_scipy_ndtr():
+    z = np.linspace(0.0, 37.0, 20001)
+    expected = 2.0 * ndtr(-z)
+    np.testing.assert_allclose(two_sided_p(z), expected, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(two_sided_p(-z[::-1]), expected[::-1], rtol=1e-12, atol=0)
+    # both become subnormal, then 0 at the same |z|
+    far = np.linspace(37.0, 60.0, 100001)
+    np.testing.assert_allclose(two_sided_p(far), 2.0 * ndtr(-far), rtol=1e-9, atol=0)
+    grid = two_sided_p(z[:12].reshape(3, 4))
+    assert grid.shape == (3, 4) and grid.dtype == float
+    # a Python scalar and a 0-d array give a float, like the ufunc did
+    for scalar in (1.5, np.array(1.5)):
+        p = two_sided_p(scalar)
+        assert np.ndim(p) == 0 and isinstance(p, float)
+        assert p == pytest.approx(2.0 * ndtr(-1.5), rel=1e-12, abs=0)
 
 
 def test_interval_width_scales_with_root_n():

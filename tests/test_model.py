@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
 from folomin import (
     DataError,
@@ -177,6 +178,17 @@ def test_sampling_moments():
     assert -0.02 <= gauss_draws.mean() <= 0.02
     pois_draws = sample_response(POIS, np.zeros(100_000), rng)
     assert 0.97 <= pois_draws.mean() <= 1.03
+
+
+@pytest.mark.parametrize("scale", [1.0, 3.0, 10.0])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_bernoulli_draws_equal_those_through_scipy_expit(scale, seed):
+    # the plain logistic differs from expit in the last bit on some cells;
+    # the draws, compared with uniforms, must not move
+    theta = scale * np.random.default_rng(seed).standard_normal((400, 250))
+    draws = sample_response(BERN, theta, np.random.default_rng(seed + 10))
+    expected = np.random.default_rng(seed + 10).random(theta.shape) < expit(theta)
+    assert np.array_equal(draws, expected.astype(float))
 
 
 def test_domain_validation():
