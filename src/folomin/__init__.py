@@ -41,17 +41,15 @@ from .exceptions import (
 )
 from .inference import (
     InferenceReport,
-    RowCovariance,
     align,
     bh_adjust,
     bonferroni_adjust,
     build_report,
-    plugin_covariances_A_all,
-    rotated_covariances_A,
+    rotated_std_errors,
     two_sided_p,
     wald_intervals,
 )
-from .initialization import InitConfig, InitResult, init_rotation, similarity_matrix
+from .initialization import InitResult, similarity_matrix
 from .lqa import LqaConfig, LqaResult, LqaTrace, lqa_run, lqa_subproblem, lqa_weights
 from .model import (
     ResponseFamily,

@@ -35,12 +35,16 @@ no further kernel call: the ``Z`` step's cells serve the ``A`` step
 next sweep's test and ``Z`` step (so does the diagonalization). Only a
 halved or retaken step is evaluated again. The oracle works on an
 active set: a settled row does not move again, so each step evaluates
-only the rows that are still active. An ERM fit also returns
-the plug-in sandwiches ``B_j^{-1} M_j B_j^{-1}`` of its ``A`` rows at the
-returned pair, inverted once there: the breads ``B_j`` are the rows' risk
+only the rows that are still active.
+
+Both fits return a :class:`FitResult` that holds the plug-in sandwiches
+``B_j^{-1} M_j B_j^{-1}`` of its ``A`` rows at the returned pair, inverted
+once there. An ERM fit takes the breads ``B_j`` from the rows' risk
 Hessians that its last convergence test formed, and the meats ``M_j``
-come from the gradients it holds there. Every rotation of the pair reads
-its covariances off this one stack (:func:`inference.rotated_covariances_A`).
+from the gradients it holds there; the oracle takes both from one kernel
+pass at the pair it returns. No other module evaluates the risk on the
+data for inference: every standard error, of a fit or of any rotation of
+it, is read off its stack (:func:`inference.rotated_std_errors`).
 """
 
 from __future__ import annotations
@@ -156,7 +160,8 @@ class FitTrace:
     lie above the least one recorded before them, and ``"max_iters"``
     when ``max_iters`` sweeps ended before either. ``stationarity`` is
     the largest relative row decrement ``g'H^{-1}g / (1 + |f|)`` over
-    both blocks at the returned pair.
+    both blocks at the returned pair (over the rows of ``A`` for an
+    oracle fit, whose ``n_iters`` counts its Newton passes).
     """
 
     objectives: list = field(default_factory=list)
@@ -589,11 +594,12 @@ ORACLE_TOL, ORACLE_MAX_ITER = 1e-10, 100
 
 def _separable_fit(
     X: np.ndarray, targets: np.ndarray, family: ResponseFamily, name: str = "B"
-) -> np.ndarray:
+) -> tuple[np.ndarray, int]:
     """Solve ``min_b sum_m l(x_m' b; y_mk)`` for every target column ``k``.
 
-    Damped Newton vectorized across columns; rows of the output ``name``
-    are the per-column solutions. A column is active while its gradient
+    Damped Newton vectorized across columns; returns the per-column
+    solutions as the rows of ``B`` (named ``name`` in errors) and the
+    number of passes that took a step. A column is active while its gradient
     norm exceeds ``ORACLE_TOL``, for at most ``ORACLE_MAX_ITER`` passes.
     Every column is evaluated at the start; after that, each pass's step
     evaluates only the active columns' trial points, whose risk, gradient
@@ -651,10 +657,32 @@ def _separable_fit(
                 f"oracle fit of {name}: rows {separated.tolist()[:5]} have no finite "
                 "minimizer (separable data)"
             )
-    return B
+    return B, it
 
 
-def oracle_fit_A(data: ResponseMatrix, Z_star: np.ndarray) -> np.ndarray:
+def oracle_fit_A(data: ResponseMatrix, Z_star: np.ndarray) -> FitResult:
     """Fit every row of ``A`` with the latent scores held fixed at ``Z_star``,
-    to a gradient norm of ``ORACLE_TOL`` per row."""
-    return _separable_fit(np.asarray(Z_star, dtype=float), data.values, data.family, "A")
+    to a gradient norm of ``ORACLE_TOL`` per row.
+
+    The result pairs ``Z_star`` with the fitted ``A``. One kernel pass at
+    that pair, after the solver's arrays are freed, gives its sandwich
+    stack and its trace: the total risk, and the largest relative row
+    decrement ``g'H^{-1}g / (1 + |f|)`` as ``stationarity``. A fit that
+    does not converge raises :class:`OracleFitError` instead of returning.
+    """
+    Z = np.asarray(Z_star, dtype=float)
+    A, passes = _separable_fit(Z, data.values, data.family, "A")
+    n = Z.shape[0]
+    cells, d1, d2 = _row_cells(Z, data.values, data.family, A, np.arange(A.shape[0]))
+    f = cells.sum(axis=0)
+    del cells
+    breads = row_grams(Z, d2)
+    _, dec, _ = _newton_direction(breads, d1.T @ Z)
+    trace = FitTrace(
+        objectives=[float(f.sum())],
+        n_iters=passes,
+        stationarity=float((dec / (1.0 + np.abs(f))).max()),
+        max_row_norm=float(np.linalg.norm(A, axis=1).max()),
+    )
+    meats = row_grams(Z, np.square(d1, out=d1)) / n
+    return FitResult(ParamPair(Z, A), trace, _sandwich(breads / n, meats))

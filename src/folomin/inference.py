@@ -1,14 +1,15 @@
-"""Plug-in sandwich covariances, Wald intervals, and multiple testing.
+"""Plug-in standard errors, Wald intervals, and multiple testing.
 
 Each row of the representation matrix has an asymptotic sandwich
 covariance: the inverse curvature of its separable risk (bread) around
 the weighted score second moment (meat), both evaluated at the fitted
-parameters. An ERM fit inverts its breads once, at the pair it returns,
-and every rotation of that pair maps the fit's sandwiches by congruence.
-:func:`build_report` turns the standard errors of a
+parameters. A fit, ERM or oracle, returns that stack for the pair it
+returns (``FitResult.sandwich_A``), and every rotation of the pair maps
+it by congruence; :func:`rotated_std_errors` reads the standard errors
+off it. :func:`build_report` turns the standard errors of a
 representation matrix into Wald intervals and two-sided z-tests, with
-Benjamini-Hochberg or Bonferroni adjustment of the resulting p-values;
-it reads no data. Column alignment utilities resolve the signed
+Benjamini-Hochberg or Bonferroni adjustment of the resulting p-values.
+Nothing here reads data. Column alignment utilities resolve the signed
 permutation indeterminacy when comparing an estimate to a reference.
 """
 
@@ -20,17 +21,12 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .erm import FitResult, ParamPair, _sandwich, row_grams
+from .erm import FitResult
 from .exceptions import DegenerateVarianceError
-from .model import ResponseMatrix
-from .model import _cells as _risk_cells
 
 __all__ = [
-    "RowCovariance",
     "InferenceReport",
-    "plugin_covariances_A_all",
-    "rotated_covariances_A",
-    "row_variances",
+    "rotated_std_errors",
     "wald_intervals",
     "two_sided_p",
     "bh_adjust",
@@ -41,49 +37,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RowCovariance:
-    """Sandwich covariances ``bread^{-1} meat bread^{-1}`` of a stack of
-    rows of ``A``.
-
-    ``sandwich`` has shape ``(q, r, r)``, one matrix per row of the
-    stack. ``scale`` is the divisor turning a sandwich into the row
-    estimator's variance, the number ``n`` of rows of ``Z``.
-    """
-
-    sandwich: np.ndarray
-    scale: int
-
-    def __len__(self) -> int:
-        """Number of rows in the stack."""
-        return self.sandwich.shape[0]
-
-
-def plugin_covariances_A_all(data: ResponseMatrix, params: ParamPair) -> RowCovariance:
-    """Sandwich covariances for every row of the representation matrix,
-    from one kernel pass at ``params``."""
-    _, d1, d2 = _risk_cells(data.family, params.theta(), data.values, 2)
-    n, Z = params.n, params.Z
-    return RowCovariance(_sandwich(row_grams(Z, d2) / n, row_grams(Z, d1**2) / n), n)
-
-
-def rotated_covariances_A(fit: FitResult, G: np.ndarray) -> RowCovariance:
-    """Sandwich covariances for every row of ``A`` at the rotation
+def rotated_std_errors(fit: FitResult, G: np.ndarray) -> np.ndarray:
+    """The ``q x r`` standard errors of ``A G^{-1}`` at the rotation
     ``fit.params.rotate(G) = (Z G', A G^{-1})`` of a fitted pair.
 
     The rotation keeps ``Z A'``, so the risk's derivatives at every cell
     are those of the fit; row ``j`` of ``A G^{-1}`` is ``G^{-T} a_j``,
     and its sandwich is the fit's ``S_j`` under the congruence
-    ``G^{-T} S_j G^{-1}``. No kernel pass and no bread inversion is needed.
+    ``G^{-T} S_j G^{-1}``. The standard errors are the square roots of
+    its diagonal over ``n``; no kernel pass and no bread inversion is
+    needed.
     """
     G_inv = np.linalg.inv(np.asarray(G, dtype=float))
-    return RowCovariance(G_inv.T @ fit.sandwich_A @ G_inv, fit.params.n)
-
-
-def row_variances(covariances: RowCovariance) -> np.ndarray:
-    """Entrywise estimator variances ``diag(sandwich) / scale``, one row
-    per row of the stack."""
-    return covariances.sandwich.diagonal(axis1=1, axis2=2) / covariances.scale
+    sandwich = G_inv.T @ fit.sandwich_A @ G_inv
+    return np.sqrt(sandwich.diagonal(axis1=1, axis2=2) / fit.params.n)
 
 
 def wald_intervals(estimates: np.ndarray, se: np.ndarray, level: float):

@@ -19,40 +19,13 @@ from .erm import ParamPair
 from .exceptions import CollinearAxesError, InsufficientSimpleStructureError
 
 __all__ = [
-    "InitConfig",
     "InitResult",
     "similarity_matrix",
-    "init_rotation",
     "axes_from_sets",
     "candidate_sets",
 ]
 
 MIN_SET_SIZE = 2
-
-
-@dataclass(frozen=True)
-class InitConfig:
-    """Thresholds for the simple-row search.
-
-    ``delta`` floors the product of the two compared row images (rows
-    below the floor are treated as uninformative); ``delta_prime`` is
-    the cosine slack defining a cluster; clusters smaller than
-    ``MIN_SET_SIZE`` are ignored to guard against singleton noise.
-
-    The cluster slack must sit between the similarity estimation noise
-    and the angular gap separating truly proportional rows from merely
-    nearby ones; 0.01 balances both at moderate sample sizes, while
-    loose values merge clusters and poison the axis estimates.
-    """
-
-    delta: float = 0.01
-    delta_prime: float = 0.01
-
-    def __post_init__(self):
-        if not self.delta > 0:
-            raise ValueError("delta must be strictly positive")
-        if not 0 < self.delta_prime < 1:
-            raise ValueError("delta_prime must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -164,22 +137,3 @@ def axes_from_sets(params: ParamPair, sets: list[frozenset[int]]) -> InitResult:
             f"axis matrix condition number {cond[0]:.3e} exceeds 1e8"
         )
     return InitResult(params=params.rotate(G0[0]), rotation=G0[0], selected_sets=list(sets))
-
-
-def init_rotation(params: ParamPair, config: InitConfig | None = None) -> InitResult:
-    """Construct the initial rotation from detected simple-row clusters.
-
-    For each row ``j`` the candidate set collects rows with similarity
-    above ``1 - delta_prime``; the ``r`` largest disjoint candidates
-    approximate the simple-row sets. The rotation column for cluster
-    ``k`` is the right singular vector of the loadings of all *other*
-    clusters belonging to the smallest singular value, sign-fixed so the
-    rotated loadings have nonnegative column sums on their own cluster.
-    The final diagonal rescale restores unit variances of the rotated
-    latent columns, so the output pair satisfies
-    ``diag(Z'Z / n) = I`` whenever the input does.
-    """
-    config = config or InitConfig()
-    sims = similarity_matrix(params, config.delta)
-    selected = candidate_sets(sims, config.delta_prime, params.r)
-    return axes_from_sets(params, selected)

@@ -11,7 +11,7 @@ import numpy as np
 from .criteria import FoldedLoss, folded_criterion
 from .erm import FitConfig, FitResult, ParamPair, ResponseMatrix, erm_fit
 from .exceptions import CollinearAxesError, InsufficientSimpleStructureError
-from .inference import RowCovariance, rotated_covariances_A, row_variances
+from .inference import rotated_std_errors
 from .initialization import (
     MIN_SET_SIZE,
     InitResult,
@@ -38,9 +38,9 @@ def make_loss(kind: str, gamma: float) -> FoldedLoss:
     raise ValueError(f"unknown loss kind {kind!r}")
 
 
-def suggest_gamma(A: np.ndarray, covariances: RowCovariance, a3: float) -> float:
+def suggest_gamma(A: np.ndarray, se_A: np.ndarray, a3: float) -> float:
     """Data-driven scale for the folded loss at the loadings ``A``, from
-    the sandwich covariances of their rows.
+    their ``q x r`` standard errors ``se_A``.
 
     The smallest loading magnitude that clears three plug-in standard
     errors, divided by ``a3 + 1`` so the loss plateau stays below the
@@ -49,10 +49,9 @@ def suggest_gamma(A: np.ndarray, covariances: RowCovariance, a3: float) -> float
     the safety headroom. Falls back to three times the median standard
     error when nothing is significant.
     """
-    se = np.sqrt(row_variances(covariances))
     mags = np.abs(A)
-    significant = mags > 3.0 * se
-    lam_hat = float(mags[significant].min()) if significant.any() else 3.0 * float(np.median(se))
+    significant = mags > 3.0 * se_A
+    lam_hat = float(mags[significant].min()) if significant.any() else 3.0 * float(np.median(se_A))
     return lam_hat / (a3 + 1.0)
 
 
@@ -105,7 +104,7 @@ def auto_init(fit: FitResult, delta: float = 0.01) -> InitResult:
             f"of size >= {MIN_SET_SIZE}; best attempt found {found_max}",
         )
     G_ref, _, A_ref = candidates[0]
-    gamma_cmp = suggest_gamma(A_ref, rotated_covariances_A(fit, G_ref), a3=3.0)
+    gamma_cmp = suggest_gamma(A_ref, rotated_std_errors(fit, G_ref), a3=3.0)
     loss_cmp = FoldedLoss.mcp(gamma_cmp, 3.0)
     G0, sets, _ = min(candidates, key=lambda c: folded_criterion(c[2], loss_cmp))
     return InitResult(params=params.rotate(G0), rotation=G0, selected_sets=sets)
@@ -126,7 +125,7 @@ class PipelineResult:
         fit's sandwiches under the rotation ``G_total @ init.rotation``
         that made the pair."""
         G = self.rotations[loss_name].G_total @ self.init.rotation
-        return np.sqrt(row_variances(rotated_covariances_A(self.fit, G)))
+        return rotated_std_errors(self.fit, G)
 
 
 def fit_pipeline(
@@ -153,12 +152,12 @@ def fit_pipeline(
 
     rotations: dict[str, LqaResult] = {}
     gammas: dict[str, float] = {}
-    cov_A = rotated_covariances_A(fit, init.rotation) if init else None
+    se_A = rotated_std_errors(fit, init.rotation) if init else None
     for name, loss in losses.items():
         if loss is None:
             # the plateau multiple a3 does not depend on the scale
             a3 = make_loss(name, 1.0).a3
-            loss = make_loss(name, suggest_gamma(init.params.A, cov_A, a3))
+            loss = make_loss(name, suggest_gamma(init.params.A, se_A, a3))
         gammas[name] = loss.gamma
         cfg = LqaConfig(loss=loss, eta=eta, T=T, mode=mode)
         rotations[name] = lqa_run(init.params, cfg)

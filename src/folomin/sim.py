@@ -38,15 +38,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .criteria import polar
-from .erm import FitConfig, ParamPair, oracle_fit_A
+from .erm import FitConfig, oracle_fit_A
 from .exceptions import FolominError
-from .inference import (
-    _wald_multiplier,
-    align,
-    plugin_covariances_A_all,
-    rotated_covariances_A,
-    row_variances,
-)
+from .inference import _wald_multiplier, align, rotated_std_errors
 from .model import ResponseFamily, ResponseMatrix, sample_response
 from .pipeline import fit_pipeline
 from .vintage import VintageConfig, promax_rotate, varimax_rotate
@@ -244,9 +238,9 @@ def _oracle_record(data, Z_star, A_star, level) -> dict:
     Reads the generated data and nothing of the pipeline's, so it can run
     on another thread while the pipeline runs.
     """
-    A_or = oracle_fit_A(data, Z_star)
-    se = np.sqrt(row_variances(plugin_covariances_A_all(data, ParamPair(Z_star, A_or))))
-    return _method_metrics(A_or, se, A_star, level)
+    oracle = oracle_fit_A(data, Z_star)
+    se = rotated_std_errors(oracle, np.eye(oracle.params.r))
+    return _method_metrics(oracle.params.A, se, A_star, level)
 
 
 def _vintage_records(fit, methods, A_star, level) -> dict:
@@ -256,7 +250,7 @@ def _vintage_records(fit, methods, A_star, level) -> dict:
 
     if "varimax" in methods or "varimax_debiased" in methods:
         # A_rot = A G with G orthogonal: the rotation G' of the fit
-        se = np.sqrt(row_variances(rotated_covariances_A(fit, vres.G.T)))
+        se = rotated_std_errors(fit, vres.G.T)
         A, se = _aligned(vres.A_rot, se, A_star)
         if "varimax" in methods:
             records["varimax"] = _method_metrics(A, se, A_star, level)
@@ -266,7 +260,7 @@ def _vintage_records(fit, methods, A_star, level) -> dict:
 
     if "promax" in methods:
         pres = promax_rotate(fit.params.A, vres)
-        se = np.sqrt(row_variances(rotated_covariances_A(fit, pres.G)))
+        se = rotated_std_errors(fit, pres.G)
         A, se = _aligned(pres.A_rot, se, A_star)
         records["promax"] = _method_metrics(A, se, A_star, level)
     return records

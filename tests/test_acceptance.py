@@ -17,6 +17,7 @@ from scipy.linalg import expm
 
 import folomin as fm
 from folomin.cli import main as cli_main
+from folomin.initialization import axes_from_sets, candidate_sets
 from folomin.sim import SimDesign, gen_A, gen_Z, run_replications
 
 LEVEL = 0.95
@@ -158,7 +159,7 @@ def test_criterion_4_noiseless_exact_recovery():
     Z_star = np.sqrt(n) * U @ Vt
     R = np.linalg.qr(rng.standard_normal((r, r)))[0]
     start = fm.ParamPair(Z_star @ R, A_star @ R)
-    init = fm.init_rotation(start, fm.InitConfig(delta=0.01, delta_prime=0.05))
+    init = axes_from_sets(start, candidate_sets(fm.similarity_matrix(start, 0.01), 0.05, r))
     res = fm.lqa_run(init.params, fm.LqaConfig(loss=fm.FoldedLoss.mcp(0.2, 3.0), T=1))
     _, _, aligned = fm.align(res.params.A, A_star)
     err = np.abs(aligned - A_star).max()
@@ -258,10 +259,9 @@ def test_criterion_7_closed_form_inference():
     fam = fm.ResponseFamily.gaussian(1.0)
     Y = fm.sample_response(fam, Z_star @ A_star.T, rng)
     data = fm.ResponseMatrix(Y, fam)
-    params = fm.ParamPair(Z_star, fm.oracle_fit_A(data, Z_star))
-    covs = fm.plugin_covariances_A_all(data, params)
+    sandwich_A = fm.oracle_fit_A(data, Z_star).sandwich_A
     target = np.linalg.inv(Z_star.T @ Z_star / n)
-    mean_sandwich = np.mean(covs.sandwich, axis=0)
+    mean_sandwich = np.mean(sandwich_A, axis=0)
     rel = np.linalg.norm(mean_sandwich - target) / np.linalg.norm(target)
     elapsed = time.time() - t0
     _report(
@@ -285,7 +285,7 @@ def test_criterion_8_invariant_suite(tmp_path):
     R = np.linalg.qr(rng.standard_normal((r, r)))[0]
     start = fm.ParamPair(Z_star @ R, A_noisy @ R)
     theta0 = start.theta()
-    init = fm.init_rotation(start, fm.InitConfig(delta=0.01, delta_prime=0.05))
+    init = axes_from_sets(start, candidate_sets(fm.similarity_matrix(start, 0.01), 0.05, r))
     assert np.abs(init.params.theta() - theta0).max() <= 1e-8 * np.abs(theta0).max()
     assert np.abs(np.diag(init.params.gram()) - 1).max() <= 1e-8
     res = fm.lqa_run(init.params, fm.LqaConfig(loss=fm.FoldedLoss.mcp(0.1, 3.0), T=4))

@@ -83,6 +83,14 @@ def test_every_module_is_reachable_from_the_package_or_the_entry_point():
     assert set(MODULES) <= reached, f"modules nothing imports: {sorted(set(MODULES) - reached)}"
 
 
+def test_inference_reads_no_data():
+    # every standard error is read off a fit's sandwich stack, so the
+    # inference module needs fits, not the risk kernels or the data
+    assert _package_imports("inference") <= {"erm", "exceptions"}
+    names = _referenced_names(Path(folomin.__file__).parent / "inference.py")
+    assert not {"_cells", "_risk_cells", "_row_cells"} & names
+
+
 def _referenced_names(path: Path, skip: str | None = None) -> set[str]:
     """Names that the code of ``path`` reads, as a ``Name`` or an
     ``Attribute``, outside the top-level ``def skip``."""

@@ -8,18 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from folomin import (
-    ResponseFamily,
-    ResponseMatrix,
-    build_report,
-    plugin_covariances_A_all,
-    sample_response,
-)
+from folomin import ResponseFamily, ResponseMatrix, build_report, sample_response
 from folomin.cli import _write_csv, _write_json, main
 from folomin.erm import ParamPair
-from folomin.inference import row_variances
 from folomin.pipeline import fit_pipeline
 from folomin.sim import SimDesign, gen_dataset
+from test_inference import _hc0_std_errors
 
 
 def _write_dataset(path: Path, seed=0, n=120, q=60, r=2):
@@ -166,7 +160,7 @@ def test_fit_infer_roundtrip(tmp_path):
     assert json.loads((model / "manifest.json").read_text())["inputs"] == {str(data_csv): digest}
     # the fit's own sandwich at the final pair is the plug-in one, to rounding
     bernoulli = ResponseMatrix(data.values, ResponseFamily.bernoulli())
-    plugin = np.sqrt(row_variances(plugin_covariances_A_all(bernoulli, ParamPair(Z, A))))
+    plugin = _hc0_std_errors(bernoulli, ParamPair(Z, A))
     np.testing.assert_allclose(se, plugin, rtol=1e-12, atol=0)
 
     code = main(["infer", str(model), "--level", "0.95", "--adjust", "bh", "--per-column"])

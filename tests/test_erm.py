@@ -14,7 +14,6 @@ from folomin import (
     ResponseMatrix,
     erm_fit,
     oracle_fit_A,
-    plugin_covariances_A_all,
     risk,
     spectral_warm_start,
 )
@@ -28,6 +27,7 @@ from folomin.erm import (
 )
 from folomin.model import _cells
 from folomin.sim import SimDesign, gen_dataset
+from test_inference import _hc0_sandwiches
 
 
 def _orthonormal_scores(rng, n, r):
@@ -79,10 +79,10 @@ def test_constraint_residuals_and_monotonicity():
 def _alternating_oracle(data, r, iters=100):
     """Independent unconstrained alternating per-row convex solver."""
     Z = spectral_warm_start(data, r).Z
-    A = _separable_fit(Z, data.values, data.family)
+    A, _ = _separable_fit(Z, data.values, data.family)
     for _ in range(iters):
-        Z = _separable_fit(A, data.values.T, data.family)
-        A_new = _separable_fit(Z, data.values, data.family)
+        Z, _ = _separable_fit(A, data.values.T, data.family)
+        A_new, _ = _separable_fit(Z, data.values, data.family)
         drift = np.linalg.norm(Z @ (A_new - A).T) / np.sqrt(data.n * data.q)
         A = A_new
         if drift < 1e-9:
@@ -254,7 +254,7 @@ def test_oracle_fit_gaussian_is_least_squares():
     Z_star = _orthonormal_scores(rng, n, r)
     Y = rng.standard_normal((n, q))
     data = ResponseMatrix(Y, ResponseFamily.gaussian())
-    A_hat = oracle_fit_A(data, Z_star)
+    A_hat = oracle_fit_A(data, Z_star).params.A
     lstsq = np.linalg.lstsq(Z_star, Y, rcond=None)[0].T
     np.testing.assert_allclose(A_hat, lstsq, atol=1e-10)
 
@@ -262,7 +262,7 @@ def test_oracle_fit_gaussian_is_least_squares():
 def test_oracle_fit_bernoulli_symmetric_and_separable():
     z = np.array([[1.0], [1.0], [-1.0], [-1.0]])
     sym = ResponseMatrix(np.array([[1.0], [0.0], [0.0], [1.0]]), ResponseFamily.bernoulli())
-    assert oracle_fit_A(sym, z)[0, 0] == pytest.approx(0.0, abs=1e-9)
+    assert oracle_fit_A(sym, z).params.A[0, 0] == pytest.approx(0.0, abs=1e-9)
     sep = ResponseMatrix(np.array([[1.0], [1.0], [0.0], [0.0]]), ResponseFamily.bernoulli())
     with pytest.raises(OracleFitError, match=r"^oracle fit of A: rows \[0\] "):
         oracle_fit_A(sep, z)
@@ -307,7 +307,7 @@ def test_active_set_solver_matches_full_passes(kind, m, k, r, seed):
     else:
         Y = rng.poisson(np.exp(theta)).astype(float)
     try:
-        B = _separable_fit(X, Y, family)
+        B, _ = _separable_fit(X, Y, family)
     except OracleFitError:
         # a separable bernoulli column: the reference fails the same checks
         B_ref = _full_pass_fit(X, Y, family)
@@ -347,15 +347,18 @@ def test_separable_fit_evaluates_each_trial_point_once(monkeypatch):
     monkeypatch.setattr(erm, "_risk_cells", counted_kernel)
     monkeypatch.setattr(erm, "_row_cells", counted_row_cells)
     monkeypatch.setattr(erm, "_newton_update", counted_update)
-    oracle_fit_A(data, Z_star)
+    fit = oracle_fit_A(data, Z_star)
     # one order-2 call on every column at the start, then only the steps'
-    # trial points, none of them twice
-    assert orders == [2] * len(outside) and len(outside) >= 3
-    assert outside == [True] + [False] * (len(outside) - 1)
+    # trial points, none of them twice, and last one call on every column
+    # at the returned rows, which gives the sandwiches
+    assert orders == [2] * len(outside) and len(outside) >= 4
+    assert outside == [True] + [False] * (len(outside) - 2) + [True]
     assert points[: data.q] == [(c, (0.0, 0.0)) for c in range(data.q)]
-    assert len(set(points)) == len(points)
+    solver = points[: -data.q]
+    assert len(set(solver)) == len(solver)
+    assert points[-data.q :] == [(c, tuple(a)) for c, a in enumerate(fit.params.A)]
     # settled columns leave the active set and are not evaluated again
-    assert widths[0] == data.q and widths[-1] < data.q
+    assert widths[0] == widths[-1] == data.q and widths[-2] < data.q
 
 
 @pytest.mark.parametrize(
@@ -402,7 +405,7 @@ def test_erm_fit_evaluates_each_trial_point_once(family, n, q, tau, seed, path, 
 
 def test_oracle_fit_poisson_closed_form():
     data = ResponseMatrix(np.array([[2.0], [4.0]]), ResponseFamily.poisson())
-    a = oracle_fit_A(data, np.ones((2, 1)))
+    a = oracle_fit_A(data, np.ones((2, 1))).params.A
     assert a[0, 0] == pytest.approx(np.log(3.0), abs=1e-9)
 
 
@@ -412,12 +415,31 @@ def test_oracle_fit_gradient_norms():
     Z_star, A_star, data = gen_dataset(design, rng)
     from folomin.model import risk_d1
 
-    A_hat = oracle_fit_A(data, Z_star)
+    A_hat = oracle_fit_A(data, Z_star).params.A
     grads = risk_d1(data.family, Z_star @ A_hat.T, data.values).T @ Z_star
     assert np.linalg.norm(grads, axis=1).max() <= 1e-10
-    Z_hat = _separable_fit(A_star, data.values.T, data.family)
+    Z_hat, _ = _separable_fit(A_star, data.values.T, data.family)
     grads_z = risk_d1(data.family, Z_hat @ A_star.T, data.values) @ A_star
     assert np.linalg.norm(grads_z, axis=1).max() <= 1e-10
+
+
+@pytest.mark.parametrize("kind", ["bernoulli", "gaussian"])
+def test_oracle_fit_returns_its_sandwiches_and_trace(kind):
+    family = ResponseFamily(kind)
+    design = SimDesign(n=150, q=60, r=2, lambda_signal=0.3, tau=0.0, family=family, seed=1)
+    Z_star, _, data = gen_dataset(design, np.random.default_rng(6))
+    fit = oracle_fit_A(data, Z_star)
+    assert np.array_equal(fit.params.Z, Z_star)
+    ref = _hc0_sandwiches(data, fit.params)
+    gap = np.linalg.norm(fit.sandwich_A - ref, axis=(1, 2))
+    assert np.all(gap <= 1e-12 * np.linalg.norm(ref, axis=(1, 2)))
+    trace = fit.trace
+    assert trace.status == "converged"
+    assert trace.stationarity <= FitConfig().tol
+    assert trace.n_iters >= 1
+    total = risk(family, Z_star @ fit.params.A.T, data.values).sum()
+    assert trace.objectives == [pytest.approx(total, rel=1e-12)]
+    assert trace.max_row_norm == np.linalg.norm(fit.params.A, axis=1).max()
 
 
 @pytest.mark.parametrize("family", [ResponseFamily.gaussian(), ResponseFamily.bernoulli()],
@@ -433,9 +455,8 @@ def test_fits_and_sandwiches_do_not_revalidate_responses(family, monkeypatch):
         validate(self, y)
 
     monkeypatch.setattr(ResponseFamily, "validate_responses", counted)
-    params = erm_fit(data, 2).params
+    erm_fit(data, 2)
     oracle_fit_A(data, Z_star)
-    plugin_covariances_A_all(data, params)
     assert calls == []
     # the public kernels still check the raw arrays they are given
     risk(family, 0.0, data.values[:2])

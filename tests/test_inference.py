@@ -21,17 +21,15 @@ from folomin import (
     build_report,
     erm_fit,
     oracle_fit_A,
-    plugin_covariances_A_all,
-    rotated_covariances_A,
+    rotated_std_errors,
     sample_response,
     wald_intervals,
 )
-from folomin.erm import FitConfig, row_grams
+from folomin.erm import FitConfig, _sandwich, row_grams
 from folomin.inference import (
     _min_cost_assignment,
     _wald_multiplier,
     adjust_p_values,
-    row_variances,
     two_sided_p,
 )
 from folomin.model import _cells
@@ -41,6 +39,32 @@ from folomin.sim import SimDesign, gen_dataset
 def _orthonormal_scores(rng, n, r):
     U, _, Vt = np.linalg.svd(rng.standard_normal((n, r)), full_matrices=False)
     return np.sqrt(n) * U @ Vt
+
+
+def _hc0_sandwiches(data, params):
+    """The HC0 sandwiches ``B^{-1} M B^{-1}`` of the rows of ``A`` at
+    ``params``, one row at a time: bread ``Z' diag(l'') Z / n`` and meat
+    ``Z' diag(l'^2) Z / n``, with the risk's derivatives written out for
+    each family."""
+    Z, n = params.Z, params.n
+    out = np.empty((params.q, params.r, params.r))
+    for j, a in enumerate(params.A):
+        theta, y = Z @ a, data.values[:, j]
+        if data.family.kind == "gaussian":
+            d1, d2 = 2.0 * (theta - y), np.full(n, 2.0)
+        elif data.family.kind == "bernoulli":
+            p, s = 1.0 / (1.0 + np.exp(-theta)), 1.0 / (1.0 + np.exp(theta))
+            d1, d2 = np.where(y > 0, -s, p), p * s
+        else:
+            d1, d2 = np.exp(theta) - y, np.exp(theta)
+        inv = np.linalg.inv(Z.T @ (d2[:, None] * Z) / n)
+        out[j] = inv @ (Z.T @ (d1[:, None] ** 2 * Z) / n) @ inv
+    return out
+
+
+def _hc0_std_errors(data, params):
+    """The ``q x r`` standard errors of ``A`` from :func:`_hc0_sandwiches`."""
+    return np.sqrt(_hc0_sandwiches(data, params).diagonal(axis1=1, axis2=2) / params.n)
 
 
 def test_normal_quantile_against_series_oracle():
@@ -67,12 +91,11 @@ def test_gaussian_closed_form_sandwich():
     fam = ResponseFamily.gaussian(1.0)
     Y = sample_response(fam, Z_star @ A_star.T, rng)
     data = ResponseMatrix(Y, fam)
-    params = ParamPair(Z_star, oracle_fit_A(data, Z_star))
-    covs = plugin_covariances_A_all(data, params)
+    sandwich_A = oracle_fit_A(data, Z_star).sandwich_A
     target = np.linalg.inv(Z_star.T @ Z_star / n)  # sigma^2 = 1
-    mean_sandwich = np.mean(covs.sandwich, axis=0)
+    mean_sandwich = np.mean(sandwich_A, axis=0)
     assert np.linalg.norm(mean_sandwich - target) / np.linalg.norm(target) <= 0.05
-    for sandwich in covs.sandwich:
+    for sandwich in sandwich_A:
         # each row's sandwich is a noisy but PSD estimate of the target
         assert np.linalg.eigvalsh(sandwich)[0] >= -1e-12
         assert np.linalg.norm(sandwich - target) / np.linalg.norm(target) <= 0.25
@@ -86,10 +109,9 @@ def test_bernoulli_sandwich_psd():
     fam = ResponseFamily.bernoulli()
     Y = sample_response(fam, Z_star @ A_star.T, rng)
     data = ResponseMatrix(Y, fam)
-    params = ParamPair(Z_star, oracle_fit_A(data, Z_star))
-    cov = plugin_covariances_A_all(data, params)
-    assert cov.scale == n
-    assert np.linalg.eigvalsh(cov.sandwich)[:, 0].min() >= -1e-12
+    oracle = oracle_fit_A(data, Z_star)
+    assert oracle.params.n == n
+    assert np.linalg.eigvalsh(oracle.sandwich_A)[:, 0].min() >= -1e-12
     # the stack that every rotation of a fit reuses
     fit = erm_fit(data, r)
     assert fit.sandwich_A.shape == (q, r, r)
@@ -103,23 +125,21 @@ def test_scalar_mean_inference():
     fam = ResponseFamily.gaussian(1.0)
     Y = sample_response(fam, np.zeros((n, 1)), rng)
     data = ResponseMatrix(Y, fam)
-    a_hat = oracle_fit_A(data, z)
-    params = ParamPair(z, a_hat)
-    covs = plugin_covariances_A_all(data, params)
-    assert covs.sandwich[0, 0, 0] == pytest.approx(1.0, rel=0.1)
-    lower, upper, zscore = wald_intervals(params.A, np.sqrt(row_variances(covs)), 0.95)
+    oracle = oracle_fit_A(data, z)
+    params = oracle.params
+    assert oracle.sandwich_A[0, 0, 0] == pytest.approx(1.0, rel=0.1)
+    lower, upper, zscore = wald_intervals(params.A, rotated_std_errors(oracle, np.eye(1)), 0.95)
     half = (upper - lower)[0, 0] / 2
     assert half == pytest.approx(1.959964 / np.sqrt(n), rel=0.1)
     assert lower[0, 0] <= params.A[0, 0] <= upper[0, 0]
 
 
 def test_wald_rejects_zero_variance():
-    cov = plugin_covariances_A_all(
-        ResponseMatrix(np.zeros((3, 1)), ResponseFamily.gaussian()),
-        ParamPair(np.ones((3, 1)), np.zeros((1, 1))),
-    )
+    zeros = ResponseMatrix(np.zeros((3, 1)), ResponseFamily.gaussian())
+    oracle = oracle_fit_A(zeros, np.ones((3, 1)))
+    assert np.array_equal(oracle.params.A, np.zeros((1, 1)))
     # zero residuals give a zero meat matrix -> degenerate variance
-    se = np.sqrt(row_variances(cov))
+    se = rotated_std_errors(oracle, np.eye(1))
     for bad in (se, np.full((1, 1), np.nan), np.full((1, 1), np.inf)):
         with pytest.raises(DegenerateVarianceError, match=r"for entry \(0, 0\) is not finite"):
             wald_intervals(np.zeros((1, 1)), bad, 0.95)
@@ -262,9 +282,9 @@ def test_interval_width_scales_with_root_n():
         A_star[20:, 1] = 1.2
         Y = sample_response(fam, Z_star @ A_star.T, rng)
         data = ResponseMatrix(Y, fam)
-        params = ParamPair(Z_star, oracle_fit_A(data, Z_star))
-        covs = plugin_covariances_A_all(data, params)
-        lower, upper, _ = wald_intervals(params.A, np.sqrt(row_variances(covs)), 0.95)
+        oracle = oracle_fit_A(data, Z_star)
+        se = rotated_std_errors(oracle, np.eye(2))
+        lower, upper, _ = wald_intervals(oracle.params.A, se, 0.95)
         widths[n] = float((upper - lower).mean())
     ratio = widths[500] / widths[2000]
     assert abs(ratio - 2.0) <= 0.15 * 2.0
@@ -280,8 +300,9 @@ def test_build_report_structure():
     fam = ResponseFamily.gaussian(1.0)
     Y = sample_response(fam, Z_star @ A_star.T, rng)
     data = ResponseMatrix(Y, fam)
-    params = ParamPair(Z_star, oracle_fit_A(data, Z_star))
-    se = np.sqrt(row_variances(plugin_covariances_A_all(data, params)))
+    oracle = oracle_fit_A(data, Z_star)
+    params = oracle.params
+    se = rotated_std_errors(oracle, np.eye(r))
     report = build_report(params.A, se, level=0.95, adjust="bh", per_column=True)
     assert report.lower_A.shape == (q, r)
     assert np.all(report.lower_A <= params.A) and np.all(params.A <= report.upper_A)
@@ -315,19 +336,19 @@ def test_row_grams_matches_column_loop(m, r, k, log_scale, seed):
         assert np.abs(grams[col] - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
-def test_row_variances_match_per_row_diagonals():
+def test_std_errors_at_the_identity_are_the_stacks_own():
+    # the oracle reads its standard errors through the identity rotation,
+    # which must leave every sandwich's bits as they are
     rng = np.random.default_rng(14)
     n, q, r = 150, 12, 3
     Z_star = _orthonormal_scores(rng, n, r)
     A_star = 0.8 * rng.standard_normal((q, r))
     fam = ResponseFamily.bernoulli()
     data = ResponseMatrix(sample_response(fam, Z_star @ A_star.T, rng), fam)
-    params = ParamPair(Z_star, oracle_fit_A(data, Z_star))
-    covs = plugin_covariances_A_all(data, params)
-    assert len(covs) == q
-    assert covs.sandwich.shape == (q, r, r)
-    per_row = np.stack([covs.sandwich[k].diagonal() / covs.scale for k in range(q)])
-    assert np.array_equal(row_variances(covs), per_row)
+    oracle = oracle_fit_A(data, Z_star)
+    assert oracle.sandwich_A.shape == (q, r, r)
+    per_row = np.stack([np.sqrt(oracle.sandwich_A[k].diagonal() / n) for k in range(q)])
+    assert np.array_equal(rotated_std_errors(oracle, np.eye(r)), per_row)
 
 
 def _nearly_collinear(rng, m):
@@ -344,10 +365,11 @@ def test_ill_conditioned_bread_names_the_requested_row():
     params = ParamPair(Z, 0.5 * rng.standard_normal((6, 3)))
     theta = params.theta()
     data = ResponseMatrix(sample_response(fam, theta, rng), fam)
-    d2 = _cells(fam, theta, data.values, 2)[2]
-    worst = int(np.argmax(np.linalg.cond(row_grams(Z, d2) / Z.shape[0])))
+    _, d1, d2 = _cells(fam, theta, data.values, 2)
+    breads = row_grams(Z, d2) / Z.shape[0]
+    worst = int(np.argmax(np.linalg.cond(breads)))
     with pytest.raises(IllConditionedCovarianceError, match=rf"row {worst} of A "):
-        plugin_covariances_A_all(data, params)
+        _sandwich(breads, row_grams(Z, d1**2) / Z.shape[0])
 
 
 @functools.cache
@@ -368,10 +390,9 @@ def _rotation(seed, tiny):
     return U @ np.diag([1.5, 1.0, tiny]) @ Vt
 
 
-def _close(derived, plugin):
-    # row by row, relative to the size of each matrix
-    gap = np.linalg.norm(derived - plugin, axis=(1, 2))
-    return np.all(gap <= 1e-9 * np.linalg.norm(plugin, axis=(1, 2)))
+def _close(derived, reference):
+    # entry by entry, relative to each reference standard error
+    return np.all(np.abs(derived - reference) <= 1e-9 * reference)
 
 
 def _exact_congruence(data, params, G):
@@ -393,25 +414,27 @@ def _exact_congruence(data, params, G):
 
 
 @settings(max_examples=30, deadline=None)
-@given(
-    kind=st.sampled_from(["gaussian", "bernoulli", "poisson"]),
-    seed=st.integers(0, 2**32 - 1),
-    tiny=st.sampled_from([0.5, 1e-5]),
-)
-def test_rotated_covariances_match_a_fresh_sandwich(kind, seed, tiny):
+@given(kind=st.sampled_from(["gaussian", "bernoulli", "poisson"]), seed=st.integers(0, 2**32 - 1))
+def test_rotated_std_errors_match_a_fresh_sandwich(kind, seed):
     # the sandwiches of any rotation (Z G', A G^{-1}) follow from the fit's
-    # by congruence. An ill-conditioned G makes every rotated bread
-    # ill-conditioned, so a float64 sandwich at the rotated pair loses
-    # digits; the congruence must then still match exact arithmetic
+    # by congruence, so its standard errors match the HC0 reference formed
+    # afresh at the rotated pair
     data, fit = _fitted(kind)
-    G = _rotation(seed, tiny)
-    derived = rotated_covariances_A(fit, G)
-    assert derived.scale == fit.params.n
-    if tiny > 1e-3:
-        fresh = plugin_covariances_A_all(data, fit.params.rotate(G))
-        assert _close(derived.sandwich, fresh.sandwich)
-    else:
-        assert _close(derived.sandwich, _exact_congruence(data, fit.params, G))
+    G = _rotation(seed, 0.5)
+    derived = rotated_std_errors(fit, G)
+    assert _close(derived, _hc0_std_errors(data, fit.params.rotate(G)))
+
+
+@settings(max_examples=10, deadline=None)
+@given(kind=st.sampled_from(["gaussian", "bernoulli", "poisson"]), seed=st.integers(0, 2**32 - 1))
+def test_rotated_std_errors_match_exact_arithmetic_at_an_ill_conditioned_rotation(kind, seed):
+    # an ill-conditioned G makes every rotated bread ill-conditioned, so a
+    # float64 sandwich at the rotated pair loses digits; the congruence
+    # must then still match exact arithmetic
+    data, fit = _fitted(kind)
+    G = _rotation(seed, 1e-5)
+    exact = _exact_congruence(data, fit.params, G).diagonal(axis1=1, axis2=2)
+    assert _close(rotated_std_errors(fit, G), np.sqrt(exact / fit.params.n))
 
 
 @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.1, float("nan")])

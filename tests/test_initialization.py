@@ -3,14 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from folomin import (
-    InitConfig,
-    InsufficientSimpleStructureError,
-    ParamPair,
-    align,
-    init_rotation,
-    similarity_matrix,
-)
+from folomin import InsufficientSimpleStructureError, ParamPair, align, similarity_matrix
 from folomin.exceptions import CollinearAxesError
 from folomin.initialization import MIN_SET_SIZE, axes_from_sets, candidate_sets
 
@@ -30,6 +23,12 @@ def _simple_construction(rng, q=30, r=3, n=200, per_dim=10):
 
 def _random_orthogonal(rng, r):
     return np.linalg.qr(rng.standard_normal((r, r)))[0]
+
+
+def _init(start, delta_prime):
+    """The initial rotation from the disjoint clusters at one slack."""
+    sims = similarity_matrix(start, 0.01)
+    return axes_from_sets(start, candidate_sets(sims, delta_prime, start.r))
 
 
 def test_similarity_examples():
@@ -64,7 +63,7 @@ def test_noiseless_exact_recovery():
     Z_star, A_star = _simple_construction(rng)
     R = _random_orthogonal(rng, 3)
     start = ParamPair(Z_star @ R, A_star @ R)
-    res = init_rotation(start, InitConfig(delta=0.01, delta_prime=0.05))
+    res = _init(start, 0.05)
     _, _, aligned = align(res.params.A, A_star)
     assert np.abs(aligned - A_star).max() <= 1e-8
     # selected sets recover the planted blocks exactly
@@ -78,10 +77,9 @@ def test_noiseless_exact_recovery():
 def test_rotation_invariance_of_whole_procedure():
     rng = np.random.default_rng(3)
     Z_star, A_star = _simple_construction(rng)
-    cfg = InitConfig(delta=0.01, delta_prime=0.05)
-    base = init_rotation(ParamPair(Z_star, A_star), cfg)
+    base = _init(ParamPair(Z_star, A_star), 0.05)
     R = _random_orthogonal(rng, 3)
-    other = init_rotation(ParamPair(Z_star @ R, A_star @ R), cfg)
+    other = _init(ParamPair(Z_star @ R, A_star @ R), 0.05)
     _, _, aligned = align(other.params.A, base.params.A)
     np.testing.assert_allclose(aligned, base.params.A, atol=1e-8)
 
@@ -94,7 +92,7 @@ def test_pathological_slack_errors():
     noisy = A_star + 0.01 * rng.standard_normal(A_star.shape)
     start = ParamPair(Z_star, noisy)
     with pytest.raises(InsufficientSimpleStructureError) as info:
-        init_rotation(start, InitConfig(delta=0.01, delta_prime=0.999))
+        _init(start, 0.999)
     assert info.value.found < 3
 
 
@@ -105,7 +103,7 @@ def test_insufficient_structure_reports_count():
     A_flat = A_star.copy()
     A_flat[20:30] = 0.0
     with pytest.raises(InsufficientSimpleStructureError) as info:
-        init_rotation(ParamPair(Z_star, A_flat), InitConfig(delta=0.01, delta_prime=0.05))
+        _init(ParamPair(Z_star, A_flat), 0.05)
     assert info.value.found == 2
 
 
@@ -121,12 +119,6 @@ def test_axes_from_sets_rejects_collinear_axes():
     res = axes_from_sets(params, [frozenset({0, 1}), frozenset({4, 5})])
     np.testing.assert_allclose(res.params.A[[0, 1, 4, 5]], [[1, 0], [2, 0], [0, 1], [0, 2]], atol=1e-12)
 
-
-def test_init_config_validation():
-    with pytest.raises(ValueError):
-        InitConfig(delta=0.0)
-    with pytest.raises(ValueError):
-        InitConfig(delta_prime=1.0)
 
 
 # ------------------------------------------------------------------ #

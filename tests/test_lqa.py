@@ -149,7 +149,7 @@ def test_one_step_sufficiency_at_scale():
     # error: the first step already carries the statistical content
     import folomin as fm
     from folomin.erm import FitConfig
-    from folomin.inference import rotated_covariances_A
+    from folomin.inference import rotated_std_errors
     from folomin.pipeline import auto_init, suggest_gamma
     from folomin.sim import SimDesign, gen_dataset
 
@@ -161,8 +161,8 @@ def test_one_step_sufficiency_at_scale():
     init = auto_init(fit, delta=0.002)
     # the one-step guarantee lives in the conservative loss-scale regime
     # (plateau safely below the weakest signal), hence the halved scale
-    cov_A = rotated_covariances_A(fit, init.rotation)
-    loss = FoldedLoss.mcp(0.5 * suggest_gamma(init.params.A, cov_A, 3.0), 3.0)
+    se_A = rotated_std_errors(fit, init.rotation)
+    loss = FoldedLoss.mcp(0.5 * suggest_gamma(init.params.A, se_A, 3.0), 3.0)
     one = lqa_run(init.params, LqaConfig(loss=loss, T=1)).params.A
     five = lqa_run(init.params, LqaConfig(loss=loss, T=5)).params.A
     _, _, one_aligned = align(one, A_star)

@@ -14,7 +14,7 @@ from folomin import (
 )
 from folomin.criteria import FoldedLoss, folded_criterion
 from folomin.erm import FitConfig, FitResult, FitTrace
-from folomin.inference import rotated_covariances_A
+from folomin.inference import rotated_std_errors
 from folomin.initialization import axes_from_sets, similarity_matrix
 from folomin.pipeline import (
     AUTO_DELTA_PRIME_GRID,
@@ -106,9 +106,9 @@ def test_suggest_gamma_scales_with_plateau(small_case):
     design, Z_star, A_star, data = small_case
     pipe = fit_pipeline(data, design.r, losses={})
     init = auto_init(pipe.fit, delta=0.008)
-    cov_A = rotated_covariances_A(pipe.fit, init.rotation)
-    g_mcp = suggest_gamma(init.params.A, cov_A, a3=3.0)
-    g_tl1 = suggest_gamma(init.params.A, cov_A, a3=1.0)
+    se_A = rotated_std_errors(pipe.fit, init.rotation)
+    g_mcp = suggest_gamma(init.params.A, se_A, a3=3.0)
+    g_tl1 = suggest_gamma(init.params.A, se_A, a3=1.0)
     assert g_tl1 == pytest.approx(2.0 * g_mcp)
 
 
@@ -192,7 +192,7 @@ def _reference_auto_init(fit, delta):
             except CollinearAxesError:
                 collinear += 1
     ref = candidates[0]
-    gamma = suggest_gamma(ref.params.A, rotated_covariances_A(fit, ref.rotation), a3=3.0)
+    gamma = suggest_gamma(ref.params.A, rotated_std_errors(fit, ref.rotation), a3=3.0)
     loss = FoldedLoss.mcp(gamma, 3.0)
     return min(candidates, key=lambda c: folded_criterion(c.params.A, loss)), collinear
 

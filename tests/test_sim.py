@@ -15,13 +15,13 @@ from folomin import (
     gen_Z,
     infeasible_debias_varimax,
     is_sparse,
-    plugin_covariances_A_all,
     promax_rotate,
     run_replications,
     varimax_rotate,
 )
-from folomin.inference import align, row_variances
+from folomin.inference import align
 from folomin.sim import SIM_METHODS, gen_dataset
+from test_inference import _hc0_std_errors
 
 
 def test_design_validation():
@@ -384,7 +384,7 @@ def test_rotated_standard_errors_match_a_fresh_sandwich(monkeypatch, kind):
         A = rep.per_method["varimax" if m == "varimax_debiased" else m]["aligned_A"]
         # the latent scores of the rotation of the fit that has these loadings
         Z = theta @ A @ np.linalg.inv(A.T @ A)
-        se = np.sqrt(row_variances(plugin_covariances_A_all(data, ParamPair(Z, A))))
+        se = _hc0_std_errors(data, ParamPair(Z, A))
         np.testing.assert_allclose(record["se_A"], se, rtol=1e-8, atol=0, err_msg=m)
 
 
