@@ -23,6 +23,7 @@ import argparse
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -37,7 +38,7 @@ import numpy as np
 
 from . import __version__
 from .erm import FitConfig
-from .exceptions import DataError, FolominError, NumericalError
+from .exceptions import DataError, DomainError, FolominError, NumericalError
 from .inference import adjust_p_values, build_report
 from .lqa import LqaConfig
 from .model import ResponseFamily, ResponseMatrix
@@ -275,6 +276,18 @@ def _csv_error(path: Path, detail: str) -> DataError:
     return DataError(f"{path}: {detail}")
 
 
+def _csv_cell(path: Path, index: tuple[int, int]) -> str:
+    """Data cell ``index`` (row and column of the parsed array, 0-based)
+    in the coordinates :func:`_csv_error` gives: the header is row 1,
+    blank rows are counted, and columns are 1-based."""
+    i, j = index
+    with open(path, encoding="utf-8-sig", errors="surrogateescape", newline="") as fh:
+        records = enumerate(csv.reader(fh), start=1)
+        next(records)  # the header
+        rows = (k for k, row in records if row)
+        return f"row {next(itertools.islice(rows, i, None))}, column {j + 1}"
+
+
 # --------------------------------------------------------------------- #
 # simulate
 # --------------------------------------------------------------------- #
@@ -374,13 +387,26 @@ def cmd_fit(args) -> int:
     t0 = time.time()
     data_path = Path(args.data)
     out = Path(args.out)
+    if args.center and args.family != "gaussian":
+        raise ValueError(
+            f"--center with --family {args.family}: centering moves the responses "
+            "off the family's support; only gaussian data can be centered"
+        )
+    family = ResponseFamily(args.family, args.variance)
 
     header, values = _read_numeric_csv(data_path)
     data_sha256 = _sha256(data_path)
 
-    column_means = values.mean(axis=0) if args.center else np.zeros(values.shape[1])
-    centered = values - column_means
-    data = ResponseMatrix(centered, ResponseFamily(args.family, args.variance))
+    column_means = np.zeros(values.shape[1])
+    try:
+        if args.center:
+            # checked first, since centering spreads a bad cell over its column
+            family.validate_responses(values)
+            column_means = values.mean(axis=0)
+            values -= column_means  # in place: the fit holds one copy of the data
+        data = ResponseMatrix(values, family)
+    except DomainError as exc:
+        raise DataError(f"{data_path}: {exc.at(_csv_cell(data_path, exc.index))}") from None
 
     loss = None if args.gamma is None else make_loss(args.loss, args.gamma)
     pipe = fit_pipeline(

@@ -35,7 +35,11 @@ no further kernel call: the ``Z`` step's cells serve the ``A`` step
 next sweep's test and ``Z`` step (so does the diagonalization). Only a
 halved or retaken step is evaluated again. The oracle works on an
 active set: a settled row does not move again, so each step evaluates
-only the rows that are still active.
+only the rows that are still active. An evaluation writes ``Z A'`` (the
+evaluated rows' part of it) into its first output by one matrix product
+and runs the kernel over row blocks small enough for the L2 cache, so the
+ERM fit holds three ``n x q`` buffers, the risk cells and both
+derivatives, and no separate ``Z A'``.
 
 Both fits return a :class:`FitResult` that holds the plug-in sandwiches
 ``B_j^{-1} M_j B_j^{-1}`` of its ``A`` rows at the returned pair, inverted
@@ -280,11 +284,12 @@ def spectral_warm_start(data: ResponseMatrix, r: int) -> ParamPair:
     kind = data.family.kind
     if kind == "gaussian":
         X = Y
-    elif kind == "bernoulli":
-        P = np.clip(Y, 0.1, 0.9)
-        X = np.log(P / (1.0 - P))
+    elif kind == "bernoulli":  # the clipped copy is transformed in place
+        X = np.clip(Y, 0.1, 0.9)
+        np.log(np.divide(X, 1.0 - X, out=X), out=X)
     else:
-        X = np.log(np.clip(Y, 0.25, None))
+        X = np.clip(Y, 0.25, None)
+        np.log(X, out=X)
     n, q = X.shape
     k = min(n, q)
     wide = q > n
@@ -346,13 +351,13 @@ def erm_fit(
     trace = FitTrace()
     rows_A, rows_Z = np.arange(q), np.arange(n)
     nu = np.zeros(n)
-    # Z A' and the risk cells and both derivatives there, carried from the
-    # accepted trial points of each step to the next: (n, q) buffers that
-    # every evaluation of all rows overwrites, the Z step's through their
+    # the risk cells and both derivatives at Z A', carried from the accepted
+    # trial points of each step to the next: (n, q) buffers that every
+    # evaluation of all rows overwrites, the Z step's through their
     # transposes
-    buffers = tuple(np.empty((n, q)) for _ in range(4))
+    buffers = tuple(np.empty((n, q)) for _ in range(3))
     transposed = tuple(b.T for b in buffers)
-    _, cells, d1, W = buffers
+    cells, d1, W = buffers
     _row_cells(Z, Y, family, A, rows_A, buffers)
     for sweep in range(config.max_iters + 1):
         f_A, f_Z = cells.sum(axis=0), cells.sum(axis=1)
@@ -539,7 +544,8 @@ def _newton_update(X, targets, family, B, f, idx, d, dec, pure, price=None, out=
     returns the new ``B`` with the risk cells and both derivatives at its
     rows ``idx`` (each ``(m, idx.size)``, column ``i`` for row
     ``idx[i]``); a row that stays put is evaluated again where it is.
-    ``out`` takes the evaluation as :func:`_row_cells` describes.
+    ``out``, for a step on every row, takes the first evaluation as
+    :func:`_row_cells` describes; the others are written into fresh arrays.
     """
     B_new = B.copy()
     t = np.ones(idx.size)
@@ -547,7 +553,7 @@ def _newton_update(X, targets, family, B, f, idx, d, dec, pure, price=None, out=
     cells = None
     for _ in range(50):
         cand = B[idx[todo]] + t[todo, None] * d[todo]
-        trial = _row_cells(X, targets, family, cand, idx[todo], out)
+        trial = _row_cells(X, targets, family, cand, idx[todo], out if cells is None else None)
         f_c = trial[0].sum(axis=0)
         if price is not None:
             f_c += price(cand, idx[todo])
@@ -569,24 +575,56 @@ def _newton_update(X, targets, family, B, f, idx, d, dec, pure, price=None, out=
     return B_new, cells
 
 
+# the most cells of one row block of a risk-kernel evaluation: its scratch
+# copy of X rows', its three outputs and its targets, 256 KiB each, stay
+# within a 2 MiB L2 cache
+ROW_BLOCK_CELLS = 2**15
+
+
 def _row_cells(X, targets, family, rows, cols, out=None):
     """Risk cells and both derivatives of the row problems ``cols``
-    (increasing) at the points ``rows``: one kernel call on ``X rows'``
-    against the targets' columns ``cols``.
+    (increasing) at the points ``rows``, against the targets' columns
+    ``cols``: three ``(m, k)`` arrays, written into ``out`` when it holds
+    them (C-ordered, or transposes of C-ordered ``(k, m)`` arrays) and
+    fresh C-ordered ones otherwise.
 
-    ``out`` holds four ``(m, k)`` arrays, or transposes of ``(k, m)``
-    ones, for a call on all ``k`` columns: ``X rows'`` and the three
-    outputs are written there, in the arrays' own memory order.
+    ``X rows'`` comes from one matrix product in the outputs' memory order,
+    written into the first output. The kernel then runs over blocks of
+    whole rows of the outputs' C-ordered views (``(m, k)``, or ``(k, m)``
+    under transposed outputs), at most ``ROW_BLOCK_CELLS`` cells or one
+    row each; each block of ``X rows'`` is copied into one block-sized
+    scratch array before the kernel overwrites it. A product per block
+    would change ``X rows'`` in the last bit, since the BLAS takes other
+    kernels at the edges of smaller blocks.
     """
-    if out is None or cols.size < targets.shape[1]:
-        y = targets if cols.size == targets.shape[1] else targets[:, cols]
-        return _risk_cells(family, X @ rows.T, y, 2)
-    theta = out[0]
-    if theta.flags.c_contiguous:
-        np.matmul(X, rows.T, out=theta)
+    if out is None:
+        out = tuple(np.empty((X.shape[0], cols.size)) for _ in range(3))
+    # the blocks are runs of rows of the C-ordered views of the outputs,
+    # and t the targets with the same rows
+    c_order = out[0].flags.c_contiguous
+    if c_order:
+        np.matmul(X, rows.T, out=out[0])
+        views, t = out, targets
     else:
-        np.matmul(rows, X.T, out=theta.T)
-    return _risk_cells(family, theta, targets, 2, out[1:])
+        np.matmul(rows, X.T, out=out[0].T)
+        views, t = tuple(o.T for o in out), targets.T
+    full = cols.size == targets.shape[1]
+    theta = views[0]
+    m, k = theta.shape
+    step = max(1, ROW_BLOCK_CELLS // k)
+    scratch = np.empty((min(step, m), k))
+    for lo in range(0, m, step):
+        hi = min(lo + step, m)
+        if full:
+            y = t[lo:hi]
+        elif c_order:
+            y = t[lo:hi, cols]
+        else:
+            y = t[cols[lo:hi]]
+        block = scratch[: hi - lo]
+        np.copyto(block, theta[lo:hi])
+        _risk_cells(family, block, y, 2, tuple(v[lo:hi] for v in views))
+    return out
 
 
 ORACLE_TOL, ORACLE_MAX_ITER = 1e-10, 100

@@ -16,7 +16,26 @@ class DataError(FolominError):
 
 
 class DomainError(DataError):
-    """A response value is outside the family's support."""
+    """A response value is outside the family's support.
+
+    ``kind`` names the family, ``index`` is the offending cell's index as
+    plain ints, ``value`` its value and ``expected`` the family's support.
+    """
+
+    def __init__(self, kind: str, index, value: float, expected: str):
+        self.kind = kind
+        self.index = tuple(int(i) for i in index)
+        self.value = float(value)
+        self.expected = expected
+        super().__init__(self.at(f"index {self.index}"))
+
+    def at(self, where: str) -> str:
+        """The message, with the cell named by ``where``."""
+        return f"{self.kind} response at {where} is {self.value}, expected {self.expected}"
+
+    def __reduce__(self):
+        # keep the extra attributes through pickling (worker processes)
+        return (type(self), (self.kind, self.index, self.value, self.expected))
 
 
 class NumericalError(FolominError):

@@ -39,6 +39,11 @@ __all__ = [
 ]
 
 _KINDS = ("gaussian", "bernoulli", "poisson")
+_SUPPORT = {
+    "gaussian": "a finite number",
+    "bernoulli": "0 or 1",
+    "poisson": "a nonnegative integer",
+}
 
 
 @dataclass(frozen=True)
@@ -71,21 +76,18 @@ class ResponseFamily:
         return cls("poisson")
 
     def validate_responses(self, y: np.ndarray) -> None:
-        """Raise :class:`DomainError` if any entry is outside the support."""
+        """Raise :class:`DomainError` if any entry is outside the support,
+        naming the first such entry in C order."""
         y = np.asarray(y, dtype=float)
-        if not np.all(np.isfinite(y)):
-            bad = np.argwhere(~np.isfinite(y))[0]
-            raise DomainError(f"non-finite response at index {tuple(bad)}")
         if self.kind == "bernoulli":
-            if not np.all((y == 0) | (y == 1)):
-                bad = np.argwhere((y != 0) & (y != 1))[0]
-                raise DomainError(f"bernoulli responses must be 0/1; offending index {tuple(bad)}")
-        elif self.kind == "poisson":
-            if not np.all((y >= 0) & (y == np.floor(y))):
-                bad = np.argwhere((y < 0) | (y != np.floor(y)))[0]
-                raise DomainError(
-                    f"poisson responses must be nonnegative integers; offending index {tuple(bad)}"
-                )
+            ok = (y == 0) | (y == 1)
+        else:
+            ok = np.isfinite(y)
+            if self.kind == "poisson":
+                ok &= (y >= 0) & (y == np.floor(y))
+        if not ok.all():
+            index = tuple(np.argwhere(~ok)[0])
+            raise DomainError(self.kind, index, y[index], _SUPPORT[self.kind])
 
 
 def _cells(
@@ -111,7 +113,10 @@ def _cells(
     ``s / (1 + e)``, positive wherever ``e`` does not underflow
     (``|theta| < 745``). poisson takes ``exp(theta)``. At order 2 every
     array the kernel allocates is one of its outputs, apart from
-    bernoulli's boolean sign mask of ``theta``.
+    bernoulli's boolean sign mask of ``theta``; with ``out`` given it
+    allocates only that mask. The fits call it with ``out`` on row blocks
+    of about 2^15 cells (``erm._row_cells``), so the mask and every array
+    a call touches stay block-sized.
     """
     shape = np.broadcast_shapes(theta.shape, y.shape)
 

@@ -246,11 +246,29 @@ def test_fit_one_factor(tmp_path):
     assert main(["infer", str(model), "--out", str(tmp_path / "infer")]) == 0
 
 
-def test_fit_domain_violation(tmp_path):
-    bad = tmp_path / "bad_domain.csv"
-    bad.write_text("a,b,c\n0.0,1.0,2.0\n1.0,0.0,1.0\n0.5,1.0,0.0\n")
-    code = main(["fit", str(bad), "--family", "bernoulli", "--r", "2"])
-    assert code == 3
+def test_fit_domain_violation(tmp_path, capsys):
+    # the first offending cell in CSV coordinates (the header is row 1, a
+    # blank row counts), with its value; with --center, the raw cell, before
+    # centering spreads it over its column
+    cases = [
+        ("bernoulli", "0.0,1.0,2.0\n1.0,0.0,1.0\n0.5,1.0,0.0\n", "row 2, column 3 is 2.0",
+         "0 or 1"),
+        ("bernoulli", "0,1,1\n\n1,2,0\n", "row 4, column 2 is 2.0", "0 or 1"),
+        ("poisson", "0,1,1\n1,0,1.5\n", "row 3, column 3 is 1.5", "a nonnegative integer"),
+        ("gaussian", "0,1,1\n1,nan,1\n2,3,4\n", "row 3, column 2 is nan", "a finite number"),
+        ("bernoulli", "0,1,1\n1,1,nan\n", "row 3, column 3 is nan", "0 or 1"),
+        ("gaussian --center", "0,1,1\n1,1,inf\n2,3,4\n1,nan,0\n", "row 3, column 3 is inf",
+         "a finite number"),
+    ]
+    for family, rows, cell, expected in cases:
+        bad = tmp_path / "bad_domain.csv"
+        bad.write_text("a,b,c\n" + rows)
+        options = ["--family", *family.split(), "--r", "1", "--out", str(tmp_path)]
+        assert main(["fit", str(bad), *options]) == 3
+        err = capsys.readouterr().err
+        kind = family.split()[0]
+        assert err == f"data error: {bad}: {kind} response at {cell}, expected {expected}\n"
+        assert not (tmp_path / "A.csv").exists()
 
 
 @pytest.mark.parametrize(
@@ -262,8 +280,13 @@ def test_fit_domain_violation(tmp_path):
         (["--r", "2", "--cap", "-1"], "cap M must be strictly positive"),
         (["--r", "2", "--cap", "0"], "cap M must be strictly positive"),
         (["--r", "2", "--tol", "-1"], "tol must be nonnegative"),
+        (["--r", "2", "--center"], "--center with --family bernoulli"),
+        (["--r", "2", "--family", "poisson", "--center"], "--center with --family poisson"),
     ],
-    ids=["r-zero", "r-above-q", "max-iters", "cap-negative", "cap-zero", "tol"],
+    ids=[
+        "r-zero", "r-above-q", "max-iters", "cap-negative", "cap-zero", "tol",
+        "center-bernoulli", "center-poisson",
+    ],
 )
 def test_fit_rejects_bad_numeric_options(tmp_path, capsys, option, message):
     data_csv = tmp_path / "data.csv"

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -401,6 +402,83 @@ def test_erm_fit_evaluates_each_trial_point_once(family, n, q, tau, seed, path, 
     assert len(full) == 2 * sweeps + 1 + 2 * retakes
     assert all((m == n and k < q) or (m == q and k < n) for m, k in halvings)
     assert (retakes > 0, len(halvings) > 0) == (path == "retaken", path == "halved")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    kind=st.sampled_from(["gaussian", "bernoulli", "poisson"]),
+    layout=st.sampled_from(["fresh", "C", "transposed"]),
+    extra=st.sampled_from([0, 1, 30]),
+    transposed_targets=st.booleans(),
+    r=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_row_cells_equal_one_kernel_call(
+    data, kind, layout, extra, transposed_targets, r, seed
+):
+    # the blocks are runs of rows of the outputs' C-ordered views, (m, k)
+    # or, under transposed outputs, (k, m): a row count that is not a
+    # multiple of the block, fewer rows than one block, or rows longer than
+    # one block, which then make one block each
+    block = erm.ROW_BLOCK_CELLS
+    if data.draw(st.booleans(), label="rows longer than a block"):
+        length = data.draw(st.integers(block + 1, block + 2000))
+        count = data.draw(st.integers(1, 3))
+    else:
+        length = data.draw(st.integers(1, 400))
+        count = data.draw(st.integers(1, 3 * block // length + 3))
+    m, k = (length, count) if layout == "transposed" else (count, length)
+    rng = np.random.default_rng(seed)
+    family = ResponseFamily(kind)
+    X, rows = rng.standard_normal((m, r)), 2.0 * rng.standard_normal((k, r)) / r
+    # extra > 0: a partial column set of wider targets
+    cols = np.sort(rng.choice(k + extra, k, replace=False))
+    if kind == "gaussian":
+        targets = rng.standard_normal((m, k + extra))
+    elif kind == "bernoulli":
+        targets = rng.integers(0, 2, (m, k + extra)).astype(float)
+    else:
+        targets = rng.poisson(2.0, (m, k + extra)).astype(float)
+    if transposed_targets:
+        targets = np.ascontiguousarray(targets.T).T
+    if layout == "fresh":
+        out = None
+    elif layout == "C":
+        out = tuple(np.empty((m, k)) for _ in range(3))
+    else:
+        out = tuple(np.empty((k, m)).T for _ in range(3))
+    # the one product is taken in the outputs' memory order, as the fits
+    # take it: the BLAS's (rows X')' can differ from X rows' in the last bit
+    theta = (rows @ X.T).T if layout == "transposed" else X @ rows.T
+    got = erm._row_cells(X, targets, family, rows, cols, out)
+    assert len(got) == 3
+    for g, want in zip(got, _cells(family, theta, targets[:, cols], 2)):
+        assert np.array_equal(g, want)
+    if out is not None:
+        assert all(g is o for g, o in zip(got, out))
+
+
+@pytest.mark.parametrize("kind", ["bernoulli", "gaussian"])
+def test_fits_hold_few_n_by_q_arrays(kind):
+    # the ERM fit keeps three (n, q) buffers, and every kernel call works
+    # on one block-sized copy of Z A' at a time; traced peaks in units of
+    # one (n, q) float array
+    n, q = 600, 400
+    family = ResponseFamily(kind)
+    design = SimDesign(n=n, q=q, r=3, lambda_signal=0.2, tau=0.5, family=family, seed=3)
+    Z_star, _, data = gen_dataset(design, np.random.default_rng(3))
+    peaks = []
+    tracemalloc.start()
+    try:
+        for fit in (lambda: erm_fit(data, 3), lambda: oracle_fit_A(data, Z_star)):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            fit()
+            peaks.append((tracemalloc.get_traced_memory()[1] - before) / (8 * n * q))
+    finally:
+        tracemalloc.stop()
+    assert peaks[0] <= 3.6 and peaks[1] <= 5.6, peaks
 
 
 def test_oracle_fit_poisson_closed_form():

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import mpmath
 import numpy as np
@@ -189,6 +190,27 @@ def test_bernoulli_draws_equal_those_through_scipy_expit(scale, seed):
     draws = sample_response(BERN, theta, np.random.default_rng(seed + 10))
     expected = np.random.default_rng(seed + 10).random(theta.shape) < expit(theta)
     assert np.array_equal(draws, expected.astype(float))
+
+
+@pytest.mark.parametrize(
+    "family, y, cell",
+    [
+        (BERN, [[0.0, 1.0], [1.0, 2.0]], "index (1, 1) is 2.0, expected 0 or 1"),
+        (BERN, [[0.0, np.nan]], "index (0, 1) is nan, expected 0 or 1"),
+        (POIS, [0.0, 3.0, 1.5], "index (2,) is 1.5, expected a nonnegative integer"),
+        (POIS, [[np.inf]], "index (0, 0) is inf, expected a nonnegative integer"),
+        (GAUSS, [[1.0, 2.0], [-np.inf, np.nan]], "index (1, 0) is -inf, expected a finite number"),
+    ],
+    ids=["bernoulli", "bernoulli-nan", "poisson", "poisson-inf", "gaussian"],
+)
+def test_domain_error_names_the_first_bad_cell(family, y, cell):
+    message = f"{family.kind} response at {cell}"
+    with pytest.raises(DomainError) as info:
+        family.validate_responses(np.array(y))
+    assert str(info.value) == message
+    # the cell survives pickling, as when a worker process raises it
+    copy = pickle.loads(pickle.dumps(info.value))
+    assert (str(copy), copy.index, copy.kind) == (message, info.value.index, family.kind)
 
 
 def test_domain_validation():
