@@ -13,7 +13,6 @@ import numpy as np
 from folomin import (
     FeasibleSet,
     FoldedLoss,
-    VintageConfig,
     align,
     folded_criterion,
     sample_feasible,
@@ -35,7 +34,7 @@ deriv = (varimax_criterion(A0 @ turn) - varimax_criterion(A0 @ turn.T)) / (2 * h
 print(f"\nclassical criterion directional derivative at identity: {deriv:+.5f}")
 print("nonzero: the identity is not even a stationary point")
 
-res = varimax_rotate(A0, VintageConfig(seed=1))
+res = varimax_rotate(A0, seed=1)
 _, _, rotated = align(res.A_rot, A0)
 print(f"optimizer's rotation (aligned to the truth's column order):\n{np.round(res.G, 4)}")
 print(f"rotated loadings row 7: {np.round(rotated[6], 4)}  (truth: [0.5,  0.3])")

@@ -66,6 +66,6 @@ from .sparsity import (
     detect_simple_rows,
     is_sparse,
 )
-from .vintage import PromaxResult, VarimaxResult, VintageConfig, promax_rotate, varimax_rotate
+from .vintage import PromaxResult, VarimaxResult, promax_rotate, varimax_rotate
 
 __version__ = "0.1.0"

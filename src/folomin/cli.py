@@ -43,7 +43,7 @@ from .inference import adjust_p_values, build_report
 from .lqa import LqaConfig
 from .model import ResponseFamily, ResponseMatrix
 from .pipeline import fit_pipeline, make_loss
-from .sim import RNG_NAME, SimDesign, _usable_cpus, run_replications
+from .sim import RNG_NAME, SIMPLE_FRACTION, SimDesign, _usable_cpus, run_replications
 
 __all__ = ["main"]
 
@@ -356,7 +356,7 @@ def cmd_simulate(args) -> int:
             "lambda": design.lambda_signal,
             "tau": design.tau,
             "family": design.family.kind,
-            "simple_fraction": design.simple_fraction,
+            "simple_fraction": SIMPLE_FRACTION,
             "seed": design.seed,
         },
         "level": summary.level,
@@ -392,7 +392,7 @@ def cmd_fit(args) -> int:
             f"--center with --family {args.family}: centering moves the responses "
             "off the family's support; only gaussian data can be centered"
         )
-    family = ResponseFamily(args.family, args.variance)
+    family = ResponseFamily(args.family)
 
     header, values = _read_numeric_csv(data_path)
     data_sha256 = _sha256(data_path)
@@ -420,6 +420,7 @@ def cmd_fit(args) -> int:
     )
     rotation = pipe.rotations[args.loss]
     params = rotation.params
+    trace = pipe.fit.trace
     se_A = pipe.std_errors(args.loss)
 
     # made only now, so that a data or fit error leaves no directory behind
@@ -431,7 +432,6 @@ def cmd_fit(args) -> int:
     _write_csv(se_csv, dims, se_A.T)
     rotation_payload = {
         "family": args.family,
-        "variance": args.variance,
         "r": args.r,
         "loss": args.loss,
         "gamma": pipe.gammas[args.loss],
@@ -447,7 +447,14 @@ def cmd_fit(args) -> int:
         "total_rotation": rotation.G_total,
         "selected_sets": [sorted(s) for s in pipe.init.selected_sets],
         "criterion_trace": rotation.trace.criterion,
-        "fit_status": pipe.fit.trace.status,
+        "fit_status": trace.status,
+        # the ERM pair's, before the rotation that gives Z.csv
+        "fit_trace": {
+            "n_iters": trace.n_iters,
+            "stationarity": trace.stationarity,
+            "max_row_norm": trace.max_row_norm,
+            "cap": trace.cap,
+        },
         "manifest": "manifest.json",
     }
     rotation_json = out / "rotation.json"
@@ -572,6 +579,7 @@ def cmd_infer(args) -> int:
         "per_column": bool(args.per_column),
         "max_abs_z": float(np.abs(report.z_A).max()),
         "fit_status": fit_status,
+        "fit_trace": meta.get("fit_trace"),
         "manifest": "manifest.json",
     }
     if fit_status != "converged":
@@ -621,7 +629,6 @@ def build_parser() -> argparse.ArgumentParser:
     fit = sub.add_parser("fit", help="fit and rotate a representation from a CSV")
     fit.add_argument("data", help="CSV file with a header row, subjects in rows")
     fit.add_argument("--family", choices=["gaussian", "bernoulli", "poisson"], required=True)
-    fit.add_argument("--variance", type=float, default=1.0)
     fit.add_argument("--r", type=int, required=True, help="latent dimension")
     fit.add_argument("--loss", choices=["mcp", "scad", "tl1"], default="mcp")
     fit.add_argument("--gamma", type=float, default=None, help="folded loss scale (default: data-driven)")

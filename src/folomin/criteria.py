@@ -155,22 +155,16 @@ class FeasibleSet:
 
     ``gram`` is the empirical latent Gram ``Z'Z/n``; it must be symmetric
     positive definite with unit diagonal so the identity itself is
-    feasible. In orthogonal mode the Gram is replaced by the identity and
-    membership additionally requires orthogonality.
+    feasible.
     """
 
     radius: float
     gram: np.ndarray
-    mode: str = "oblique"
 
     def __post_init__(self):
-        if self.mode not in ("oblique", "orthogonal"):
-            raise ValueError(f"unknown mode {self.mode!r}")
         if not self.radius >= 0:
             raise ValueError("radius must be nonnegative")
         gram = np.asarray(self.gram, dtype=float)
-        if self.mode == "orthogonal":
-            gram = np.eye(gram.shape[0])
         if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
             raise ValueError("gram must be square")
         if not np.allclose(gram, gram.T, atol=1e-10):
@@ -225,7 +219,7 @@ def sample_feasible(fset: FeasibleSet, rng: np.random.Generator) -> np.ndarray:
     E = rng.standard_normal(eye.shape)
     E *= (c * rng.random()) / max(np.linalg.norm(E, 2), 1e-300)
     for _ in range(200):
-        G = _feasible_project(eye + E, fset.gram, fset.mode)
+        G = _feasible_project(eye + E, fset.gram, "oblique")
         if np.linalg.norm(G - eye, 2) <= 2 * c:
             return G
         E *= 0.5

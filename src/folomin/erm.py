@@ -5,7 +5,8 @@ to the identification constraints
 
 * ``Z'Z / n = I`` (orthonormal latent scores),
 * ``A'A / q`` diagonal,
-* all row norms of ``Z`` and ``A`` at most ``M``,
+* all row norms of ``Z`` and ``A`` at most ``M``, for ``A`` to rounding
+  (see below),
 
 by block-coordinate damped Newton (joint maximum likelihood by
 alternating row-separable convex solves, Chen, Li & Zhang 2019). Each
@@ -16,6 +17,13 @@ row of ``A`` with ``Z`` fixed, and co-rotates both blocks to make
 ``A'A`` diagonal. Row steps stay inside the cap ``M``. The fit stops
 when every row's Newton decrement is negligible against its risk, so a
 converged fit is stationary, not merely slow to change.
+Since a sweep ends on the ``A`` step, every returned ``A`` row is within
+``M`` to rounding. A returned ``Z`` row is not always: the normalization
+after the last ``Z`` step moves the ``Z`` rows, and a capped row can end
+above ``M`` by as much as that move, seen up to about ``6e-5 M`` on
+stalled bernoulli fits and ``1e-7 M`` on a converged one.
+``FitTrace.max_row_norm`` and ``FitTrace.cap`` report the largest row
+norm of the returned pair and the cap.
 The start, ``spectral_warm_start``, is the rank-``r`` truncated
 SVD of a transformed response matrix, computed from the top eigenpairs
 of its smaller Gram rather than a full SVD. Those come from block
@@ -28,9 +36,9 @@ instead when the iteration has not converged within
 ``oracle_fit_A`` solves the row-separable convex problems obtained when
 the latent scores are known, by damped Newton vectorized across rows; it
 and the ERM sweeps share one Newton step.
-That step evaluates each trial point once, at order 2, so the risk,
-gradient and curvature of an accepted row feed the next direction with
-no further kernel call: the ``Z`` step's cells serve the ``A`` step
+That step evaluates each trial point once, so the risk, gradient and
+curvature of an accepted row feed the next direction with no further
+kernel call: the ``Z`` step's cells serve the ``A`` step
 (the normalization keeps ``Z A'``), and the ``A`` step's cells serve the
 next sweep's test and ``Z`` step (so does the diagonalization). Only a
 halved or retaken step is evaluated again. The oracle works on an
@@ -130,8 +138,10 @@ STALL_SWEEPS = 10
 class FitConfig:
     """Optimizer settings for :func:`erm_fit`.
 
-    ``M`` caps all row norms; when None it defaults to twice the spectral
-    warm start's largest row norm. That default can bind: on
+    ``M`` caps the row norms, those of the returned ``A`` to rounding and
+    those of ``Z`` up to the last normalization's move (see the module
+    docstring); when None it defaults to twice the spectral warm start's
+    largest row norm. That default can bind: on
     ``SimDesign(n=120, q=80, r=2, lambda_signal=0.3, tau=0.5)`` drawn
     with ``np.random.default_rng(0)``, the fit ends with a row of each
     block on the cap (``FitTrace.max_row_norm`` reaches ``M``) and retakes
@@ -166,6 +176,9 @@ class FitTrace:
     the largest relative row decrement ``g'H^{-1}g / (1 + |f|)`` over
     both blocks at the returned pair (over the rows of ``A`` for an
     oracle fit, whose ``n_iters`` counts its Newton passes).
+    ``max_row_norm`` is the largest row norm of the returned pair (of its
+    ``A`` for an oracle fit), and ``cap`` the ``M`` that the ERM fit used
+    (NaN for an oracle fit, which has none).
     """
 
     objectives: list = field(default_factory=list)
@@ -173,6 +186,7 @@ class FitTrace:
     n_iters: int = 0
     stationarity: float = math.nan
     max_row_norm: float = math.nan
+    cap: float = math.nan
 
 
 @dataclass(frozen=True)
@@ -348,7 +362,7 @@ def erm_fit(
 
     Z, A = _normalize(np.asarray(start.Z, dtype=float), np.asarray(start.A, dtype=float))
     Z, A = _diagonalize(Z, A)
-    trace = FitTrace()
+    trace = FitTrace(cap=float(M))
     rows_A, rows_Z = np.arange(q), np.arange(n)
     nu = np.zeros(n)
     # the risk cells and both derivatives at Z A', carried from the accepted
@@ -539,11 +553,11 @@ def _newton_update(X, targets, family, B, f, idx, d, dec, pure, price=None, out=
     Rows flagged ``pure`` take the full step; the others halve it until
     the Armijo condition on their own risk (plus ``price(b, row)`` when
     it is given) holds, and stay put if it never does. Each trial point
-    is evaluated once, at order 2, and the full steps of all rows share
-    one kernel call. Writes the accepted rows' values into ``f`` and
-    returns the new ``B`` with the risk cells and both derivatives at its
-    rows ``idx`` (each ``(m, idx.size)``, column ``i`` for row
-    ``idx[i]``); a row that stays put is evaluated again where it is.
+    is evaluated once, and the full steps of all rows share one kernel
+    call. Writes the accepted rows' values into ``f`` and returns the
+    new ``B`` with the risk cells and both derivatives at its rows
+    ``idx`` (each ``(m, idx.size)``, column ``i`` for row ``idx[i]``); a
+    row that stays put is evaluated again where it is.
     ``out``, for a step on every row, takes the first evaluation as
     :func:`_row_cells` describes; the others are written into fresh arrays.
     """
@@ -623,7 +637,7 @@ def _row_cells(X, targets, family, rows, cols, out=None):
             y = t[cols[lo:hi]]
         block = scratch[: hi - lo]
         np.copyto(block, theta[lo:hi])
-        _risk_cells(family, block, y, 2, tuple(v[lo:hi] for v in views))
+        _risk_cells(family, block, y, tuple(v[lo:hi] for v in views))
     return out
 
 

@@ -15,11 +15,13 @@ first two derivatives in ``theta``:
 All functions are pure and broadcast over numpy arrays; random draws
 take an explicit ``numpy.random.Generator``. Each family's risk and its
 first two derivatives are written once, in the private kernel
-``_cells``, which computes them together from one transcendental per
-cell and checks nothing; the fitting and inference code reads the
-second derivative from it. Responses are validated where they enter:
-:class:`ResponseMatrix` on construction, and the public :func:`risk` /
-:func:`risk_d1` on every call, since they take raw arrays.
+``_cells``, which computes all three together from one transcendental
+per cell into arrays its caller gives, and checks nothing; the fitting
+and inference code reads the second derivative from it. Responses are
+validated where they enter: :class:`ResponseMatrix` on construction,
+and the public :func:`risk` / :func:`risk_d1` on every call, since they
+take raw arrays; those two allocate the kernel's three outputs and
+return one.
 """
 
 from __future__ import annotations
@@ -90,13 +92,10 @@ class ResponseFamily:
             raise DomainError(self.kind, index, y[index], _SUPPORT[self.kind])
 
 
-def _cells(
-    family: ResponseFamily, theta: np.ndarray, y: np.ndarray, order: int, out=None
-) -> tuple:
-    """Per-cell risk at ``theta`` and, for ``order`` 1 or 2, its first and
-    second derivatives: a tuple of ``order + 1`` arrays of the broadcast
-    shape of ``theta`` and ``y``, fresh unless ``out`` gives the three
-    arrays to write them into (order 2 only).
+def _cells(family: ResponseFamily, theta: np.ndarray, y: np.ndarray, out: tuple) -> tuple:
+    """Per-cell risk at ``theta`` and its first and second derivatives,
+    written into the three arrays ``out`` of the broadcast shape of
+    ``theta`` and ``y``, which it returns.
 
     Unchecked: ``theta`` and ``y`` must be float arrays, with ``y`` in the
     family's support. :class:`ResponseMatrix` validates its values once,
@@ -104,72 +103,57 @@ def _cells(
     on ``ResponseMatrix.values`` directly; the public :func:`risk` and
     :func:`risk_d1` validate raw arrays first.
 
-    One exponential per cell serves every order. bernoulli takes
+    One exponential per cell serves all three outputs. bernoulli takes
     ``e = exp(-|theta|)``: the risk is the softplus
     ``max(theta, 0) + log1p(e) - y theta``, which never overflows and is
     about 2.5x cheaper than ``logaddexp(0, theta)``. With
     ``s = e / (1 + e)``, the mean is ``s`` for ``theta < 0`` and
     ``1 - s = 1 / (1 + e)`` otherwise, and the curvature is
     ``s / (1 + e)``, positive wherever ``e`` does not underflow
-    (``|theta| < 745``). poisson takes ``exp(theta)``. At order 2 every
-    array the kernel allocates is one of its outputs, apart from
-    bernoulli's boolean sign mask of ``theta``; with ``out`` given it
-    allocates only that mask. The fits call it with ``out`` on row blocks
-    of about 2^15 cells (``erm._row_cells``), so the mask and every array
-    a call touches stay block-sized.
+    (``|theta| < 745``). poisson takes ``exp(theta)``. The kernel
+    allocates only bernoulli's boolean sign mask of ``theta``. The fits
+    call it on row blocks of about 2^15 cells (``erm._row_cells``), so the
+    mask and every array a call touches stay block-sized.
     """
-    shape = np.broadcast_shapes(theta.shape, y.shape)
-
-    def empty(k):
-        """The array that becomes output ``k``."""
-        return np.empty(shape) if out is None else out[k]
-
+    f, d1, d2 = out
     if family.kind == "gaussian":
-        diff = np.subtract(theta, y, out=empty(1))
-        cells = [np.square(diff, out=empty(0))]
-        if order >= 1:
-            diff *= 2.0
-            cells.append(diff)
-        if order == 2:
-            d2 = empty(2)
-            d2.fill(2.0)
-            cells.append(d2)
-        return tuple(cells)
+        np.subtract(theta, y, out=d1)
+        np.square(d1, out=f)
+        d1 *= 2.0
+        d2.fill(2.0)
+        return out
     if family.kind == "poisson":
-        e = np.exp(theta, out=empty(2))
-        f = np.multiply(y, theta, out=empty(0))
-        cells = [np.subtract(e, f, out=f)]
-        if order >= 1:
-            cells.append(np.subtract(e, y, out=empty(1)))
-        if order == 2:
-            cells.append(e)
-        return tuple(cells)
-    e = np.abs(theta, out=empty(1))
+        np.exp(theta, out=d2)
+        np.multiply(y, theta, out=f)
+        np.subtract(d2, f, out=f)
+        np.subtract(d2, y, out=d1)
+        return out
+    e = np.abs(theta, out=d1)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    f = np.maximum(theta, 0.0, out=empty(0))
-    # at order 0, e is not needed again and holds the scratch terms
-    scratch = np.log1p(e, out=e if order == 0 else empty(2))
+    np.maximum(theta, 0.0, out=f)
+    scratch = np.log1p(e, out=d2)
     f += scratch
     np.multiply(y, theta, out=scratch)
     f -= scratch
-    if order == 0:
-        return (f,)
     den = np.add(e, 1.0, out=scratch)
     s = np.divide(e, den, out=e)  # the mean e / (1 + e) where theta < 0
-    d2 = np.divide(s, den, out=den) if order == 2 else None
+    np.divide(s, den, out=d2)
     # the mean is s where theta < 0 and 1 / (1 + e) = 1 - s elsewhere
-    d1 = np.subtract(theta >= 0.0, s, out=s)
+    np.subtract(theta >= 0.0, s, out=d1)
     np.abs(d1, out=d1)
     d1 -= y
-    return (f, d1) if order == 1 else (f, d1, d2)
+    return out
 
 
-def _checked(family: ResponseFamily, theta, y, order: int):
+def _checked(family: ResponseFamily, theta, y) -> tuple:
+    """The kernel's three outputs at raw arrays, written into fresh
+    arrays once the responses are validated."""
     theta = np.asarray(theta, dtype=float)
     y = np.asarray(y, dtype=float)
     family.validate_responses(y)
-    return _cells(family, theta, y, order)[order][()]
+    shape = np.broadcast_shapes(theta.shape, y.shape)
+    return _cells(family, theta, y, tuple(np.empty(shape) for _ in range(3)))
 
 
 def risk(family: ResponseFamily, theta, y):
@@ -177,12 +161,12 @@ def risk(family: ResponseFamily, theta, y):
 
     The responses are validated first (:class:`DomainError`).
     """
-    return _checked(family, theta, y, 0)
+    return _checked(family, theta, y)[0][()]
 
 
 def risk_d1(family: ResponseFamily, theta, y):
     """First derivative of the risk in ``theta``, after the same validation."""
-    return _checked(family, theta, y, 1)
+    return _checked(family, theta, y)[1][()]
 
 
 def sample_response(family: ResponseFamily, theta, rng: np.random.Generator):

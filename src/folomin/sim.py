@@ -43,7 +43,7 @@ from .exceptions import FolominError
 from .inference import _wald_multiplier, align, rotated_std_errors
 from .model import ResponseFamily, ResponseMatrix, sample_response
 from .pipeline import fit_pipeline
-from .vintage import VintageConfig, promax_rotate, varimax_rotate
+from .vintage import promax_rotate, varimax_rotate
 
 __all__ = [
     "SimDesign",
@@ -69,6 +69,9 @@ SIM_METHODS = (
 
 RNG_NAME = "numpy Philox, one spawned SeedSequence stream per replication"
 
+# the share of the q rows that are simple, split evenly over the r dimensions
+SIMPLE_FRACTION = 0.1
+
 
 @dataclass(frozen=True)
 class SimDesign:
@@ -80,7 +83,6 @@ class SimDesign:
     lambda_signal: float = 0.2
     tau: float = 0.5
     family: ResponseFamily = field(default_factory=ResponseFamily.bernoulli)
-    simple_fraction: float = 0.1
     seed: int = 0
 
     def __post_init__(self):
@@ -92,13 +94,13 @@ class SimDesign:
             raise ValueError("tau must lie in [0, 1)")
         if self.rows_per_dim < 1:
             raise ValueError(
-                f"simple-row budget too small: floor({self.simple_fraction} * {self.q} / {self.r}) < 1"
+                f"simple-row budget too small: floor({SIMPLE_FRACTION} * {self.q} / {self.r}) < 1"
             )
 
     @property
     def rows_per_dim(self) -> int:
         # floor of (fraction * q) / r, guarded against float representation
-        return int(self.simple_fraction * self.q / self.r + 1e-9)
+        return int(SIMPLE_FRACTION * self.q / self.r + 1e-9)
 
 
 def gen_A(design: SimDesign, rng: np.random.Generator) -> np.ndarray:
@@ -153,7 +155,7 @@ def infeasible_debias_varimax(A_star: np.ndarray, estimate: np.ndarray) -> np.nd
     on the truth. Only available in simulations, where the truth is
     known.
     """
-    vres = varimax_rotate(np.asarray(A_star, dtype=float), VintageConfig())
+    vres = varimax_rotate(np.asarray(A_star, dtype=float))
     _, _, v_aligned = align(vres.A_rot, A_star)
     delta = v_aligned - A_star
     return np.asarray(estimate, dtype=float) - delta
@@ -246,7 +248,7 @@ def _oracle_record(data, Z_star, A_star, level) -> dict:
 def _vintage_records(fit, methods, A_star, level) -> dict:
     # one varimax per replication, shared by varimax and promax
     records = {}
-    vres = varimax_rotate(fit.params.A, VintageConfig())
+    vres = varimax_rotate(fit.params.A)
 
     if "varimax" in methods or "varimax_debiased" in methods:
         # A_rot = A G with G orthogonal: the rotation G' of the fit

@@ -2,12 +2,12 @@
 
 Varimax ascends the variance-of-squared-loadings criterion of the
 Kaiser-normalized (unit row norm) loadings over the orthogonal group from
-several random starts at once, as one stacked batch; each step takes the
-better of the classical fixed-point step and a Newton step. Promax
-follows the standard two-stage recipe: varimax first, then an oblique
-least-squares procrustes fit to an elementwise power of the
-(row-normalized) varimax loadings, rescaled so the implied latent
-variances are one. Both always normalize rows.
+the identity and random starts drawn from one seed, all at once as one
+stacked batch; each step takes the better of the classical fixed-point
+step and a Newton step. Promax follows the standard two-stage recipe:
+varimax first, then an oblique least-squares procrustes fit to an
+elementwise power of the (row-normalized) varimax loadings, rescaled so
+the implied latent variances are one. Both always normalize rows.
 
 The ascent holds rotated loadings in the transposed layout ``(k, r, q)``,
 with the ``q`` rows innermost, so every reduction over rows runs along
@@ -24,23 +24,13 @@ import numpy as np
 from .criteria import _varimax_value_grad, polar, varimax_criterion
 from .exceptions import DegenerateTargetError
 
-__all__ = ["VintageConfig", "varimax_rotate", "promax_rotate", "VarimaxResult", "PromaxResult"]
+__all__ = ["varimax_rotate", "promax_rotate", "VarimaxResult", "PromaxResult"]
 
 
 MAX_ITERS = 1000
 TOL = 1e-10
 RESTARTS = 10
 PROMAX_POWER = 4
-
-
-@dataclass(frozen=True)
-class VintageConfig:
-    """The seed of the random varimax starts. Each of the ``RESTARTS``
-    starts takes at most ``MAX_ITERS`` steps; the result is converged when
-    its stationarity residual, the norm of the skew part of ``G' W' grad``,
-    is at most ``TOL``."""
-
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -140,25 +130,28 @@ def _ascend(W: np.ndarray, G: np.ndarray, max_iters: int):
     return G, f, iters, np.array(history)
 
 
-def _starts(r: int, config: VintageConfig) -> np.ndarray:
+def _starts(r: int, seed: int) -> np.ndarray:
     """The identity, then ``RESTARTS - 1`` random rotations from ``seed``."""
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     random_starts = polar(rng.standard_normal((RESTARTS - 1, r, r)))
     return np.concatenate([np.eye(r)[None], random_starts])
 
 
-def varimax_rotate(A: np.ndarray, config: VintageConfig | None = None) -> VarimaxResult:
+def varimax_rotate(A: np.ndarray, seed: int = 0) -> VarimaxResult:
     """Best local maximizer of the varimax criterion over rotations.
 
+    The ascent runs from the identity and ``RESTARTS - 1`` random
+    rotations drawn from ``seed``, each for at most ``MAX_ITERS`` steps.
     Returns the first start whose criterion is within
     ``1e-12 (1 + |f_max|)`` of the best; ``n_iters`` and ``trace`` (its
     criterion before and after each accepted step) are that start's.
     ``G`` is orthogonal to machine precision and ``A_rot = A @ G``. The
     criterion of the Kaiser-normalized loadings ``W`` (rows scaled to unit
     norm) is maximized; row norms are rotation-invariant, so this only
-    reweights rows in the objective.
+    reweights rows in the objective. ``converged`` holds when the
+    stationarity residual, the norm of the skew part of ``G' W' grad``,
+    is at most ``TOL``.
     """
-    config = config or VintageConfig()
     A = np.asarray(A, dtype=float)
     r = A.shape[1]
     if np.linalg.matrix_rank(A) < r:
@@ -167,7 +160,7 @@ def varimax_rotate(A: np.ndarray, config: VintageConfig | None = None) -> Varima
         return VarimaxResult(np.eye(1), A.copy(), varimax_criterion(A), 0, True, ())
 
     W = A / _row_norms(A)
-    G, f, iters, history = _ascend(W, _starts(r, config), MAX_ITERS)
+    G, f, iters, history = _ascend(W, _starts(r, seed), MAX_ITERS)
     best = int(np.argmax(f >= f.max() - 1e-12 * (1.0 + abs(f.max()))))
     G = polar(G[best])  # refresh orthogonality to machine precision
     M = G.T @ W.T @ _varimax_value_grad(G.T @ W.T)[1].T

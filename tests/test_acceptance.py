@@ -132,7 +132,7 @@ def test_criterion_3_rotation_bias_certificate():
     deriv = (
         fm.varimax_criterion(A0 @ expm(h * J)) - fm.varimax_criterion(A0 @ expm(-h * J))
     ) / (2 * h)
-    res = fm.varimax_rotate(A0, fm.VintageConfig(seed=1))
+    res = fm.varimax_rotate(A0, seed=1)
     best = np.inf
     for p in itertools.permutations(range(2)):
         for s in itertools.product([-1.0, 1.0], repeat=2):

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import inspect
 import os
@@ -124,14 +125,15 @@ def test_every_public_function_has_a_caller():
     assert not uncalled, f"public functions that nothing outside the tests calls: {uncalled}"
 
 
-def _passed_parameters(paths, name: str, params) -> set[str]:
+def _passed_parameters(trees, name: str, params) -> set[str]:
     """Parameters, of those in ``params``, that some call of function
-    ``name`` in ``paths`` passes by keyword or by position; a ``*`` or
-    ``**`` argument counts as passing every parameter it could fill."""
+    ``name`` in the syntax trees ``trees`` passes by keyword or by
+    position; a ``*`` or ``**`` argument counts as passing every parameter
+    it could fill."""
     positional = [p.name for p in params if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)]
     passed = set()
-    for path in paths:
-        for node in ast.walk(ast.parse(path.read_text())):
+    for tree in trees:
+        for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
@@ -145,14 +147,21 @@ def _passed_parameters(paths, name: str, params) -> set[str]:
     return passed
 
 
+def _caller_trees() -> list:
+    """The syntax trees of the callers of the tests above, and of the
+    package itself."""
+    root = Path(__file__).parents[1]
+    paths = [*Path(folomin.__file__).parent.glob("*.py")]
+    paths += [*(root / "perfbench").glob("*.py"), *(root / "demos").glob("*.py")]
+    paths.append(root / "tests" / "test_acceptance.py")
+    return [ast.parse(path.read_text()) for path in paths]
+
+
 def test_every_defaulted_parameter_is_passed_by_a_caller():
     # a default that no caller overrides is a setting with one value in
     # use, a constant; the callers are those of the test above, and the
     # package itself
-    root = Path(__file__).parents[1]
-    callers = [*Path(folomin.__file__).parent.glob("*.py")]
-    callers += [*(root / "perfbench").glob("*.py"), *(root / "demos").glob("*.py")]
-    callers.append(root / "tests" / "test_acceptance.py")
+    callers = _caller_trees()
     unset = []
     for name in MODULES:
         module = importlib.import_module(f"folomin.{name}")
@@ -168,6 +177,40 @@ def test_every_defaulted_parameter_is_passed_by_a_caller():
                 if p.default is not p.empty and p.name not in passed
             ]
     assert not unset, f"defaulted public parameters that no caller passes: {unset}"
+
+
+def test_every_defaulted_dataclass_field_is_passed_by_a_caller():
+    # the same rule for the fields of the frozen public dataclasses. A
+    # caller passes a field when it gives it to the class, to one of the
+    # class's classmethods, or to ``cls(...)`` inside one
+    callers = _caller_trees()
+    unset = []
+    for name in MODULES:
+        module = importlib.import_module(f"folomin.{name}")
+        tree = ast.parse((Path(folomin.__file__).parent / f"{name}.py").read_text())
+        class_defs = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
+        for attr in getattr(module, "__all__", ()):
+            cls = getattr(module, attr)
+            if not (isinstance(cls, type) and dataclasses.is_dataclass(cls)):
+                continue
+            if not cls.__dataclass_params__.frozen:
+                continue
+            params = list(inspect.signature(cls).parameters.values())
+            passed = _passed_parameters(callers, attr, params)
+            for item in class_defs[attr].body:
+                if not isinstance(item, ast.FunctionDef):
+                    continue
+                if not any(getattr(d, "id", None) == "classmethod" for d in item.decorator_list):
+                    continue
+                method = inspect.signature(getattr(cls, item.name)).parameters.values()
+                passed |= _passed_parameters(callers, item.name, list(method))
+                passed |= _passed_parameters([item], "cls", params)
+            unset += [
+                f"{name}.{attr}.{p.name}"
+                for p in params
+                if p.default is not p.empty and p.name not in passed
+            ]
+    assert not unset, f"defaulted fields of frozen public dataclasses that no caller passes: {unset}"
 
 
 def _public_functions(name: str):

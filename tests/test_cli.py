@@ -333,8 +333,9 @@ def test_center_flag_gaussian(tmp_path):
         ["infer", "{out}", "--heatmap"],
         ["fit", "data.csv", "--family", "gaussian", "--r", "2", "--seed", "5", "--out", "{out}"],
         ["infer", "{out}", "--data", "x.csv"],
+        ["fit", "data.csv", "--family", "gaussian", "--r", "2", "--variance", "2", "--out", "{out}"],
     ],
-    ids=["report", "simulate-plots", "infer-heatmap", "fit-seed", "infer-data"],
+    ids=["report", "simulate-plots", "infer-heatmap", "fit-seed", "infer-data", "fit-variance"],
 )
 def test_removed_commands_and_flags_are_usage_errors(tmp_path, capsys, argv):
     out = tmp_path / "out"
@@ -358,8 +359,15 @@ def _fit_model(tmp_path):
 def test_infer_reports_the_fit_status(tmp_path, capsys):
     _, model, _ = _fit_model(tmp_path)
     assert main(["infer", str(model)]) == 0
-    assert json.loads((model / "inference_summary.json").read_text())["fit_status"] == "converged"
+    summary = json.loads((model / "inference_summary.json").read_text())
+    assert summary["fit_status"] == "converged"
     assert capsys.readouterr().err == ""
+    # the ERM pair's trace, copied from rotation.json
+    trace = json.loads((model / "rotation.json").read_text())["fit_trace"]
+    assert summary["fit_trace"] == trace
+    assert trace.keys() == {"n_iters", "stationarity", "max_row_norm", "cap"}
+    assert trace["n_iters"] >= 1 and trace["stationarity"] <= 1e-11
+    assert 0 < trace["max_row_norm"] <= trace["cap"]
 
     # the design of test_inference::test_bernoulli_sandwich_psd, whose fit stalls
     rng = np.random.default_rng(6)
@@ -375,20 +383,27 @@ def test_infer_reports_the_fit_status(tmp_path, capsys):
     with pytest.warns(RuntimeWarning, match="erm_fit stalled"):
         code = main(["fit", str(data_csv), "--family", "bernoulli", "--r", "2", "--out", str(stalled)])
     assert code == 0
-    assert json.loads((stalled / "rotation.json").read_text())["fit_status"] == "stalled"
+    meta = json.loads((stalled / "rotation.json").read_text())
+    assert meta["fit_status"] == "stalled"
+    # a capped Z row ends outside the cap, by the last normalization's move
+    trace = meta["fit_trace"]
+    assert trace["stationarity"] > 1e-11
+    assert trace["cap"] < trace["max_row_norm"] <= trace["cap"] * (1 + 1e-4)
     capsys.readouterr()
     assert main(["infer", str(stalled)]) == 0
-    assert json.loads((stalled / "inference_summary.json").read_text())["fit_status"] == "stalled"
+    summary = json.loads((stalled / "inference_summary.json").read_text())
+    assert summary["fit_status"] == "stalled" and summary["fit_trace"] == trace
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "fit_status is 'stalled'" in err
 
     # a model written before rotation.json recorded the status
     meta = model / "rotation.json"
     payload = json.loads(meta.read_text())
-    del payload["fit_status"]
+    del payload["fit_status"], payload["fit_trace"]
     meta.write_text(json.dumps(payload))
     assert main(["infer", str(model)]) == 0
-    assert json.loads((model / "inference_summary.json").read_text())["fit_status"] is None
+    summary = json.loads((model / "inference_summary.json").read_text())
+    assert summary["fit_status"] is None and summary["fit_trace"] is None
     assert "fit_status is None" in capsys.readouterr().err
 
 

@@ -119,10 +119,10 @@ def test_feasible_project_degenerate_row():
 
 
 def test_feasible_project_orthogonal_mode():
-    fset = FeasibleSet(radius=0.5, gram=np.eye(3), mode="orthogonal")
+    # the orthogonal LQA mode projects onto the orthogonal group
     rng = np.random.default_rng(3)
     G = np.eye(3) + 0.2 * rng.standard_normal((3, 3))
-    P = _feasible_project(G, fset.gram, fset.mode)
+    P = _feasible_project(G, np.eye(3), "orthogonal")
     np.testing.assert_allclose(P @ P.T, np.eye(3), atol=1e-12)
 
 

@@ -26,7 +26,7 @@ from folomin.erm import (
     _separable_fit,
     row_grams,
 )
-from folomin.model import _cells
+from folomin.model import _checked
 from folomin.sim import SimDesign, gen_dataset
 from test_inference import _hc0_sandwiches
 
@@ -274,7 +274,7 @@ def _full_pass_fit(X, targets, family, tol=1e-10, max_iter=100):
     pass, with the step rules of ``_separable_fit``."""
     B = np.zeros((targets.shape[1], X.shape[1]))
     for _ in range(max_iter + 1):
-        cells, d1, d2 = _cells(family, X @ B.T, targets, 2)
+        cells, d1, d2 = _checked(family, X @ B.T, targets)
         grad = d1.T @ X
         gnorm = np.linalg.norm(grad, axis=1)
         active = np.flatnonzero(gnorm > tol)
@@ -312,8 +312,9 @@ def test_active_set_solver_matches_full_passes(kind, m, k, r, seed):
     except OracleFitError:
         # a separable bernoulli column: the reference fails the same checks
         B_ref = _full_pass_fit(X, Y, family)
-        grad = _cells(family, X @ B_ref.T, Y, 1)[1].T @ X
-        cells = _cells(family, X @ B_ref.T, Y, 0)[0].sum(axis=0)
+        cells, d1, _ = _checked(family, X @ B_ref.T, Y)
+        grad = d1.T @ X
+        cells = cells.sum(axis=0)
         unsettled = np.linalg.norm(grad, axis=1) > 1e-10
         assert np.any(unsettled | (np.linalg.norm(B_ref, axis=1) > 1e6) | (cells < 1e-8))
         return
@@ -324,13 +325,9 @@ def test_separable_fit_evaluates_each_trial_point_once(monkeypatch):
     rng = np.random.default_rng(6)
     design = SimDesign(n=150, q=60, r=2, lambda_signal=0.3, tau=0.0, seed=1)
     Z_star, A_star, data = gen_dataset(design, rng)
-    orders, points, outside, widths = [], [], [], []
-    kernel, row_cells, update = erm._risk_cells, erm._row_cells, erm._newton_update
+    points, outside, widths = [], [], []
+    row_cells, update = erm._row_cells, erm._newton_update
     depth = [0]
-
-    def counted_kernel(family, theta, y, order, *args):
-        orders.append(order)
-        return kernel(family, theta, y, order, *args)
 
     def counted_row_cells(X, targets, family, rows, cols, *args):
         outside.append(depth[0] == 0)
@@ -345,14 +342,13 @@ def test_separable_fit_evaluates_each_trial_point_once(monkeypatch):
         finally:
             depth[0] -= 1
 
-    monkeypatch.setattr(erm, "_risk_cells", counted_kernel)
     monkeypatch.setattr(erm, "_row_cells", counted_row_cells)
     monkeypatch.setattr(erm, "_newton_update", counted_update)
     fit = oracle_fit_A(data, Z_star)
-    # one order-2 call on every column at the start, then only the steps'
-    # trial points, none of them twice, and last one call on every column
-    # at the returned rows, which gives the sandwiches
-    assert orders == [2] * len(outside) and len(outside) >= 4
+    # one evaluation of every column at the start, then only the steps'
+    # trial points, none of them twice, and last one evaluation of every
+    # column at the returned rows, which gives the sandwiches
+    assert len(outside) >= 4
     assert outside == [True] + [False] * (len(outside) - 2) + [True]
     assert points[: data.q] == [(c, (0.0, 0.0)) for c in range(data.q)]
     solver = points[: -data.q]
@@ -378,10 +374,9 @@ def test_erm_fit_evaluates_each_trial_point_once(family, n, q, tau, seed, path, 
     shapes, attempts = [], [0]
     kernel, normalize = erm._risk_cells, erm._normalize
 
-    def counted_kernel(family, theta, y, order, *args):
-        assert order == 2
+    def counted_kernel(family, theta, y, out):
         shapes.append(theta.shape)
-        return kernel(family, theta, y, order, *args)
+        return kernel(family, theta, y, out)
 
     def counted_normalize(Z, A):
         attempts[0] += 1
@@ -453,7 +448,7 @@ def test_row_cells_equal_one_kernel_call(
     theta = (rows @ X.T).T if layout == "transposed" else X @ rows.T
     got = erm._row_cells(X, targets, family, rows, cols, out)
     assert len(got) == 3
-    for g, want in zip(got, _cells(family, theta, targets[:, cols], 2)):
+    for g, want in zip(got, _checked(family, theta, targets[:, cols])):
         assert np.array_equal(g, want)
     if out is not None:
         assert all(g is o for g, o in zip(got, out))

@@ -32,7 +32,7 @@ from folomin.inference import (
     adjust_p_values,
     two_sided_p,
 )
-from folomin.model import _cells
+from folomin.model import _checked
 from folomin.sim import SimDesign, gen_dataset
 
 
@@ -365,7 +365,7 @@ def test_ill_conditioned_bread_names_the_requested_row():
     params = ParamPair(Z, 0.5 * rng.standard_normal((6, 3)))
     theta = params.theta()
     data = ResponseMatrix(sample_response(fam, theta, rng), fam)
-    _, d1, d2 = _cells(fam, theta, data.values, 2)
+    _, d1, d2 = _checked(fam, theta, data.values)
     breads = row_grams(Z, d2) / Z.shape[0]
     worst = int(np.argmax(np.linalg.cond(breads)))
     with pytest.raises(IllConditionedCovarianceError, match=rf"row {worst} of A "):
@@ -400,7 +400,7 @@ def _exact_congruence(data, params, G):
     bread ``B`` and meat ``M`` at ``params``, in 40-digit arithmetic."""
     import mpmath
 
-    _, d1, d2 = _cells(data.family, params.theta(), data.values, 2)
+    _, d1, d2 = _checked(data.family, params.theta(), data.values)
     breads = row_grams(params.Z, d2) / params.n
     meats = row_grams(params.Z, d1**2) / params.n
     out = np.empty_like(breads)

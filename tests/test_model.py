@@ -17,7 +17,7 @@ from folomin import (
     risk_d1,
     sample_response,
 )
-from folomin.model import _cells
+from folomin.model import _cells, _checked
 
 GAUSS = ResponseFamily.gaussian(1.0)
 BERN = ResponseFamily.bernoulli()
@@ -27,7 +27,7 @@ EPS = np.finfo(float).eps
 
 def _d2(family, theta):
     """The kernel's second derivative, which does not depend on the responses."""
-    return _cells(family, np.asarray(theta, dtype=float), np.zeros(()), 2)[2][()]
+    return _checked(family, theta, np.zeros(()))[2][()]
 
 
 def test_risk_examples():
@@ -79,12 +79,12 @@ def test_risk_kernels_write_into_a_given_buffer(family):
         t00 = theta[0, 0]
         np.testing.assert_array_equal(kernel(family, t00, y), kernel(family, np.full_like(y, t00), y))
     assert kernel(family, 0.5, ys[0]) == kernel(family, np.array([0.5]), np.array([ys[0]]))[0]
-    # at order 2 the kernel writes into given arrays, here Fortran-ordered
-    # ones as in the ERM's Z step, with the values of fresh ones
+    # the kernel writes into the arrays it is given, here Fortran-ordered
+    # ones as in the ERM's Z step, the values that C-ordered ones get
     out = tuple(np.full((4, 6), np.nan).T for _ in range(3))
-    written = _cells(family, np.asfortranarray(theta), np.asfortranarray(y), 2, out)
+    written = _cells(family, np.asfortranarray(theta), np.asfortranarray(y), out)
     assert all(w is o for w, o in zip(written, out))
-    for w, fresh in zip(written, _cells(family, theta, y, 2)):
+    for w, fresh in zip(written, _checked(family, theta, y)):
         np.testing.assert_array_equal(w, fresh)
 
 
@@ -94,8 +94,7 @@ def test_public_risks_equal_the_kernel(family):
     thetas, ys = _grid_for(family)
     theta = rng.choice(thetas, size=(6, 4)) + rng.uniform(-0.1, 0.1, (6, 4))
     y = rng.choice(ys, size=(6, 4))
-    f, d1, d2 = _cells(family, theta, y, 2)
-    assert np.array_equal(_cells(family, theta, y, 0)[0], f)
+    f, d1, d2 = _checked(family, theta, y)
     for public, ref in ((risk, f), (risk_d1, d1)):
         assert np.array_equal(public(family, theta, y), ref)
         # 0-d theta
@@ -109,7 +108,7 @@ def test_gaussian_kernel_is_the_plain_arithmetic():
     rng = np.random.default_rng(8)
     theta = 3.0 * rng.standard_normal((9, 7))
     y = rng.standard_normal((9, 7))
-    f, d1, d2 = _cells(GAUSS, theta, y, 2)
+    f, d1, d2 = _checked(GAUSS, theta, y)
     assert np.array_equal(f, (theta - y) ** 2)
     assert np.array_equal(d1, 2 * (theta - y))
     assert np.array_equal(d2, np.full_like(theta, 2.0))
@@ -123,7 +122,7 @@ def test_gaussian_kernel_is_the_plain_arithmetic():
 @example(theta=-5e-324, y=0.0)
 @example(theta=37.5, y=0.0)
 def test_bernoulli_kernel_against_high_precision(theta, y):
-    f, d1, d2 = (v[0] for v in _cells(BERN, np.array([theta]), np.array([y]), 2))
+    f, d1, d2 = (v[0] for v in _checked(BERN, np.array([theta]), np.array([y])))
     with mpmath.workprec(300):
         t = mpmath.mpf(theta)
         e = mpmath.exp(-abs(t))

@@ -1,7 +1,10 @@
+import warnings
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from test_initialization import _reference_candidate_sets, _reference_similarity
 
 from folomin import (
@@ -9,6 +12,7 @@ from folomin import (
     InitResult,
     InsufficientSimpleStructureError,
     ParamPair,
+    ResponseFamily,
     align,
     sample_response,
 )
@@ -275,3 +279,46 @@ def test_similarity_does_not_form_the_row_images():
     finally:
         tracemalloc.stop()
     assert peak < n * q * 8  # one n x q float array: 16 MB
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["gaussian", "bernoulli"]),
+    n=st.integers(60, 200),
+    q=st.integers(30, 120),
+    r=st.integers(2, 3),
+    lam=st.sampled_from([0.2, 0.3, 0.5]),
+    tau=st.sampled_from([0.0, 0.5]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pipeline_invariants_on_random_designs(kind, n, q, r, lam, tau, seed):
+    # the harness's cap and norm floor; a stalled fit warns, and its
+    # invariants hold all the same
+    family = ResponseFamily(kind)
+    design = SimDesign(n=n, q=q, r=r, lambda_signal=lam, tau=tau, family=family, seed=seed)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    Z_star, A_star, data = gen_dataset(design, rng)
+    M = 1.5 * max(np.linalg.norm(A_star, axis=1).max(), np.linalg.norm(Z_star, axis=1).max())
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            pipe = fit_pipeline(
+                data, r, fit_config=FitConfig(M=M), init_delta=0.05 * lam * lam
+            )
+    except (InsufficientSimpleStructureError, CollinearAxesError):
+        assume(False)
+    fit = pipe.fit
+    Z, A = fit.params.Z, fit.params.A
+    assert np.abs(Z.T @ Z / n - np.eye(r)).max() <= 1e-10
+    gram_A = A.T @ A
+    assert np.abs(gram_A - np.diag(np.diag(gram_A))).max() <= 1e-10 * np.diag(gram_A).max()
+    theta = Z @ A.T
+    rotated = pipe.params("mcp")
+    assert np.abs(rotated.theta() - theta).max() <= 1e-10 * np.abs(theta).max()
+    assert np.abs(np.diag(rotated.gram()) - 1.0).max() <= 1e-10
+    lams = np.linalg.eigvalsh(fit.sandwich_A)
+    assert np.all(lams[:, 0] >= -1e-12 * lams[:, -1])
+    if fit.trace.status == "converged":
+        assert fit.trace.stationarity <= FitConfig.tol
+    assert fit.trace.cap == M
+    assert np.linalg.norm(A, axis=1).max() <= M * (1 + 1e-12)

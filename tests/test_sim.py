@@ -10,7 +10,6 @@ from folomin import (
     ParamPair,
     ResponseFamily,
     SimDesign,
-    VintageConfig,
     gen_A,
     gen_Z,
     infeasible_debias_varimax,
@@ -26,7 +25,7 @@ from test_inference import _hc0_std_errors
 
 def test_design_validation():
     with pytest.raises(ValueError):
-        SimDesign(n=10, q=10, r=3, lambda_signal=0.2, simple_fraction=0.1)  # budget < 1
+        SimDesign(n=10, q=10, r=3, lambda_signal=0.2)  # budget < 1
     with pytest.raises(ValueError):
         SimDesign(n=100, q=100, r=3, lambda_signal=0.0)
     with pytest.raises(ValueError):
@@ -227,7 +226,8 @@ def test_failures_are_recorded_not_silent(monkeypatch):
         raise InsufficientSimpleStructureError(found=1, needed=2)
 
     monkeypatch.setattr(sim, "fit_pipeline", failing)
-    design = SimDesign(n=40, q=30, r=2, lambda_signal=0.2, tau=0.0, seed=1, simple_fraction=0.14)
+    design = SimDesign(n=40, q=40, r=2, lambda_signal=0.2, tau=0.0, seed=1)
+    assert design.rows_per_dim == 2
     summary = run_replications(design, methods=("folomin_mcp",), n_reps=2, workers=1)
     assert summary.n_failed == 2
     assert len(summary.failures) == 2
@@ -332,17 +332,17 @@ def test_promax_uses_the_vintage_seed(monkeypatch):
 
     fitted = []
 
-    def recording(A, config=None):
-        fitted.append((A, config))
-        return varimax_rotate(A, config)
+    def recording(A, seed=0):
+        fitted.append((A, seed))
+        return varimax_rotate(A, seed)
 
     monkeypatch.setattr(sim, "varimax_rotate", recording)
     summary = run_replications(_tiny_design(), methods=("varimax", "promax"), n_reps=1, workers=1)
     assert summary.n_failed == 0 and len(fitted) == 1
-    A, config = fitted[0]
-    assert config == VintageConfig()
+    A, seed = fitted[0]
+    assert seed == 0
     rep = summary.rep_results[0]
-    pres = promax_rotate(A, varimax_rotate(A, VintageConfig()))
+    pres = promax_rotate(A, varimax_rotate(A))
     _, _, expected = align(pres.A_rot, rep.A_star)
     np.testing.assert_array_equal(rep.per_method["promax"]["aligned_A"], expected)
 

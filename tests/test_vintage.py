@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from folomin import (
-    VintageConfig,
     align,
     promax_rotate,
     varimax_criterion,
@@ -43,7 +42,7 @@ def _signed_perm_distance(G):
 def test_perfectly_simple_is_fixed_point():
     rng = np.random.default_rng(0)
     A = _simple_loadings(rng)
-    res = varimax_rotate(A, VintageConfig(seed=0))
+    res = varimax_rotate(A, seed=0)
     _, _, aligned = align(res.A_rot, A)
     assert np.abs(aligned - A).max() <= 1e-8
     assert np.linalg.norm(res.G.T @ res.G - np.eye(3)) <= 1e-10
@@ -57,15 +56,14 @@ def test_rank_one_returns_sign():
 
 
 def test_block_counterexample_moves_away_from_identity():
-    res = varimax_rotate(A_BLOCK, VintageConfig(seed=1))
+    res = varimax_rotate(A_BLOCK, seed=1)
     assert _signed_perm_distance(res.G) > 0.01
 
 
 def test_local_maximality_of_returned_rotation():
     # the ascent maximizes the row-normalized criterion; verify optimality
     # against a cloud of small orthogonal perturbations
-    config = VintageConfig(seed=1)
-    res = varimax_rotate(A_BLOCK, config)
+    res = varimax_rotate(A_BLOCK, seed=1)
     W = A_BLOCK / np.linalg.norm(A_BLOCK, axis=1)[:, None]
     f0 = varimax_criterion(W @ res.G)
     rng = np.random.default_rng(7)
@@ -86,7 +84,7 @@ def test_varimax_requires_full_rank():
 def test_ascent_trace_nondecreasing():
     rng = np.random.default_rng(9)
     A = _simple_loadings(rng) + 0.3 * rng.standard_normal((30, 3))
-    res = varimax_rotate(A, VintageConfig(seed=0))
+    res = varimax_rotate(A, seed=0)
     trace = np.asarray(res.trace)
     # the winning start's criterion before its first and after every step
     assert trace.size == res.n_iters + 1 >= 2
@@ -99,7 +97,7 @@ def test_product_preservation_through_pairing():
     rng = np.random.default_rng(2)
     A = _simple_loadings(rng) + 0.1 * rng.standard_normal((30, 3))
     Z = rng.standard_normal((50, 3))
-    res = varimax_rotate(A, VintageConfig(seed=0))
+    res = varimax_rotate(A, seed=0)
     np.testing.assert_allclose((Z @ res.G) @ res.A_rot.T, Z @ A.T, atol=1e-10)
     pres = promax_rotate(A, res)
     np.testing.assert_allclose((Z @ pres.G.T) @ pres.A_rot.T, Z @ A.T, atol=1e-9)
@@ -108,7 +106,7 @@ def test_product_preservation_through_pairing():
 def test_promax_perfectly_simple():
     rng = np.random.default_rng(3)
     A = _simple_loadings(rng)
-    res = promax_rotate(A, varimax_rotate(A, VintageConfig()))
+    res = promax_rotate(A, varimax_rotate(A))
     _, _, aligned = align(res.A_rot, A)
     assert np.abs(aligned - A).max() <= 1e-6
     np.testing.assert_allclose(res.factor_correlation, np.eye(3), atol=1e-6)
@@ -117,7 +115,7 @@ def test_promax_perfectly_simple():
 def test_promax_correlation_structure():
     rng = np.random.default_rng(4)
     A = _simple_loadings(rng) + 0.2 * rng.standard_normal((30, 3))
-    res = promax_rotate(A, varimax_rotate(A, VintageConfig()))
+    res = promax_rotate(A, varimax_rotate(A))
     phi = res.factor_correlation
     np.testing.assert_allclose(phi, phi.T, atol=1e-12)
     np.testing.assert_allclose(np.diag(phi), np.ones(3), atol=1e-12)
@@ -178,10 +176,9 @@ def test_criterion_is_rotation_invariant(A, seed):
 @settings(max_examples=20, deadline=None)
 @given(loadings)
 def test_batched_starts_keep_the_best_single_start(A):
-    config = VintageConfig()
     W = _row_normalized(A)
-    best = varimax_criterion(W @ varimax_rotate(A, config).G)
-    for G0 in vintage._starts(A.shape[1], config):
+    best = varimax_criterion(W @ varimax_rotate(A).G)
+    for G0 in vintage._starts(A.shape[1], 0):
         _, f, _, _ = vintage._ascend(W, G0[None], vintage.MAX_ITERS)
         assert best >= f[0] - 1e-12 * (1.0 + abs(f[0]))
 
@@ -211,11 +208,10 @@ def test_value_and_gradient_match_the_fourth_power_formula(r, q, k, seed):
 def test_promax_reuses_a_varimax_result():
     rng = np.random.default_rng(6)
     A = _simple_loadings(rng) + 0.2 * rng.standard_normal((30, 3))
-    config = VintageConfig(seed=2)
-    reused = promax_rotate(A, varimax_rotate(A, config))
-    again = promax_rotate(A, varimax_rotate(A, config))
+    reused = promax_rotate(A, varimax_rotate(A, seed=2))
+    again = promax_rotate(A, varimax_rotate(A, seed=2))
     for field in ("G", "A_rot", "factor_correlation"):
         assert np.array_equal(getattr(again, field), getattr(reused, field))
-    other = varimax_rotate(A + 0.01 * rng.standard_normal(A.shape), config)
+    other = varimax_rotate(A + 0.01 * rng.standard_normal(A.shape), seed=2)
     with pytest.raises(ValueError, match="not computed from these loadings"):
         promax_rotate(A, other)
